@@ -9,11 +9,13 @@ and test the change for significance.
 
 from .corpus_io import (
     MANNERS,
+    FRAME_SHIFT,
     NEG_INF,
+    Corpus,
     FrameMask,
-    FrameTiming,
     PhoneAlignment,
     ScoreMatrix,
+    Utterance,
     format_alignment,
     parse_alignment,
     read_manner_table,
@@ -31,7 +33,6 @@ from .decoder import (
     TransitionModel,
     collapse_states,
     read_transition_model,
-    sequence_score,
     viterbi,
     write_transition_model,
 )
@@ -87,8 +88,6 @@ from .scoring import (
     merge_reports,
     normalized_error_increment,
     per_increment,
-    read_confusion_csv,
-    read_report_csv,
     write_confusion_csv,
     write_report_csv,
 )
@@ -106,14 +105,12 @@ from .strategy import (
     INTERP_TAPS,
     REPLACEMENT_METHODS,
     STRATEGY_KINDS,
-    InterpFilter,
     StrategySpec,
     adjust_mask_to_rate,
     apply_replacement,
     apply_weights,
     design_interp_filter,
     landmark_weights,
-    mask_identity,
     mask_landmark,
     mask_or,
     mask_random,
@@ -121,8 +118,7 @@ from .strategy import (
     mask_subtract,
     parse_strategy,
     realize_strategy,
-    uniform_weights,
 )
-from .synth import SynthConfig, SynthCorpus, gen_corpus, parse_synth_config
+from .synth import SynthConfig, gen_corpus, parse_synth_config
 
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ from dataclasses import replace
 import numpy as np
 
 from .corpus_io import (
-    FrameTiming,
     atomic_write_bytes,
     atomic_write_text,
+    format_alignment,
     parse_alignment,
     read_manner_table,
     read_score_matrix,
@@ -97,8 +97,7 @@ def cmd_synth(args) -> int:
         a = utt.alignment
         speaker_lines.append(f"{a.utterance_id} {a.speaker_id} {a.gender}")
         atomic_write_text(
-            os.path.join(args.out, f"{a.utterance_id}.align"),
-            "\n".join(f"{s} {e} {p}" for p, s, e in a.segments) + "\n",
+            os.path.join(args.out, f"{a.utterance_id}.align"), format_alignment(a) + "\n"
         )
         if args.format == "text":
             _dump_matrix(os.path.join(args.out, f"{a.utterance_id}.llm.txt"), utt.matrix, "text")
@@ -132,7 +131,7 @@ def cmd_annotate(args) -> int:
     for path in _iter_alignment_files(args):
         unit = "samples" if path.lower().endswith(".phn") else args.unit
         stem = os.path.splitext(os.path.basename(path))[0]
-        alignment = parse_alignment(_read_text(path), FrameTiming(), unit, stem)
+        alignment = parse_alignment(_read_text(path), unit, stem)
         landmarks = annotate(alignment, manner_table, config)
         fractions.append(landmark_fraction(landmarks, alignment.num_frames, args.radius))
         if args.out:
@@ -206,7 +205,7 @@ def _read_hyp_phones(path: str):
 
 def cmd_score(args) -> int:
     stem = os.path.splitext(os.path.basename(args.ref))[0]
-    alignment = parse_alignment(_read_text(args.ref), FrameTiming(), args.unit, stem)
+    alignment = parse_alignment(_read_text(args.ref), args.unit, stem)
     hyp = _read_hyp_phones(args.hyp)
     report = align_edit(alignment.phones(), hyp, stem)
     text = write_report_csv([report])

@@ -20,6 +20,9 @@ MATRIX_MAGIC = b"LLM1"
 
 GENDERS = ("F", "M", "unknown")
 
+# Analysis frames advance 160 samples (10 ms at 16 kHz).
+FRAME_SHIFT = 160
+
 MANNERS = (
     "vowel",
     "glide",
@@ -30,25 +33,6 @@ MANNERS = (
     "silence",
     "other",
 )
-
-
-@dataclass
-class FrameTiming:
-    """Analysis frame geometry. Defaults: 25 ms windows every 10 ms at 16 kHz."""
-
-    sample_rate: int = 16000
-    frame_length: int = 400
-    frame_shift: int = 160
-
-    def __post_init__(self):
-        if self.frame_shift < 1:
-            raise FormatError("frame_shift must be >= 1")
-        if self.frame_length < self.frame_shift:
-            raise FormatError("frame_length must be >= frame_shift")
-
-    def sample_to_frame(self, sample: int) -> int:
-        # Mid-frame boundaries round down; monotone in the sample index.
-        return sample // self.frame_shift
 
 
 @dataclass
@@ -148,9 +132,26 @@ class FrameMask:
         return np.flatnonzero(~self.dropped)
 
 
+@dataclass
+class Utterance:
+    """One utterance: its reference alignment and its score matrix."""
+
+    alignment: PhoneAlignment
+    matrix: ScoreMatrix
+
+
+@dataclass
+class Corpus:
+    """A decoding corpus, generated by synth.gen_corpus or read by
+    experiment.load_corpus_dir. model is a decoder.TransitionModel."""
+
+    model: object
+    manner_table: dict
+    utterances: list  # of Utterance
+
+
 def parse_alignment(
     text: str,
-    timing: FrameTiming | None = None,
     unit: str = "frames",
     utterance_id: str = "",
     speaker_id: str = "unknown",
@@ -159,12 +160,10 @@ def parse_alignment(
     """Parse "start end phone" lines into a frame-indexed PhoneAlignment.
 
     With unit="samples" both endpoints are converted once via
-    floor(b / frame_shift); everything downstream is frame-synchronous.
+    floor(b / FRAME_SHIFT); everything downstream is frame-synchronous.
     """
     if unit not in ("frames", "samples"):
         raise ParseError(f"unknown unit {unit!r}")
-    if unit == "samples" and timing is None:
-        timing = FrameTiming()
     segments = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -178,8 +177,7 @@ def parse_alignment(
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer boundary in {line!r}") from None
         if unit == "samples":
-            start = timing.sample_to_frame(start)
-            end = timing.sample_to_frame(end)
+            start, end = start // FRAME_SHIFT, end // FRAME_SHIFT
         segments.append((fields[2], start, end))
     return PhoneAlignment(utterance_id, segments, speaker_id=speaker_id, gender=gender)
 
@@ -267,8 +265,9 @@ def read_mask(text: str) -> FrameMask:
     if not entries:
         raise FormatError("empty mask")
     if sorted(entries) != list(range(len(entries))):
-        missing = sorted(set(range(max(entries) + 1)) - set(entries))
-        raise FormatError(f"frame indices not contiguous from 0; missing {missing}")
+        # n distinct indices that are not 0..n-1 must miss one below n.
+        missing = next(t for t in range(len(entries)) if t not in entries)
+        raise FormatError(f"frame indices not contiguous from 0; first missing index {missing}")
     return FrameMask(np.array([entries[t] for t in range(len(entries))], dtype=bool))
 
 

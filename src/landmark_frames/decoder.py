@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus_io import NEG_INF, ScoreMatrix
 from .errors import BeamCollapse, FormatError, InvalidConfig, ShapeError, UnknownSenone
+from .strategy import apply_weights
 
 NORMALIZATION_TOL = 1e-6
 
@@ -105,16 +106,17 @@ def viterbi(
 ) -> DecodeResult:
     """Best-path decode of one utterance.
 
-    weights, if given, scale each frame's emission row (NEG_INF entries
-    stay NEG_INF). beam, if given, prunes states whose partial score
-    falls more than beam below the frame maximum. Pruning everything
-    raises BeamCollapse, as does a model with no feasible path.
+    weights, if given, scale each frame's emission row through
+    strategy.apply_weights (NEG_INF entries stay NEG_INF). beam, if
+    given, prunes states whose partial score falls more than beam below
+    the frame maximum. Pruning everything raises BeamCollapse, as does a
+    model with no feasible path.
     """
     if matrix.S != model.S:
         raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
     if beam is not None and beam <= 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
-    values = _weighted_values(matrix, weights)
+    values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
 
     back = np.zeros((T, S), dtype=np.int64)
@@ -137,20 +139,6 @@ def viterbi(
     )
 
 
-def _weighted_values(matrix: ScoreMatrix, weights: np.ndarray | None) -> np.ndarray:
-    if weights is None:
-        return matrix.values
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (matrix.T,):
-        raise ShapeError(f"weights shape {weights.shape} != ({matrix.T},)")
-    if (weights < 0).any() or not np.isfinite(weights).all():
-        raise InvalidConfig("weights must be finite and >= 0")
-    values = matrix.values
-    with np.errstate(invalid="ignore"):
-        scaled = weights[:, None] * values
-    return np.where(values == NEG_INF, NEG_INF, scaled)
-
-
 def _prune(delta: np.ndarray, beam: float | None, utterance_id: str, t: int) -> np.ndarray:
     peak = delta.max()
     if peak == NEG_INF:
@@ -158,28 +146,6 @@ def _prune(delta: np.ndarray, beam: float | None, utterance_id: str, t: int) -> 
     if beam is None:
         return delta
     return np.where(delta >= peak - beam, delta, NEG_INF)
-
-
-def sequence_score(
-    matrix: ScoreMatrix,
-    model: TransitionModel,
-    states,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Recompute the path score of a given state sequence."""
-    states = np.asarray(states, dtype=np.int64)
-    if states.shape != (matrix.T,):
-        raise ShapeError(f"state path length {states.shape} != frames {matrix.T}")
-    if matrix.S != model.S:
-        raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
-    if states.size and ((states < 0) | (states >= model.S)).any():
-        bad = states[(states < 0) | (states >= model.S)][0]
-        raise UnknownSenone(f"senone index {int(bad)} outside [0, {model.S})")
-    values = _weighted_values(matrix, weights)
-    score = model.init[states[0]] + values[0, states[0]]
-    for t in range(1, matrix.T):
-        score = score + model.trans[states[t - 1], states[t]] + values[t, states[t]]
-    return float(score)
 
 
 def write_transition_model(model: TransitionModel) -> str:

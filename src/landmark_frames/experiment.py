@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus_io import (
-    FrameTiming,
+    Corpus,
+    Utterance,
     atomic_write_text,
     parse_alignment,
     read_manner_table,
@@ -26,7 +27,7 @@ from .corpus_io import (
     write_score_matrix,
 )
 from .decoder import read_transition_model, viterbi
-from .errors import EmptyInput, InvalidConfig, LandmarkFramesError
+from .errors import EmptyInput, FormatError, InvalidConfig, LandmarkFramesError, ShapeError
 from .landmarks import AnnotationConfig, annotate, landmark_frames
 from .scoring import align_edit, merge_reports, per_increment, write_confusion_csv, write_report_csv
 from .stats import cv_folds, summarize_cv, welch_t, wilcoxon_signed_rank, write_stats_csv
@@ -125,25 +126,15 @@ def load_experiment_config(text: str) -> ExperimentConfig:
         raise InvalidConfig(f"bad config: {e}") from None
 
 
-@dataclass
-class Corpus:
-    model: object
-    manner_table: dict
-    utterances: list
-
-
-@dataclass
-class _Utterance:
-    alignment: object
-    matrix: object
-
-
 def load_corpus_dir(path: str) -> Corpus:
     """Load a decoding corpus from a directory.
 
     Expects model.tm, manners.txt, and per-utterance <stem>.align plus
     <stem>.llm pairs; speakers.tsv ("stem speaker gender") is optional
-    and defaults every utterance to its own F speaker.
+    and defaults every utterance to its own F speaker. A malformed
+    speakers.tsv line, an .align without its .llm, or a matrix whose
+    frame or senone count disagrees with its alignment or the model
+    fails here, naming the file and the utterance.
     """
     def read(name):
         with open(os.path.join(path, name), encoding="utf-8") as fh:
@@ -153,10 +144,15 @@ def load_corpus_dir(path: str) -> Corpus:
     manner_table = read_manner_table(read("manners.txt"))
     speakers = {}
     if os.path.exists(os.path.join(path, "speakers.tsv")):
-        for line in read("speakers.tsv").splitlines():
+        for lineno, line in enumerate(read("speakers.tsv").splitlines(), start=1):
             fields = line.split()
-            if len(fields) == 3:
-                speakers[fields[0]] = (fields[1], fields[2])
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise FormatError(
+                    f"speakers.tsv line {lineno}: expected 'stem speaker gender', got {line!r}"
+                )
+            speakers[fields[0]] = (fields[1], fields[2])
     stems = sorted(
         os.path.splitext(name)[0]
         for name in os.listdir(path)
@@ -167,12 +163,22 @@ def load_corpus_dir(path: str) -> Corpus:
     utterances = []
     for stem in stems:
         speaker, gender = speakers.get(stem, (stem, "F"))
-        alignment = parse_alignment(
-            read(f"{stem}.align"), FrameTiming(), "frames", stem, speaker, gender
-        )
-        with open(os.path.join(path, f"{stem}.llm"), "rb") as fh:
-            matrix = read_score_matrix(fh.read(), stem)
-        utterances.append(_Utterance(alignment, matrix))
+        alignment = parse_alignment(read(f"{stem}.align"), "frames", stem, speaker, gender)
+        try:
+            with open(os.path.join(path, f"{stem}.llm"), "rb") as fh:
+                matrix = read_score_matrix(fh.read(), stem)
+        except FileNotFoundError:
+            raise FormatError(f"{stem}.align has no {stem}.llm for utterance {stem!r}") from None
+        if matrix.T != alignment.num_frames:
+            raise ShapeError(
+                f"{stem}.llm: utterance {stem!r} has {matrix.T} frames, "
+                f"its alignment {alignment.num_frames}"
+            )
+        if matrix.S != model.S:
+            raise ShapeError(
+                f"{stem}.llm: utterance {stem!r} has {matrix.S} senones, model.tm {model.S}"
+            )
+        utterances.append(Utterance(alignment, matrix))
     return Corpus(model, manner_table, utterances)
 
 
@@ -194,6 +200,7 @@ class StrategyOutcome:
     decodes: list | None = None  # (utterance_id, phones)
     masks: list | None = None  # (utterance_id, FrameMask)
     checksums: list | None = None  # (utterance_id, transformed matrix sha256)
+    fold_increments: list | None = None  # relative PER increment per live fold
     stat_results: list = field(default_factory=list)
 
 
@@ -292,23 +299,16 @@ def _utterance_folds(corpus, config):
     return [f for f in folds if f]
 
 
-def _fold_increments(folds, base_by_id, strat_by_id):
-    """Relative PER increments per fold.
-
-    Folds whose baseline slice has no errors are skipped: the relative
-    increment is undefined there. The skip depends only on the baseline,
-    so every strategy is summarized over the same fold subset.
-    """
+def _fold_increments(live_folds, reports):
+    """Relative PER increments per (fold, baseline fold PER) pair."""
+    by_id = {r.utterance_id: r for r in reports}
     increments = []
-    for fold in folds:
-        base = merge_reports([base_by_id[u] for u in fold], "fold")
-        if base.per == 0.0:
-            continue
-        mod = merge_reports([strat_by_id[u] for u in fold], "fold")
-        if mod.per == base.per:
+    for fold, base_per in live_folds:
+        mod = merge_reports([by_id[u] for u in fold], "fold")
+        if mod.per == base_per:
             increments.append(0.0)
         else:
-            increments.append(per_increment(base.per, mod.per))
+            increments.append(per_increment(base_per, mod.per))
     return increments
 
 
@@ -351,12 +351,18 @@ def compute_outcomes(
         base_merged = merge_reports(baseline.reports, "baseline")
         baseline.per = base_merged.per
 
-        ids = [u.alignment.utterance_id for u in corpus.utterances]
-        folds = _utterance_folds(corpus, config)
+        # Folds whose baseline slice has no errors are skipped: the
+        # relative increment is undefined there. The skip depends only on
+        # the baseline, so every strategy is summarized over the same folds.
         base_by_id = {r.utterance_id: r for r in baseline.reports}
+        live_folds = []
+        for fold in _utterance_folds(corpus, config):
+            base_per = merge_reports([base_by_id[u] for u in fold], "fold").per
+            if base_per > 0.0:
+                live_folds.append((fold, base_per))
 
+        baseline.fold_increments = [0.0] * len(live_folds)
         outcomes = [baseline]
-        details = {}
         for si, raw in enumerate(strategies, start=1):
             try:
                 outcome = _run_strategy(
@@ -369,38 +375,27 @@ def compute_outcomes(
                     outcome.delta_per = 0.0
                 else:
                     outcome.delta_per = per_increment(base_merged.per, merged.per)
-                strat_by_id = {r.utterance_id: r for r in outcome.reports}
-                increments = _fold_increments(folds, base_by_id, strat_by_id)
-                if increments:
-                    outcome.mean, outcome.stdev = summarize_cv(increments)
-                details[id(outcome)] = (strat_by_id, increments)
+                outcome.fold_increments = _fold_increments(live_folds, outcome.reports)
+                if outcome.fold_increments:
+                    outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
             except LandmarkFramesError as e:
                 outcome = StrategyOutcome(raw, error=str(e))
             outcomes.append(outcome)
 
-        n_live_folds = sum(
-            1 for fold in folds
-            if merge_reports([base_by_id[u] for u in fold], "fold").per > 0.0
-        )
+        # outcomes[0] is the baseline row, named BASELINE.
         comparison = config.comparison if config.comparison is not None else BASELINE
-        if comparison == BASELINE:
-            comp = baseline
-            comp_by_id = base_by_id
-            comp_increments = [0.0] * n_live_folds
-        else:
-            comp = next(o for o in outcomes[1:] if o.strategy == comparison)
-            comp_by_id, comp_increments = details.get(id(comp), (None, None))
+        comp = next(o for o in outcomes if o.strategy == comparison)
         for outcome in outcomes[1:]:
             if outcome.error is not None or outcome is comp or comp.error is not None:
                 continue
-            strat_by_id, increments = details[id(outcome)]
-            pairs = [(strat_by_id[u].errors, comp_by_id[u].errors) for u in ids]
+            # Reports of every outcome follow the corpus utterance order.
+            pairs = [(s.errors, c.errors) for s, c in zip(outcome.reports, comp.reports)]
             wilcoxon = wilcoxon_signed_rank(pairs)
             outcome.p_wilcoxon = wilcoxon.p
             outcome.stat_results.append(wilcoxon)
-            if len(increments) >= 2 and len(comp_increments) >= 2:
+            if len(outcome.fold_increments) >= 2 and len(comp.fold_increments) >= 2:
                 try:
-                    t_result = welch_t(increments, comp_increments)
+                    t_result = welch_t(outcome.fold_increments, comp.fold_increments)
                     outcome.p_t = t_result.p
                     outcome.stat_results.append(t_result)
                 except LandmarkFramesError:
@@ -446,33 +441,50 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def format_plot_svg(outcomes, title: str = "relative PER change") -> str:
+# Both charts share one 640x360 canvas with the plot area inside these bounds.
+_SVG_WIDTH, _SVG_HEIGHT = 640, 360
+_LEFT, _RIGHT, _TOP, _BOTTOM = 60, 620, 40, 300
+
+
+def _svg_chart(title: str, body: list) -> str:
+    """Header, title and axes around the chart body, or "no data" if it is empty."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<text x="{_SVG_WIDTH // 2}" y="20" text-anchor="middle" font-size="14">'
+        f'{_xml_escape(title)}</text>',
+        f'<line x1="{_LEFT}" y1="{_BOTTOM}" x2="{_RIGHT}" y2="{_BOTTOM}" stroke="black"/>',
+        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_BOTTOM}" stroke="black"/>',
+    ]
+    if body:
+        parts += body
+    else:
+        parts.append(
+            f'<text x="{_SVG_WIDTH // 2}" y="{_SVG_HEIGHT // 2}" text-anchor="middle">no data</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def format_plot_svg(outcomes) -> str:
     """Minimal deterministic bar chart of delta PER per strategy."""
     rows = [(o.strategy, o.delta_per, o.stdev or 0.0) for o in outcomes if o.delta_per is not None]
-    width, height = 640, 360
-    margin, base_y = 60, 300
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<line x1="{margin}" y1="{base_y}" x2="{width - 20}" y2="{base_y}" stroke="black"/>',
-        f'<line x1="{margin}" y1="40" x2="{margin}" y2="{base_y}" stroke="black"/>',
-    ]
+    body = []
     if rows:
         peak = max(max(abs(v) + s for _, v, s in rows), 1e-9)
         scale = 120.0 / peak
-        zero_y = (base_y + 40) / 2
-        slot = (width - margin - 40) / len(rows)
-        parts.append(
-            f'<line x1="{margin}" y1="{zero_y:.1f}" x2="{width - 20}" y2="{zero_y:.1f}" '
+        zero_y = (_BOTTOM + _TOP) / 2
+        slot = (_RIGHT - _LEFT - 20) / len(rows)
+        body.append(
+            f'<line x1="{_LEFT}" y1="{zero_y:.1f}" x2="{_RIGHT}" y2="{zero_y:.1f}" '
             f'stroke="gray" stroke-dasharray="4"/>'
         )
         for i, (label, value, stdev) in enumerate(rows):
-            x = margin + 10 + i * slot
+            x = _LEFT + 10 + i * slot
             bar_w = max(slot * 0.6, 4.0)
             top = zero_y - max(value, 0.0) * scale
             h = abs(value) * scale
-            parts.append(
+            body.append(
                 f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
                 f'fill="steelblue"/>'
             )
@@ -480,47 +492,32 @@ def format_plot_svg(outcomes, title: str = "relative PER change") -> str:
                 cx = x + bar_w / 2
                 y0 = zero_y - (value + stdev) * scale
                 y1 = zero_y - (value - stdev) * scale
-                parts.append(
+                body.append(
                     f'<line x1="{cx:.1f}" y1="{y0:.1f}" x2="{cx:.1f}" y2="{y1:.1f}" '
                     f'stroke="black"/>'
                 )
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 16}" text-anchor="middle" '
+            body.append(
+                f'<text x="{x + bar_w / 2:.1f}" y="{_BOTTOM + 16}" text-anchor="middle" '
                 f'font-size="9">{_xml_escape(label)}</text>'
             )
-            parts.append(
+            body.append(
                 f'<text x="{x + bar_w / 2:.1f}" y="{top - 4:.1f}" text-anchor="middle" '
                 f'font-size="9">{value:.2f}</text>'
             )
-    else:
-        parts.append(
-            f'<text x="{width // 2}" y="{height // 2}" text-anchor="middle">no data</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_chart("relative PER change", body)
 
 
 _SWEEP_COLORS = ("steelblue", "firebrick", "seagreen", "darkorange", "purple", "teal")
 
 
-def format_sweep_svg(rows, parameter: str, title: str | None = None) -> str:
+def format_sweep_svg(rows, parameter: str) -> str:
     """Deterministic line chart: mean delta PER against the swept value."""
     series = {}
     for row in rows:
         if row.value is None or row.delta_per is None:
             continue
         series.setdefault(row.strategy, []).append((row.value, row.delta_per))
-    width, height = 640, 360
-    left, right, top, bottom = 60, 620, 40, 300
-    if title is None:
-        title = f"relative PER change vs {parameter}"
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{_xml_escape(title)}</text>',
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
-    ]
+    body = []
     points = [p for pts in series.values() for p in pts]
     if points:
         xs = [p[0] for p in points]
@@ -531,38 +528,33 @@ def format_sweep_svg(rows, parameter: str, title: str | None = None) -> str:
         y_span = (y_hi - y_lo) or 1.0
 
         def sx(v):
-            return left + (v - x_lo) / x_span * (right - left)
+            return _LEFT + (v - x_lo) / x_span * (_RIGHT - _LEFT)
 
         def sy(v):
-            return bottom - (v - y_lo) / y_span * (bottom - top)
+            return _BOTTOM - (v - y_lo) / y_span * (_BOTTOM - _TOP)
 
         zero_y = sy(0.0)
-        parts.append(
-            f'<line x1="{left}" y1="{zero_y:.1f}" x2="{right}" y2="{zero_y:.1f}" '
+        body.append(
+            f'<line x1="{_LEFT}" y1="{zero_y:.1f}" x2="{_RIGHT}" y2="{zero_y:.1f}" '
             f'stroke="gray" stroke-dasharray="4"/>'
         )
         for si, (label, pts) in enumerate(sorted(series.items())):
             color = _SWEEP_COLORS[si % len(_SWEEP_COLORS)]
             pts = sorted(pts)
             coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}"/>')
+            body.append(f'<polyline points="{coords}" fill="none" stroke="{color}"/>')
             for x, y in pts:
-                parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="{color}"/>')
-            parts.append(
-                f'<text x="{right - 4}" y="{top + 14 + 14 * si}" text-anchor="end" '
+                body.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="{color}"/>')
+            body.append(
+                f'<text x="{_RIGHT - 4}" y="{_TOP + 14 + 14 * si}" text-anchor="end" '
                 f'font-size="10" fill="{color}">{_xml_escape(label)}</text>'
             )
         for value in sorted({p[0] for p in points}):
-            parts.append(
-                f'<text x="{sx(value):.1f}" y="{bottom + 16}" text-anchor="middle" '
+            body.append(
+                f'<text x="{sx(value):.1f}" y="{_BOTTOM + 16}" text-anchor="middle" '
                 f'font-size="9">{value:g}</text>'
             )
-    else:
-        parts.append(
-            f'<text x="{width // 2}" y="{height // 2}" text-anchor="middle">no data</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_chart(f"relative PER change vs {parameter}", body)
 
 
 def emit_report(
@@ -697,8 +689,8 @@ def sweep(
                 raise InvalidConfig(f"drop rate must lie in [0, 1], got {v}")
     else:
         for v in values:
-            if v < 0.0:
-                raise InvalidConfig(f"overweight factor must be >= 0, got {v}")
+            if not 0.0 <= v < np.inf:
+                raise InvalidConfig(f"overweight factor must be finite and >= 0, got {v}")
         # Fail fast if any strategy has nothing to sweep.
         for raw in config.strategies:
             _overweight_variant(raw, values[0])

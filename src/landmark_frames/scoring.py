@@ -216,45 +216,8 @@ def write_report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_report_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "utterance_id,N,ins,del,sub,per":
-        raise FormatError("missing report header")
-    reports = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise FormatError(f"bad report row {line!r}")
-        try:
-            n, ins, dels, sub = (int(f) for f in fields[1:5])
-            per = float(fields[5])
-        except ValueError:
-            raise FormatError(f"bad report row {line!r}") from None
-        report = PERReport(fields[0], n, ins, dels, sub)
-        if abs(report.per - per) > 1e-9:
-            raise FormatError(f"inconsistent per in row {line!r}")
-        reports.append(report)
-    return reports
-
-
 def write_confusion_csv(report: PERReport) -> str:
     lines = ["ref,hyp,count"]
     for (ref, hyp), count in sorted(report.confusion.items()):
         lines.append(f"{ref},{hyp},{count}")
     return "\n".join(lines) + "\n"
-
-
-def read_confusion_csv(text: str) -> dict:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "ref,hyp,count":
-        raise FormatError("missing confusion header")
-    confusion = {}
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise FormatError(f"bad confusion row {line!r}")
-        try:
-            confusion[(fields[0], fields[1])] = int(fields[2])
-        except ValueError:
-            raise FormatError(f"bad confusion row {line!r}") from None
-    return confusion

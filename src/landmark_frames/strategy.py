@@ -34,21 +34,12 @@ STRATEGY_KINDS = ("identity", "regular", "random", "landmark", "hybrid", "overwe
 INTERP_TAPS = 17
 
 
-def mask_identity(num_frames: int) -> FrameMask:
-    return FrameMask(np.zeros(num_frames, dtype=bool))
-
-
 def mask_regular(num_frames: int, period: int, drop: int) -> FrameMask:
     """Drop the first `drop` frames of every `period`-frame cycle."""
     if period < 2 or not (1 <= drop < period):
         raise InvalidPattern(f"regular mask needs 1 <= D < P with P >= 2, got P={period}, D={drop}")
     t = np.arange(num_frames)
     return FrameMask((t % period) < drop)
-
-
-def regular_drop_count(num_frames: int, period: int, drop: int) -> int:
-    """Closed-form count of dropped frames for a regular mask."""
-    return (num_frames // period) * drop + min(num_frames % period, drop)
 
 
 def mask_random(num_frames: int, n_drop: int, seed: int, protected=()) -> FrameMask:
@@ -119,33 +110,13 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=(), seed: int 
     return FrameMask(dropped)
 
 
-@dataclass(frozen=True)
-class InterpFilter:
-    """Symmetric 17-tap interpolation filter tied to a drop period."""
+def design_interp_filter(period: int) -> np.ndarray:
+    """Windowed-sinc taps for a drop-1-in-period mask (drops t = 0 mod P).
 
-    taps: np.ndarray
-    period: int
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        if taps.shape != (INTERP_TAPS,):
-            raise InvalidPattern(f"filter needs {INTERP_TAPS} taps, got shape {taps.shape}")
-        if not np.isfinite(taps).all():
-            raise InvalidPattern("filter taps must be finite")
-        if self.period < 2:
-            raise InvalidPattern(f"filter period must be >= 2, got {self.period}")
-        k = np.arange(INTERP_TAPS) - INTERP_TAPS // 2
-        if taps[k % self.period == 0].sum() != 1.0:
-            raise InvalidPattern("taps on the retained coset must sum to exactly 1")
-        object.__setattr__(self, "taps", taps)
-
-
-def design_interp_filter(period: int) -> InterpFilter:
-    """Windowed-sinc filter for a drop-1-in-period mask (drops t = 0 mod P).
-
-    Cutoff pi/period, Hamming window, unit center tap with exact zeros on
-    the rest of the retained coset, and the off-coset taps normalized so
-    a constant input reconstructs exactly away from the edges.
+    INTERP_TAPS taps: cutoff pi/period, Hamming window, unit center tap
+    with exact zeros on the rest of the retained coset, and the off-coset
+    taps normalized so a constant input reconstructs exactly away from
+    the edges.
     """
     if not 2 <= period <= 8:
         raise InvalidPattern(f"filter period must lie in [2, 8], got {period}")
@@ -159,15 +130,13 @@ def design_interp_filter(period: int) -> InterpFilter:
     if total <= 0.0:
         raise InvalidPattern(f"degenerate filter for period {period}")
     h[~on_coset] /= total
-    return InterpFilter(h, period)
+    return h
 
 
-def _drop_coset_period(mask: FrameMask, interp: InterpFilter | None) -> int:
+def _drop_coset_period(mask: FrameMask) -> int:
     """Period P of a drop-1-in-P mask (drops exactly t = 0 mod P)."""
     dropped = mask.dropped_frames()
-    if interp is not None:
-        period = interp.period
-    elif dropped.size >= 2:
+    if dropped.size >= 2:
         gaps = np.unique(np.diff(dropped))
         if gaps.size != 1:
             raise InvalidPattern("upsample needs a regular drop-1-in-P mask")
@@ -208,24 +177,16 @@ def _upsample_rows(values: np.ndarray, mask: FrameMask, taps: np.ndarray) -> np.
     return out
 
 
-def apply_replacement(
-    matrix: ScoreMatrix,
-    mask: FrameMask,
-    method: str,
-    interp: InterpFilter | None = None,
-) -> ScoreMatrix:
+def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> ScoreMatrix:
     """Rewrite dropped rows of a score matrix; kept rows are untouched.
 
     copy: repeat the most recent kept row (leading drops fall back to
     fill_const rows). fill_0: zero log-likelihood. fill_const: per-senone
     mean over all input frames. upsample: windowed-sinc interpolation
-    from kept frames; the mask must drop exactly t = 0 mod P, and an
-    explicit filter must match that period.
+    from kept frames; the mask must drop exactly t = 0 mod P.
     """
     if method not in REPLACEMENT_METHODS:
         raise InvalidPattern(f"unknown replacement method {method!r}")
-    if interp is not None and method != "upsample":
-        raise InvalidPattern(f"interpolation filter is only meaningful for upsample, not {method!r}")
     if mask.T != matrix.T:
         raise ShapeError(f"mask length {mask.T} != matrix frames {matrix.T}")
     values = matrix.values.copy()
@@ -245,15 +206,9 @@ def apply_replacement(
             else:
                 last = t
     else:
-        period = _drop_coset_period(mask, interp)
-        if interp is None:
-            interp = design_interp_filter(period)
-        values = _upsample_rows(matrix.values, mask, interp.taps)
+        taps = design_interp_filter(_drop_coset_period(mask))
+        values = _upsample_rows(matrix.values, mask, taps)
     return ScoreMatrix(matrix.utterance_id, values)
-
-
-def uniform_weights(num_frames: int) -> np.ndarray:
-    return np.ones(num_frames, dtype=np.float64)
 
 
 def landmark_weights(num_frames: int, frames, factor: float) -> np.ndarray:
@@ -273,7 +228,8 @@ def apply_weights(matrix: ScoreMatrix, weights: np.ndarray) -> ScoreMatrix:
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise InvalidConfig("weights must be finite and >= 0")
     values = matrix.values
-    scaled = np.where(values == NEG_INF, NEG_INF, weights[:, None] * values)
+    with np.errstate(invalid="ignore"):  # 0 * NEG_INF is nan until np.where replaces it
+        scaled = np.where(values == NEG_INF, NEG_INF, weights[:, None] * values)
     return ScoreMatrix(matrix.utterance_id, scaled)
 
 
@@ -307,8 +263,11 @@ class StrategySpec:
                     value = params[key]
                     if key == "mode":
                         items.append(str(value))
+                    elif isinstance(value, float):
+                        # "+" joins parts, so exponents drop it: 1e+16 renders as 1e16.
+                        items.append(f"{key}={value!r}".replace("e+", "e"))
                     else:
-                        items.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
+                        items.append(f"{key}={value}")
             chunks.append(kind + (":" + ",".join(items) if items else ""))
         if self.method != "copy":
             chunks[0] += ("," if ":" in chunks[0] else ":") + f"method={self.method}"
@@ -403,10 +362,10 @@ def parse_strategy(text: str) -> StrategySpec:
             raise InvalidPattern(
                 f"{kind} needs 1 <= D < P with P >= 2, got P={params['P']}, D={params['D']}"
             )
-        if kind == "hybrid" and params["overweight"] < 0:
-            raise InvalidPattern(f"overweight must be >= 0, got {params['overweight']}")
-        if kind == "overweight" and params["factor"] < 0:
-            raise InvalidPattern(f"factor must be >= 0, got {params['factor']}")
+        if kind == "hybrid" and not 0 <= params["overweight"] < np.inf:
+            raise InvalidPattern(f"overweight must be finite and >= 0, got {params['overweight']}")
+        if kind == "overweight" and not 0 <= params["factor"] < np.inf:
+            raise InvalidPattern(f"factor must be finite and >= 0, got {params['factor']}")
         parts.append((kind, params))
     return StrategySpec(raw, parts, method if method is not None else "copy")
 
@@ -428,8 +387,8 @@ def realize_strategy(
         raise InvalidConfig(f"strategy {spec.raw!r} needs landmark annotations")
     if spec.needs_rng() and rng is None:
         raise InvalidConfig(f"strategy {spec.raw!r} needs an rng")
-    mask = mask_identity(num_frames)
-    weights = uniform_weights(num_frames)
+    mask = FrameMask(np.zeros(num_frames, dtype=bool))
+    weights = np.ones(num_frames, dtype=np.float64)
     for kind, params in spec.parts:
         if kind == "identity":
             continue

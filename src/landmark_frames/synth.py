@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus_io import PhoneAlignment, ScoreMatrix
+from .corpus_io import Corpus, PhoneAlignment, ScoreMatrix, Utterance
 from .decoder import TransitionModel
 from .errors import InvalidConfig
 from .landmarks import AnnotationConfig, annotate, frame_map, landmark_frames
@@ -75,20 +75,6 @@ class SynthConfig:
             raise InvalidConfig("cue_radius must be >= 0")
 
 
-@dataclass
-class SynthUtterance:
-    alignment: PhoneAlignment
-    matrix: ScoreMatrix
-
-
-@dataclass
-class SynthCorpus:
-    config: SynthConfig
-    model: TransitionModel
-    manner_table: dict
-    utterances: list  # of SynthUtterance
-
-
 def parse_synth_config(text: str) -> SynthConfig:
     """Parse "key = value" lines (# starts a comment) into a SynthConfig."""
     types = {f.name: type(f.default) for f in fields(SynthConfig)}
@@ -140,7 +126,7 @@ def _log_gauss_rows(obs: np.ndarray, means: np.ndarray) -> np.ndarray:
     return -0.5 * (sq + d * math.log(2.0 * math.pi))
 
 
-def gen_corpus(config: SynthConfig, seed: int | None = None) -> SynthCorpus:
+def gen_corpus(config: SynthConfig, seed: int | None = None) -> Corpus:
     """Generate a corpus; identical (config, seed) gives identical output.
 
     The master stream (PCG64 on the seed, defaulting to config.seed)
@@ -215,5 +201,5 @@ def gen_corpus(config: SynthConfig, seed: int | None = None) -> SynthCorpus:
             noise = noise * np.where(marked, 1.0, config.offpeak_noise)[:, None]
         obs = true_means[state_path] + noise
         matrix = ScoreMatrix(alignment.utterance_id, _log_gauss_rows(obs, scoring_means))
-        utterances.append(SynthUtterance(alignment, matrix))
-    return SynthCorpus(config, model, manner_table, utterances)
+        utterances.append(Utterance(alignment, matrix))
+    return Corpus(model, manner_table, utterances)

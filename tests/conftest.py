@@ -4,5 +4,10 @@ import landmark_frames as lf
 
 
 @pytest.fixture(scope="session")
-def small_corpus():
-    return lf.gen_corpus(lf.SynthConfig(seed=11, n_utterances=8, n_speakers=4))
+def small_config():
+    return lf.SynthConfig(seed=11, n_utterances=8, n_speakers=4)
+
+
+@pytest.fixture(scope="session")
+def small_corpus(small_config):
+    return lf.gen_corpus(small_config)

@@ -10,6 +10,16 @@ import math
 import numpy as np
 
 
+def sequence_score(values, log_init, log_trans, states, weights=None):
+    """Path score of one state sequence, each emission scaled by its frame weight."""
+    T = values.shape[0]
+    w = np.ones(T) if weights is None else np.asarray(weights, dtype=np.float64)
+    score = log_init[states[0]] + w[0] * values[0, states[0]]
+    for t in range(1, T):
+        score = score + log_trans[states[t - 1], states[t]] + w[t] * values[t, states[t]]
+    return float(score)
+
+
 def enumerate_viterbi(values, log_init, log_trans, weights=None):
     """Best path by exhaustive enumeration over all S^T state sequences.
 
@@ -18,14 +28,11 @@ def enumerate_viterbi(values, log_init, log_trans, weights=None):
     backtracking produces.
     """
     T, S = values.shape
-    w = np.ones(T) if weights is None else np.asarray(weights, dtype=np.float64)
     best_score = -math.inf
     best_key = None
     best_path = None
     for path in itertools.product(range(S), repeat=T):
-        score = log_init[path[0]] + w[0] * values[0, path[0]]
-        for t in range(1, T):
-            score = score + log_trans[path[t - 1], path[t]] + w[t] * values[t, path[t]]
+        score = sequence_score(values, log_init, log_trans, path, weights)
         if score == -math.inf:
             continue
         key = tuple(reversed(path))

@@ -7,7 +7,6 @@ from landmark_frames import (
     NEG_INF,
     FormatError,
     FrameMask,
-    FrameTiming,
     MalformedAlignment,
     PhoneAlignment,
     ScoreMatrix,
@@ -36,11 +35,11 @@ class TestAlignment:
         assert a.phones() == ["s", "iy"]
 
     def test_samples_unit_floor_mapping(self):
-        a = parse_alignment("0 1600 s\n1600 3200 iy", FrameTiming(), "samples")
+        a = parse_alignment("0 1600 s\n1600 3200 iy", "samples")
         assert a.segments == [("s", 0, 10), ("iy", 10, 20)]
 
     def test_samples_mid_frame_boundary_floors(self):
-        a = parse_alignment("0 1650 s\n1650 3200 iy", FrameTiming(), "samples")
+        a = parse_alignment("0 1650 s\n1650 3200 iy", "samples")
         assert a.segments == [("s", 0, 10), ("iy", 10, 20)]
 
     def test_overlap_rejected(self):
@@ -140,6 +139,12 @@ class TestMask:
     def test_duplicate_rejected(self):
         with pytest.raises(FormatError):
             read_mask("0 0\n0 1")
+
+    def test_huge_index_gives_short_message(self):
+        # Listing every missing index used to build a million-entry set.
+        with pytest.raises(FormatError) as excinfo:
+            read_mask("0 1\n1000000 0")
+        assert len(str(excinfo.value)) < 500
 
     def test_properties(self):
         mask = FrameMask(np.array([True, False, True, False, False]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -7,11 +8,15 @@ import pytest
 from landmark_frames import (
     BASELINE,
     ExperimentConfig,
+    FormatError,
     InvalidConfig,
     InvalidPattern,
+    ScoreMatrix,
+    ShapeError,
     SynthConfig,
     compute_outcomes,
     emit_report,
+    format_alignment,
     format_plot_svg,
     format_report_csv,
     format_sweep_svg,
@@ -19,6 +24,7 @@ from landmark_frames import (
     read_mask,
     run_experiment,
     sweep,
+    write_manner_table,
     write_score_matrix,
     write_transition_model,
 )
@@ -225,6 +231,17 @@ class TestRunExperiment:
                 b = open(os.path.join(second, rel), "rb").read()
                 assert a == b, rel
 
+    def test_detail_csvs_parse_at_header_width(self, tmp_path):
+        out = self.run(tmp_path)
+        for strategy_dir in ("baseline", "strategy_00", "strategy_01"):
+            for name in ("per_utterance.csv", "confusion.csv", "stats.csv"):
+                path = out / strategy_dir / name
+                if not path.exists():
+                    continue
+                header, *rows = csv.reader(path.read_text().splitlines())
+                assert rows, path
+                assert all(len(row) == len(header) for row in rows), path
+
     def test_jobs_do_not_change_output(self, tmp_path):
         serial = self.run(tmp_path, "serial", jobs=1)
         parallel = self.run(tmp_path, "parallel", jobs=2)
@@ -276,6 +293,11 @@ class TestSweep:
     def test_drop_rate_bounds(self):
         with pytest.raises(InvalidConfig):
             sweep(fast_config(["regular:P=2,D=1"]), "drop_rate", [1.5], repeats=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_overweight_values_must_be_finite(self, value):
+        with pytest.raises(InvalidConfig):
+            sweep(fast_config(["overweight:factor=2.0"]), "overweight", [value], repeats=1)
 
     def test_overweight_unit_factor_is_null_effect(self):
         config = fast_config(["overweight:factor=2.0"])
@@ -346,16 +368,18 @@ class TestConfigIO:
             load_experiment_config(json.dumps({"folds": 1}))
 
 
+def write_corpus_dir(path, corpus, n_utterances=3):
+    (path / "model.tm").write_text(write_transition_model(corpus.model))
+    (path / "manners.txt").write_text(write_manner_table(corpus.manner_table))
+    for u in corpus.utterances[:n_utterances]:
+        stem = u.alignment.utterance_id
+        (path / f"{stem}.align").write_text(format_alignment(u.alignment))
+        (path / f"{stem}.llm").write_bytes(write_score_matrix(u.matrix))
+
+
 class TestLoadCorpusDir:
     def test_default_speaker_assignment(self, tmp_path, small_corpus):
-        from landmark_frames import format_alignment, write_manner_table
-
-        (tmp_path / "model.tm").write_text(write_transition_model(small_corpus.model))
-        (tmp_path / "manners.txt").write_text(write_manner_table(small_corpus.manner_table))
-        for u in small_corpus.utterances[:3]:
-            stem = u.alignment.utterance_id
-            (tmp_path / f"{stem}.align").write_text(format_alignment(u.alignment))
-            (tmp_path / f"{stem}.llm").write_bytes(write_score_matrix(u.matrix))
+        write_corpus_dir(tmp_path, small_corpus)
         corpus = load_corpus_dir(str(tmp_path))
         assert len(corpus.utterances) == 3
         speakers = {u.alignment.speaker_id for u in corpus.utterances}
@@ -363,9 +387,34 @@ class TestLoadCorpusDir:
         assert all(u.alignment.gender == "F" for u in corpus.utterances)
 
     def test_missing_align_files(self, tmp_path, small_corpus):
-        from landmark_frames import write_manner_table
-
-        (tmp_path / "model.tm").write_text(write_transition_model(small_corpus.model))
-        (tmp_path / "manners.txt").write_text(write_manner_table(small_corpus.manner_table))
+        write_corpus_dir(tmp_path, small_corpus, n_utterances=0)
         with pytest.raises(InvalidConfig):
+            load_corpus_dir(str(tmp_path))
+
+    @staticmethod
+    def rewrite_matrix(path, stem, values):
+        (path / f"{stem}.llm").write_bytes(write_score_matrix(ScoreMatrix(stem, values)))
+
+    def test_frame_count_must_match_alignment(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        self.rewrite_matrix(tmp_path, "utt0001", small_corpus.utterances[1].matrix.values[:-1])
+        with pytest.raises(ShapeError, match=r"utt0001\.llm.*'utt0001'.*frames"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_senone_count_must_match_model(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        self.rewrite_matrix(tmp_path, "utt0001", small_corpus.utterances[1].matrix.values[:, :-1])
+        with pytest.raises(ShapeError, match=r"utt0001\.llm.*'utt0001'.*senones"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_speakers_line_needs_three_fields(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "speakers.tsv").write_text("utt0000 spk00 F\nutt0001 spk01\n")
+        with pytest.raises(FormatError, match=r"speakers\.tsv line 2.*utt0001"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_alignment_needs_its_matrix(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "utt0001.llm").unlink()
+        with pytest.raises(FormatError, match=r"utt0001\.llm.*'utt0001'"):
             load_corpus_dir(str(tmp_path))

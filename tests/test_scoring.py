@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -13,8 +14,6 @@ from landmark_frames import (
     merge_reports,
     normalized_error_increment,
     per_increment,
-    read_confusion_csv,
-    read_report_csv,
     write_confusion_csv,
     write_report_csv,
 )
@@ -226,21 +225,19 @@ class TestCSV:
             align_edit(["a", "b", "c"], ["a", "c"], "u1"),
             align_edit(["a"], ["b"], "u2"),
         ]
-        back = read_report_csv(write_report_csv(reports))
-        assert len(back) == 2
-        for want, got in zip(reports, back):
-            assert got.utterance_id == want.utterance_id
-            assert (got.n_ref, got.ins, got.dels, got.sub) == (
-                want.n_ref,
-                want.ins,
-                want.dels,
-                want.sub,
-            )
+        header, *rows = csv.reader(write_report_csv(reports).splitlines())
+        assert header == ["utterance_id", "N", "ins", "del", "sub", "per"]
+        assert len(rows) == 2
+        for want, row in zip(reports, rows):
+            assert row[0] == want.utterance_id
+            assert [int(f) for f in row[1:5]] == [want.n_ref, want.ins, want.dels, want.sub]
+            assert float(row[5]) == want.per
 
     def test_confusion_round_trip(self):
         report = align_edit(["a", "b", "a"], ["a", "x"], "u")
-        back = read_confusion_csv(write_confusion_csv(report))
-        assert back == report.confusion
+        header, *rows = csv.reader(write_confusion_csv(report).splitlines())
+        assert header == ["ref", "hyp", "count"]
+        assert {(ref, hyp): int(count) for ref, hyp, count in rows} == report.confusion
 
     def test_confusion_header(self):
         assert write_confusion_csv(align_edit(["a"], ["a"], "u")).splitlines()[0] == "ref,hyp,count"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from landmark_frames import (
     NEG_INF,
+    REPLACEMENT_METHODS,
     FrameMask,
-    InterpFilter,
     InvalidConfig,
     InvalidPattern,
     LandmarkSet,
@@ -16,7 +18,6 @@ from landmark_frames import (
     apply_weights,
     design_interp_filter,
     landmark_weights,
-    mask_identity,
     mask_landmark,
     mask_or,
     mask_random,
@@ -24,13 +25,16 @@ from landmark_frames import (
     mask_subtract,
     parse_strategy,
     realize_strategy,
-    uniform_weights,
 )
-from landmark_frames.strategy import INTERP_TAPS, regular_drop_count
+from landmark_frames.strategy import INTERP_TAPS
 
 
 def mat(rows, uid="u"):
     return ScoreMatrix(uid, np.asarray(rows, dtype=np.float64))
+
+
+def keep_all(num_frames):
+    return FrameMask(np.zeros(num_frames, dtype=bool))
 
 
 class TestRegularMask:
@@ -46,7 +50,6 @@ class TestRegularMask:
     def test_pinned_drop_sets(self, T, P, D, expect):
         mask = mask_regular(T, P, D)
         assert mask.dropped_frames().tolist() == expect
-        assert mask.n_dropped == regular_drop_count(T, P, D)
 
     def test_count_formula_across_grid(self):
         for T in range(1, 30):
@@ -113,7 +116,7 @@ class TestMaskAlgebra:
 
     def test_or_length_mismatch(self):
         with pytest.raises(ShapeError):
-            mask_or(mask_identity(4), mask_identity(5))
+            mask_or(keep_all(4), keep_all(5))
 
     def test_subtract_clears_protected(self):
         mask = mask_regular(6, 2, 1)
@@ -145,7 +148,7 @@ class TestAdjustMaskToRate:
         assert (out.dropped == base.dropped).all()
 
     def test_protected_frames_untouched(self):
-        base = mask_identity(10)
+        base = keep_all(10)
         protected = np.array([0, 1, 2])
         out = adjust_mask_to_rate(base, 7, protected=protected, seed=1)
         assert out.n_dropped == 7
@@ -153,11 +156,11 @@ class TestAdjustMaskToRate:
 
     def test_infeasible_with_protection(self):
         with pytest.raises(InvalidPattern):
-            adjust_mask_to_rate(mask_identity(10), 8, protected=np.arange(3), seed=0)
+            adjust_mask_to_rate(keep_all(10), 8, protected=np.arange(3), seed=0)
 
     def test_target_out_of_range(self):
         with pytest.raises(InvalidPattern):
-            adjust_mask_to_rate(mask_identity(10), 11)
+            adjust_mask_to_rate(keep_all(10), 11)
 
     def test_deterministic(self):
         base = mask_regular(30, 3, 1)
@@ -169,8 +172,7 @@ class TestAdjustMaskToRate:
 class TestInterpFilter:
     @pytest.mark.parametrize("period", range(2, 9))
     def test_designed_filter_invariants(self, period):
-        filt = design_interp_filter(period)
-        taps = filt.taps
+        taps = design_interp_filter(period)
         assert taps.shape == (INTERP_TAPS,)
         assert np.allclose(taps, taps[::-1])
         half = INTERP_TAPS // 2
@@ -184,22 +186,6 @@ class TestInterpFilter:
     def test_period_bounds(self, period):
         with pytest.raises(InvalidPattern):
             design_interp_filter(period)
-
-    def test_custom_taps_must_hit_coset_sum(self):
-        taps = np.zeros(INTERP_TAPS)
-        taps[INTERP_TAPS // 2] = 0.5
-        with pytest.raises(InvalidPattern):
-            InterpFilter(taps, 2)
-
-    def test_wrong_tap_count(self):
-        with pytest.raises(InvalidPattern):
-            InterpFilter(np.zeros(5), 2)
-
-    def test_nonfinite_taps(self):
-        taps = np.zeros(INTERP_TAPS)
-        taps[0] = np.nan
-        with pytest.raises(InvalidPattern):
-            InterpFilter(taps, 2)
 
 
 class TestReplacement:
@@ -247,12 +233,6 @@ class TestReplacement:
         with pytest.raises(InvalidPattern):
             apply_replacement(mat(np.zeros((4, 2))), mask, "upsample")
 
-    def test_upsample_filter_period_must_match_mask(self):
-        mask = mask_regular(12, 3, 1)
-        filt = design_interp_filter(2)
-        with pytest.raises(InvalidPattern):
-            apply_replacement(mat(np.zeros((12, 2))), mask, "upsample", interp=filt)
-
     def test_upsample_neg_inf_is_absorbing(self):
         values = np.full((8, 2), -1.0)
         values[1, 0] = NEG_INF
@@ -261,22 +241,17 @@ class TestReplacement:
         assert out.values[0, 0] == NEG_INF
         assert out.values[0, 1] == pytest.approx(-1.0, abs=1e-9)
 
-    def test_filter_only_valid_for_upsample(self):
-        filt = design_interp_filter(2)
-        with pytest.raises(InvalidPattern):
-            apply_replacement(mat(np.zeros((4, 2))), mask_regular(4, 2, 1), "copy", interp=filt)
-
     def test_unknown_method(self):
         with pytest.raises(InvalidPattern):
-            apply_replacement(mat(np.zeros((4, 2))), mask_identity(4), "splice")
+            apply_replacement(mat(np.zeros((4, 2))), keep_all(4), "splice")
 
     def test_mask_matrix_length_mismatch(self):
         with pytest.raises(ShapeError):
-            apply_replacement(mat(np.zeros((4, 2))), mask_identity(5), "fill_0")
+            apply_replacement(mat(np.zeros((4, 2))), keep_all(5), "fill_0")
 
     def test_empty_mask_returns_equal_values(self):
         m = mat([[1.0, 2.0], [3.0, 4.0]])
-        out = apply_replacement(m, mask_identity(2), "fill_0")
+        out = apply_replacement(m, keep_all(2), "fill_0")
         assert (out.values == m.values).all()
 
     @pytest.mark.parametrize("method", ["copy", "fill_0", "fill_const", "upsample"])
@@ -290,9 +265,6 @@ class TestReplacement:
 
 
 class TestWeights:
-    def test_uniform(self):
-        assert uniform_weights(4).tolist() == [1.0, 1.0, 1.0, 1.0]
-
     def test_landmark_weights(self):
         w = landmark_weights(5, np.array([1, 3]), 2.5)
         assert w.tolist() == [1.0, 2.5, 1.0, 2.5, 1.0]
@@ -323,6 +295,36 @@ class TestWeights:
             apply_weights(mat([[0.0]]), np.array([np.inf]))
 
 
+_RADIUS = {"r": st.integers(0, 5)}
+_FACTOR = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_SEED = st.integers(0, 2**63 - 1)
+
+
+def _part(kind, required, optional=None):
+    return st.fixed_dictionaries(required, optional=optional or {}).map(lambda p: (kind, p))
+
+
+def _periodic(kind, extra=None):
+    return st.integers(2, 9).flatmap(
+        lambda P: _part(kind, {"P": st.just(P), "D": st.integers(1, P - 1), **(extra or {})})
+    )
+
+
+# Valid parts of every kind the grammar accepts.
+_PARTS = st.one_of(
+    _part("identity", {}),
+    _periodic("regular"),
+    st.one_of(
+        _part("random", {"rate": st.floats(0.0, 1.0)}, {"seed": _SEED}),
+        _part("random", {"n": st.integers(0, 10**6)}, {"seed": _SEED}),
+        _part("random", {"match": st.sampled_from(["keep", "drop"])}, {**_RADIUS, "seed": _SEED}),
+    ),
+    _part("landmark", {"mode": st.sampled_from(["keep", "drop"])}, _RADIUS),
+    _periodic("hybrid", {"overweight": _FACTOR}),
+    _part("overweight", {"factor": _FACTOR}, _RADIUS),
+)
+
+
 class TestGrammar:
     ROUND_TRIPS = [
         "identity",
@@ -337,11 +339,19 @@ class TestGrammar:
         "hybrid:P=2,D=1,overweight=1.5",
         "overweight:factor=3.0",
         "overweight:factor=3.0,r=1,method=upsample",
+        "overweight:factor=1e16",
     ]
 
     @pytest.mark.parametrize("text", ROUND_TRIPS)
     def test_render_round_trip(self, text):
         spec = parse_strategy(text)
+        again = parse_strategy(spec.render())
+        assert again.parts == spec.parts
+        assert again.method == spec.method
+
+    @given(st.lists(_PARTS, min_size=1, max_size=3), st.sampled_from(REPLACEMENT_METHODS))
+    def test_render_round_trip_property(self, parts, method):
+        spec = StrategySpec("", parts, method)
         again = parse_strategy(spec.render())
         assert again.parts == spec.parts
         assert again.method == spec.method
@@ -377,6 +387,10 @@ class TestGrammar:
             "regular:P=3,D=3",
             "hybrid:P=2,D=2,overweight=1.5",
             "overweight:factor=-1.0",
+            "overweight:factor=nan",
+            "overweight:factor=inf",
+            "hybrid:P=2,D=1,overweight=nan",
+            "hybrid:P=2,D=1,overweight=inf",
         ],
     )
     def test_rejects_bad_strings(self, text):

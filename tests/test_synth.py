@@ -88,14 +88,13 @@ class TestCorpusShape:
             assert u.matrix.S == model.S
             assert np.isfinite(u.matrix.values).all()
 
-    def test_senone_count(self, small_corpus):
-        config = small_corpus.config
-        assert small_corpus.model.S == config.n_phones * config.states_per_phone
+    def test_senone_count(self, small_corpus, small_config):
+        assert small_corpus.model.S == small_config.n_phones * small_config.states_per_phone
 
-    def test_manners_cycle_over_inventory(self, small_corpus):
+    def test_manners_cycle_over_inventory(self, small_corpus, small_config):
         table = small_corpus.manner_table
         cycle = ["vowel", "fricative", "stop", "nasal", "glide"]
-        for i in range(small_corpus.config.n_phones):
+        for i in range(small_config.n_phones):
             assert table[f"ph{i:02d}"] == cycle[i % len(cycle)]
 
     def test_speakers_alternate_gender(self):
@@ -143,14 +142,15 @@ class TestCueConcentration:
         # offpeak_noise=1.0 skips the modulation entirely, so both runs
         # draw identical noise; rows at landmark frames stay bit-equal
         # even when the off-peak scale changes.
-        flat = gen_corpus(SynthConfig(seed=4, n_utterances=5, offpeak_noise=1.0))
+        flat_config = SynthConfig(seed=4, n_utterances=5, offpeak_noise=1.0)
+        flat = gen_corpus(flat_config)
         bumpy = gen_corpus(SynthConfig(seed=4, n_utterances=5, offpeak_noise=2.5))
         changed = 0
         for uf, ub in zip(flat.utterances, bumpy.utterances):
             assert uf.alignment.segments == ub.alignment.segments
             lms = annotate(uf.alignment, flat.manner_table, AnnotationConfig())
             marked = frame_map(
-                landmark_frames(lms, uf.alignment.num_frames, flat.config.cue_radius),
+                landmark_frames(lms, uf.alignment.num_frames, flat_config.cue_radius),
                 uf.alignment.num_frames,
             )
             assert (uf.matrix.values[marked] == ub.matrix.values[marked]).all()
