@@ -104,7 +104,6 @@ from .stats import (
 from .strategy import (
     INTERP_TAPS,
     REPLACEMENT_METHODS,
-    STRATEGY_KINDS,
     StrategySpec,
     adjust_mask_to_rate,
     apply_replacement,

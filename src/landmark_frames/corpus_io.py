@@ -227,18 +227,21 @@ def read_score_matrix_text(text: str, utterance_id: str = "") -> ScoreMatrix:
         t, s = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError(f"bad matrix header {lines[0]!r}") from None
+    if t < 1 or s < 1:
+        raise FormatError(f"matrix must be at least 1x1, header says {t}x{s}")
     if len(lines) - 1 != t:
         raise FormatError(f"expected {t} rows, got {len(lines) - 1}")
-    values = np.empty((t, s), dtype=np.float64)
+    # Rows are checked as they are read, so the header alone never sizes an allocation.
+    values = []
     for i, line in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) != s:
             raise FormatError(f"row {i}: expected {s} values, got {len(fields)}")
         try:
-            values[i] = [float(f) for f in fields]
+            values.append([float(f) for f in fields])
         except ValueError:
             raise FormatError(f"row {i}: unparseable float in {line!r}") from None
-    return ScoreMatrix(utterance_id, values)
+    return ScoreMatrix(utterance_id, np.array(values, dtype=np.float64))
 
 
 def write_mask(mask: FrameMask) -> str:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,15 @@ from .errors import EmptyInput, FormatError, InvalidConfig, LandmarkFramesError,
 from .landmarks import AnnotationConfig, annotate, landmark_frames
 from .scoring import align_edit, merge_reports, per_increment, write_confusion_csv, write_report_csv
 from .stats import cv_folds, summarize_cv, welch_t, wilcoxon_signed_rank, write_stats_csv
-from .strategy import adjust_mask_to_rate, apply_replacement, apply_weights, parse_strategy, realize_strategy
+from .strategy import (
+    WEIGHT_KEYS,
+    adjust_mask_to_rate,
+    apply_replacement,
+    apply_weights,
+    parse_strategy,
+    reads_landmarks,
+    realize_strategy,
+)
 from .synth import SynthConfig, gen_corpus
 
 REPORT_COLUMNS = ("strategy", "drop_rate", "per", "delta_per", "mean", "stdev", "p_wilcoxon", "p_t")
@@ -104,12 +112,7 @@ def load_experiment_config(text: str) -> ExperimentConfig:
         raise InvalidConfig(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise InvalidConfig("config must be a JSON object")
-    known = {
-        "seed", "strategies", "comparison", "folds", "cv_seed", "beam",
-        "annotation", "widen_radius", "merge_mc", "formats", "tag",
-        "synth", "data_dir",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k != "synth"}
@@ -136,23 +139,29 @@ def load_corpus_dir(path: str) -> Corpus:
     frame or senone count disagrees with its alignment or the model
     fails here, naming the file and the utterance.
     """
-    def read(name):
-        with open(os.path.join(path, name), encoding="utf-8") as fh:
-            return fh.read()
+    def read(name, parse, *args, utterance=None):
+        """parse(contents of name, *args); its errors name the file and utterance."""
+        mode, encoding = ("rb", None) if name.endswith(".llm") else ("r", "utf-8")
+        try:
+            with open(os.path.join(path, name), mode, encoding=encoding) as fh:
+                return parse(fh.read(), *args)
+        except LandmarkFramesError as e:
+            where = name if utterance is None else f"{name}: utterance {utterance!r}"
+            raise type(e)(f"{where}: {e}") from None
 
-    model = read_transition_model(read("model.tm"))
-    manner_table = read_manner_table(read("manners.txt"))
+    model = read("model.tm", read_transition_model)
+    manner_table = read("manners.txt", read_manner_table)
     speakers = {}
     if os.path.exists(os.path.join(path, "speakers.tsv")):
-        for lineno, line in enumerate(read("speakers.tsv").splitlines(), start=1):
-            fields = line.split()
-            if not fields:
+        for lineno, line in enumerate(read("speakers.tsv", str).splitlines(), start=1):
+            cells = line.split()
+            if not cells:
                 continue
-            if len(fields) != 3:
+            if len(cells) != 3:
                 raise FormatError(
                     f"speakers.tsv line {lineno}: expected 'stem speaker gender', got {line!r}"
                 )
-            speakers[fields[0]] = (fields[1], fields[2])
+            speakers[cells[0]] = (cells[1], cells[2])
     stems = sorted(
         os.path.splitext(name)[0]
         for name in os.listdir(path)
@@ -163,10 +172,11 @@ def load_corpus_dir(path: str) -> Corpus:
     utterances = []
     for stem in stems:
         speaker, gender = speakers.get(stem, (stem, "F"))
-        alignment = parse_alignment(read(f"{stem}.align"), "frames", stem, speaker, gender)
+        alignment = read(
+            f"{stem}.align", parse_alignment, "frames", stem, speaker, gender, utterance=stem
+        )
         try:
-            with open(os.path.join(path, f"{stem}.llm"), "rb") as fh:
-                matrix = read_score_matrix(fh.read(), stem)
+            matrix = read(f"{stem}.llm", read_score_matrix, stem, utterance=stem)
         except FileNotFoundError:
             raise FormatError(f"{stem}.align has no {stem}.llm for utterance {stem!r}") from None
         if matrix.T != alignment.num_frames:
@@ -226,7 +236,7 @@ def _protection_frames(spec, landmarks, num_frames, default_radius):
     radii = [
         params.get("r", default_radius)
         for kind, params in spec.parts
-        if kind in ("landmark", "hybrid", "overweight") or (kind == "random" and "match" in params)
+        if reads_landmarks(kind, params)
     ]
     if not radii or landmarks is None:
         return ()
@@ -317,7 +327,6 @@ def compute_outcomes(
     jobs: int = 1,
     rep: int = 0,
     adjust_rate: float | None = None,
-    strategies=None,
 ):
     """Run the baseline and every strategy, attaching comparison stats.
 
@@ -330,10 +339,8 @@ def compute_outcomes(
         corpus = load_corpus_dir(config.data_dir)
     else:
         corpus = gen_corpus(config.synth, config.seed)
-    if strategies is None:
-        strategies = list(config.strategies)
 
-    specs = [parse_strategy(s) for s in strategies]
+    specs = [parse_strategy(s) for s in config.strategies]
     need_landmarks = any(s.needs_landmarks() for s in specs) or adjust_rate is not None
     landmark_sets = [None] * len(corpus.utterances)
     if need_landmarks:
@@ -363,7 +370,7 @@ def compute_outcomes(
 
         baseline.fold_increments = [0.0] * len(live_folds)
         outcomes = [baseline]
-        for si, raw in enumerate(strategies, start=1):
+        for si, raw in enumerate(config.strategies, start=1):
             try:
                 outcome = _run_strategy(
                     raw, corpus, landmark_sets, config, si, executor,
@@ -645,15 +652,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1):
 def _overweight_variant(raw: str, value: float) -> str:
     """Strategy string with every overweight factor replaced by value."""
     spec = parse_strategy(raw)
-    hits = 0
-    for kind, params in spec.parts:
-        if kind == "hybrid":
-            params["overweight"] = float(value)
-            hits += 1
-        elif kind == "overweight":
-            params["factor"] = float(value)
-            hits += 1
-    if not hits:
+    weighted = [(kind, params) for kind, params in spec.parts if kind in WEIGHT_KEYS]
+    for kind, params in weighted:
+        params[WEIGHT_KEYS[kind]] = float(value)
+    if not weighted:
         raise InvalidConfig(f"strategy {raw!r} has no overweight factor to sweep")
     return spec.render()
 
@@ -669,8 +671,9 @@ def sweep(
     """Sweep one knob over values, averaging each point over repeats.
 
     parameter "overweight" rewrites the factor of overweight/hybrid
-    strategies; "drop_rate" renormalizes every strategy mask to the
-    target rate via seeded adjustment. Rows hold repeat means; mean and
+    strategies, and a comparison naming one of them follows its
+    rewritten variant; "drop_rate" renormalizes every strategy mask to
+    the target rate via seeded adjustment. Rows hold repeat means; mean and
     stdev summarize the repeat spread. Writes sweep.csv / sweep.svg
     when out_dir is given.
     """
@@ -699,17 +702,17 @@ def sweep(
     baseline_row = None
     for value in values:
         if parameter == "overweight":
-            strategies = [_overweight_variant(raw, value) for raw in config.strategies]
-            adjust_rate = None
+            variants = [_overweight_variant(raw, value) for raw in config.strategies]
+            renamed = dict(zip(config.strategies, variants))
+            comparison = renamed.get(config.comparison, config.comparison)
+            point, adjust_rate = replace(config, strategies=variants, comparison=comparison), None
         else:
-            strategies = list(config.strategies)
-            adjust_rate = value
+            point, adjust_rate = config, value
+        strategies = point.strategies
         collected = {raw: [] for raw in strategies}
         errors = {raw: None for raw in strategies}
         for rep in range(repeats):
-            outcomes, _ = compute_outcomes(
-                config, jobs=jobs, rep=rep, adjust_rate=adjust_rate, strategies=strategies
-            )
+            outcomes, _ = compute_outcomes(point, jobs=jobs, rep=rep, adjust_rate=adjust_rate)
             if baseline_row is None:
                 baseline_row = outcomes[0]
             for outcome in outcomes[1:]:

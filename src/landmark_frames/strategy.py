@@ -29,8 +29,6 @@ from .landmarks import frame_map, landmark_frames
 
 REPLACEMENT_METHODS = ("copy", "fill_0", "fill_const", "upsample")
 
-STRATEGY_KINDS = ("identity", "regular", "random", "landmark", "hybrid", "overweight")
-
 INTERP_TAPS = 17
 
 
@@ -233,6 +231,28 @@ def apply_weights(matrix: ScoreMatrix, weights: np.ndarray) -> ScoreMatrix:
     return ScoreMatrix(matrix.utterance_id, scaled)
 
 
+# Every key each kind takes, in render order: key -> (type, required).
+_KINDS = {
+    "identity": {},
+    "regular": {"P": (int, True), "D": (int, True)},
+    "random": {
+        "n": (int, False), "rate": (float, False), "match": (str, False),
+        "r": (int, False), "seed": (int, False),
+    },
+    "landmark": {"mode": (str, True), "r": (int, False)},
+    "hybrid": {"P": (int, True), "D": (int, True), "overweight": (float, True), "r": (int, False)},
+    "overweight": {"factor": (float, True), "r": (int, False)},
+}
+
+# The key holding the weight factor of each kind that weights landmark frames.
+WEIGHT_KEYS = {"hybrid": "overweight", "overweight": "factor"}
+
+
+def reads_landmarks(kind: str, params: dict) -> bool:
+    """Whether a strategy part depends on the utterance's landmark frames."""
+    return kind in ("landmark", "hybrid", "overweight") or (kind == "random" and "match" in params)
+
+
 @dataclass
 class StrategySpec:
     """Parsed strategy string: OR-combined parts plus a replacement method."""
@@ -242,23 +262,17 @@ class StrategySpec:
     method: str = "copy"
 
     def needs_landmarks(self) -> bool:
-        for kind, params in self.parts:
-            if kind in ("landmark", "hybrid", "overweight"):
-                return True
-            if kind == "random" and "match" in params:
-                return True
-        return False
+        return any(reads_landmarks(kind, params) for kind, params in self.parts)
 
     def needs_rng(self) -> bool:
         return any(kind == "random" and "seed" not in params for kind, params in self.parts)
 
     def render(self) -> str:
         """Canonical strategy string that parses back to this spec."""
-        order = ("mode", "P", "D", "n", "rate", "match", "overweight", "factor", "r", "seed")
         chunks = []
         for kind, params in self.parts:
             items = []
-            for key in order:
+            for key in _KINDS[kind]:
                 if key in params:
                     value = params[key]
                     if key == "mode":
@@ -274,43 +288,6 @@ class StrategySpec:
         return "+".join(chunks)
 
 
-def _convert(kind: str, key: str, value: str):
-    converters = {
-        ("regular", "P"): int,
-        ("regular", "D"): int,
-        ("random", "rate"): float,
-        ("random", "n"): int,
-        ("random", "seed"): int,
-        ("random", "match"): str,
-        ("random", "r"): int,
-        ("landmark", "mode"): str,
-        ("landmark", "r"): int,
-        ("hybrid", "P"): int,
-        ("hybrid", "D"): int,
-        ("hybrid", "overweight"): float,
-        ("hybrid", "r"): int,
-        ("overweight", "factor"): float,
-        ("overweight", "r"): int,
-    }
-    conv = converters.get((kind, key))
-    if conv is None:
-        raise InvalidPattern(f"unknown key {key!r} for strategy kind {kind!r}")
-    try:
-        return conv(value)
-    except ValueError:
-        raise InvalidPattern(f"bad value {value!r} for {kind}:{key}") from None
-
-
-_REQUIRED_KEYS = {
-    "identity": (),
-    "regular": ("P", "D"),
-    "random": (),
-    "landmark": ("mode",),
-    "hybrid": ("P", "D", "overweight"),
-    "overweight": ("factor",),
-}
-
-
 def parse_strategy(text: str) -> StrategySpec:
     """Parse a strategy string; see the module docstring for the grammar."""
     raw = text.strip()
@@ -319,53 +296,52 @@ def parse_strategy(text: str) -> StrategySpec:
     parts = []
     method = None
     for chunk in raw.split("+"):
-        chunk = chunk.strip()
         kind, _, argstr = chunk.partition(":")
         kind = kind.strip()
-        if kind not in STRATEGY_KINDS:
+        if kind not in _KINDS:
             raise InvalidPattern(f"unknown strategy kind {kind!r}")
+        keys = _KINDS[kind]
         params = {}
-        if argstr.strip():
-            for item in argstr.split(","):
-                item = item.strip()
-                if "=" in item:
-                    key, _, value = item.partition("=")
-                    key, value = key.strip(), value.strip()
-                    if key == "method":
-                        if method is not None and method != value:
-                            raise InvalidPattern("conflicting method= settings")
-                        if value not in REPLACEMENT_METHODS:
-                            raise InvalidPattern(f"unknown replacement method {value!r}")
-                        method = value
-                    else:
-                        params[key] = _convert(kind, key, value)
-                elif kind == "landmark" and item in ("keep", "drop"):
-                    params["mode"] = item
-                else:
-                    raise InvalidPattern(f"bad strategy token {item!r}")
-        missing = [key for key in _REQUIRED_KEYS[kind] if key not in params]
+        # "kind:" alone has no items; an empty item anywhere else is a bad token.
+        for item in argstr.split(",") if argstr.strip() else ():
+            key, eq, value = (piece.strip() for piece in item.partition("="))
+            if not eq:
+                if key not in ("keep", "drop"):
+                    raise InvalidPattern(f"bad strategy token {item.strip()!r}")
+                key, value = "mode", key  # the landmark mode shorthand
+            if key == "method":
+                if method is not None and method != value:
+                    raise InvalidPattern("conflicting method= settings")
+                if value not in REPLACEMENT_METHODS:
+                    raise InvalidPattern(f"unknown replacement method {value!r}")
+                method = value
+                continue
+            if key not in keys:
+                raise InvalidPattern(f"bad item {item.strip()!r} for strategy kind {kind!r}")
+            try:
+                params[key] = keys[key][0](value)
+            except ValueError:
+                raise InvalidPattern(f"bad value {value!r} for {kind}:{key}") from None
+        missing = [key for key, (_, required) in keys.items() if required and key not in params]
         if missing:
             raise InvalidPattern(f"strategy {kind!r} missing {missing}")
-        if kind == "landmark" and params["mode"] not in ("keep", "drop"):
-            raise InvalidPattern(f"landmark mode must be keep or drop, got {params['mode']!r}")
+        # landmark's mode and random's match both name a keep/drop regime.
+        regime = params.get("mode", params.get("match", "keep"))
+        if regime not in ("keep", "drop"):
+            raise InvalidPattern(f"{kind} regime must be keep or drop, got {regime!r}")
         if kind == "random":
             sources = [key for key in ("rate", "n", "match") if key in params]
             if len(sources) != 1:
                 raise InvalidPattern("random strategy needs exactly one of rate, n, or match")
-            if "match" in params and params["match"] not in ("keep", "drop"):
-                raise InvalidPattern(f"random match must be keep or drop, got {params['match']!r}")
             if "rate" in params and not 0.0 <= params["rate"] <= 1.0:
                 raise InvalidPattern(f"rate must lie in [0, 1], got {params['rate']}")
-        if kind in ("regular", "hybrid") and not (
-            params["P"] >= 2 and 1 <= params["D"] < params["P"]
-        ):
+        if "P" in params and not (params["P"] >= 2 and 1 <= params["D"] < params["P"]):
             raise InvalidPattern(
                 f"{kind} needs 1 <= D < P with P >= 2, got P={params['P']}, D={params['D']}"
             )
-        if kind == "hybrid" and not 0 <= params["overweight"] < np.inf:
-            raise InvalidPattern(f"overweight must be finite and >= 0, got {params['overweight']}")
-        if kind == "overweight" and not 0 <= params["factor"] < np.inf:
-            raise InvalidPattern(f"factor must be finite and >= 0, got {params['factor']}")
+        weight_key = WEIGHT_KEYS.get(kind)
+        if weight_key and not 0 <= params[weight_key] < np.inf:
+            raise InvalidPattern(f"{weight_key} must be finite and >= 0, got {params[weight_key]}")
         parts.append((kind, params))
     return StrategySpec(raw, parts, method if method is not None else "copy")
 
@@ -390,9 +366,9 @@ def realize_strategy(
     mask = FrameMask(np.zeros(num_frames, dtype=bool))
     weights = np.ones(num_frames, dtype=np.float64)
     for kind, params in spec.parts:
-        if kind == "identity":
-            continue
-        radius = params.get("r", default_radius)
+        frames = None
+        if reads_landmarks(kind, params):
+            frames = landmark_frames(landmarks, num_frames, params.get("r", default_radius))
         if kind == "regular":
             mask = mask_or(mask, mask_regular(num_frames, params["P"], params["D"]))
         elif kind == "random":
@@ -401,21 +377,16 @@ def realize_strategy(
             elif "rate" in params:
                 n_drop = int(np.floor(params["rate"] * num_frames + 0.5))
             else:
-                frames = landmark_frames(landmarks, num_frames, radius)
                 n_drop = mask_landmark(frames, num_frames, params["match"]).n_dropped
             seed = params.get("seed")
             if seed is None:
                 seed = int(rng.integers(0, 2**63))
             mask = mask_or(mask, mask_random(num_frames, n_drop, seed))
         elif kind == "landmark":
-            frames = landmark_frames(landmarks, num_frames, radius)
             mask = mask_or(mask, mask_landmark(frames, num_frames, params["mode"]))
         elif kind == "hybrid":
-            frames = landmark_frames(landmarks, num_frames, radius)
             regular = mask_regular(num_frames, params["P"], params["D"])
             mask = mask_or(mask, mask_subtract(regular, frames))
-            weights = weights * landmark_weights(num_frames, frames, params["overweight"])
-        else:
-            frames = landmark_frames(landmarks, num_frames, radius)
-            weights = weights * landmark_weights(num_frames, frames, params["factor"])
+        if kind in WEIGHT_KEYS:
+            weights = weights * landmark_weights(num_frames, frames, params[WEIGHT_KEYS[kind]])
     return mask, weights

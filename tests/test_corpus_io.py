@@ -1,26 +1,34 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landmark_frames import (
+    MANNERS,
     NEG_INF,
     FormatError,
     FrameMask,
+    LandmarkFramesError,
     MalformedAlignment,
     PhoneAlignment,
     ScoreMatrix,
     parse_alignment,
+    read_landmarks,
     read_manner_table,
     read_mask,
     read_score_matrix,
     read_score_matrix_text,
+    read_transition_model,
     write_manner_table,
     write_mask,
     write_score_matrix,
     write_score_matrix_text,
 )
 from landmark_frames.corpus_io import (
+    MATRIX_MAGIC,
     atomic_write_bytes,
     atomic_write_text,
     format_alignment,
@@ -117,6 +125,11 @@ class TestScoreMatrixText:
         with pytest.raises(FormatError):
             read_score_matrix_text("2 2\n0.0 0.0")
 
+    @pytest.mark.parametrize("text", ["0 -1", "1 -1\n5", "1 0\n", "0 0", "1 99999999999\n5"])
+    def test_bad_header_counts(self, text):
+        with pytest.raises(FormatError):
+            read_score_matrix_text(text)
+
 
 class TestMask:
     def test_write_example(self):
@@ -163,6 +176,66 @@ class TestMannerTable:
     def test_unknown_manner_rejected(self):
         with pytest.raises(FormatError):
             read_manner_table("aa sonorant")
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["1.5", "-0.5", "-inf", "inf", "nan", "1e999", "x", "99999999999"]),
+)
+_WORD = st.one_of(_NUMBER, st.sampled_from(list(MANNERS) + ["aa", "sil", "V", "Fc", "MC", "F"]))
+_ROWS = st.lists(st.lists(_NUMBER, max_size=3).map(" ".join), max_size=3).map("\n".join)
+# Arbitrary text, lines of numbers and labels that get past the first checks,
+# and a header of two small counts over a few rows of numbers.
+_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(_WORD, max_size=3).map(" ".join), max_size=8).map("\n".join),
+    st.tuples(st.integers(-2, 3), st.integers(-2, 3), _ROWS).map(lambda h: f"{h[0]} {h[1]}\n{h[2]}"),
+)
+_COUNT = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(_COUNT, _COUNT, st.binary(max_size=80)).map(
+        lambda h: MATRIX_MAGIC + struct.pack("<II", h[0], h[1]) + h[2]
+    ),
+)
+
+
+class TestReadersOnArbitraryInput:
+    """Every reader returns or raises a LandmarkFramesError, never anything else."""
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            read_score_matrix_text,
+            read_mask,
+            lambda text: parse_alignment(text, "frames"),
+            lambda text: parse_alignment(text, "samples"),
+            read_landmarks,
+            read_transition_model,
+            read_manner_table,
+        ],
+        ids=[
+            "score_matrix_text", "mask", "alignment_frames", "alignment_samples",
+            "landmarks", "transition_model", "manner_table",
+        ],
+    )
+    @settings(max_examples=200)
+    @given(text=_TEXT)
+    @example(text="0 -1")
+    @example(text="1 -1\n5")
+    def test_text_readers(self, reader, text):
+        try:
+            reader(text)
+        except LandmarkFramesError:
+            pass
+
+    @settings(max_examples=200)
+    @given(data=_BYTES)
+    def test_binary_score_matrix(self, data):
+        try:
+            read_score_matrix(data)
+        except LandmarkFramesError:
+            pass
 
 
 class TestAtomicWrites:

@@ -11,6 +11,7 @@ from landmark_frames import (
     FormatError,
     InvalidConfig,
     InvalidPattern,
+    ParseError,
     ScoreMatrix,
     ShapeError,
     SynthConfig,
@@ -318,6 +319,17 @@ class TestSweep:
         assert by_value[0.8].drop_rate == pytest.approx(0.8, abs=0.02)
         assert by_value[0.1].drop_rate == pytest.approx(0.1, abs=0.02)
 
+    def test_overweight_sweep_with_comparison_completes(self):
+        strategies = ["overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"]
+        config = fast_config(strategies, comparison="overweight:factor=2.0")
+        rows = sweep(config, "overweight", [1.0, 3.0], repeats=1)
+        assert [(r.strategy, r.error) for r in rows[1:]] == [
+            ("overweight:factor=1.0", None),
+            ("hybrid:P=2,D=1,overweight=1.0", None),
+            ("overweight:factor=3.0", None),
+            ("hybrid:P=2,D=1,overweight=3.0", None),
+        ]
+
     def test_sweep_writes_artifacts(self, tmp_path):
         config = fast_config(["overweight:factor=2.0"])
         sweep(config, "overweight", [1.0, 2.0], str(tmp_path), repeats=2)
@@ -417,4 +429,34 @@ class TestLoadCorpusDir:
         write_corpus_dir(tmp_path, small_corpus)
         (tmp_path / "utt0001.llm").unlink()
         with pytest.raises(FormatError, match=r"utt0001\.llm.*'utt0001'"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_truncated_matrix_names_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        llm = tmp_path / "utt0001.llm"
+        llm.write_bytes(llm.read_bytes()[:-8])
+        with pytest.raises(FormatError, match=r"utt0001\.llm.*'utt0001'.*expected \d+ bytes"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_bad_alignment_boundary_names_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        align = tmp_path / "utt0002.align"
+        align.write_text(align.read_text().replace("0 ", "zero ", 1))
+        with pytest.raises(ParseError, match=r"utt0002\.align.*'utt0002'.*non-integer"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_bad_model_row_names_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        model = tmp_path / "model.tm"
+        lines = model.read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0]
+        model.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"model\.tm.*line 3"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_unknown_manner_names_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        with open(tmp_path / "manners.txt", "a") as fh:
+            fh.write("\nzz clicky\n")
+        with pytest.raises(FormatError, match=r"manners\.txt.*unknown manner 'clicky'"):
             load_corpus_dir(str(tmp_path))

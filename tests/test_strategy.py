@@ -356,6 +356,25 @@ class TestGrammar:
         assert again.parts == spec.parts
         assert again.method == spec.method
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("overweight:r=1,factor=2", "overweight:factor=2.0,r=1"),
+            ("hybrid:r=1,overweight=2,D=1,P=3", "hybrid:P=3,D=1,overweight=2.0,r=1"),
+            ("random:seed=3,n=4", "random:n=4,seed=3"),
+            (
+                "landmark:drop,r=2+regular:P=4,D=1,method=fill_0",
+                "landmark:drop,r=2,method=fill_0+regular:P=4,D=1",
+            ),
+            ("random: match = keep , seed = 7", "random:match=keep,seed=7"),
+            ("landmark:mode=keep", "landmark:keep"),
+            ("identity:", "identity"),
+            ("random:rate=0.5,r=2", "random:rate=0.5,r=2"),
+        ],
+    )
+    def test_canonical_render(self, text, canonical):
+        assert parse_strategy(text).render() == canonical
+
     def test_default_method_is_copy(self):
         assert parse_strategy("regular:P=2,D=1").method == "copy"
 
@@ -391,6 +410,9 @@ class TestGrammar:
             "overweight:factor=inf",
             "hybrid:P=2,D=1,overweight=nan",
             "hybrid:P=2,D=1,overweight=inf",
+            "landmark:keep,",
+            "regular:,P=2,D=1",
+            "landmark:keep=1",
         ],
     )
     def test_rejects_bad_strings(self, text):
