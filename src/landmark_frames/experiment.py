@@ -12,7 +12,8 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -214,16 +215,37 @@ class StrategyOutcome:
     stat_results: list = field(default_factory=list)
 
 
+# The corpus of a pool worker, set by _init_worker; the parent never sets it.
+_worker_corpus = None
+
+
+def _init_worker(corpus):
+    """Pool initializer: each worker receives the command's corpus once."""
+    global _worker_corpus
+    _worker_corpus = corpus
+
+
 def _pipeline_one(task):
-    """Replace, weight, decode, and score one utterance (worker-safe)."""
-    matrix, mask, weights, method, model, beam, ref_phones, silence, utterance_id = task
-    modified = apply_replacement(matrix, mask, method)
+    """Pool task: _score_one on the worker's corpus."""
+    return _score_one(_worker_corpus, task)
+
+
+def _score_one(corpus, task):
+    """Replace, weight, decode, and score one utterance.
+
+    task is (utterance index, mask, weights, method, beam), so a pool
+    task ships no matrix or model.
+    """
+    ui, mask, weights, method, beam = task
+    utt = corpus.utterances[ui]
+    silence = _silence_phones(corpus.manner_table)
+    modified = apply_replacement(utt.matrix, mask, method)
     modified = apply_weights(modified, weights)
     checksum = hashlib.sha256(write_score_matrix(modified)).hexdigest()
-    result = viterbi(modified, model, beam=beam)
+    result = viterbi(modified, corpus.model, beam=beam)
     hyp = [p for p in result.phones if p not in silence]
-    ref = [p for p in ref_phones if p not in silence]
-    report = align_edit(ref, hyp, utterance_id)
+    ref = [p for p in utt.alignment.phones() if p not in silence]
+    report = align_edit(ref, hyp, utt.alignment.utterance_id)
     return report, hyp, checksum
 
 
@@ -243,40 +265,50 @@ def _protection_frames(spec, landmarks, num_frames, default_radius):
     return landmark_frames(landmarks, num_frames, max(radii))
 
 
-def _run_strategy(
-    raw, corpus, landmark_sets, config, stream_index, executor, rep=0, adjust_rate=None
-):
+@dataclass
+class _Prepared:
+    """What every point of one command shares.
+
+    live_folds holds (utterance ids, baseline PER) for the folds whose
+    baseline slice has errors.
+    """
+
+    corpus: Corpus
+    landmark_sets: list
+    executor: ProcessPoolExecutor | None
+    baseline: StrategyOutcome | None = None
+    live_folds: list = field(default_factory=list)
+
+
+def _run_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     spec = parse_strategy(raw)
-    silence = _silence_phones(corpus.manner_table)
     tasks = []
     masks = []
-    for ui, utt in enumerate(corpus.utterances):
+    for ui, utt in enumerate(prep.corpus.utterances):
+        landmarks = prep.landmark_sets[ui]
         rng = None
         if spec.needs_rng():
             rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
         mask, weights = realize_strategy(
-            spec, utt.matrix.T, landmarks=landmark_sets[ui], rng=rng,
+            spec, utt.matrix.T, landmarks=landmarks, rng=rng,
             default_radius=config.widen_radius,
         )
         if adjust_rate is not None:
             target_n = int(np.floor(adjust_rate * mask.T + 0.5))
-            protected = _protection_frames(spec, landmark_sets[ui], mask.T, config.widen_radius)
+            protected = _protection_frames(spec, landmarks, mask.T, config.widen_radius)
             mask = adjust_mask_to_rate(
                 mask, target_n, protected,
                 seed=_derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
             )
         masks.append((utt.alignment.utterance_id, mask))
-        tasks.append(
-            (utt.matrix, mask, weights, spec.method, corpus.model, config.beam,
-             utt.alignment.phones(), silence, utt.alignment.utterance_id)
-        )
-    if executor is None:
-        results = [_pipeline_one(t) for t in tasks]
+        tasks.append((ui, mask, weights, spec.method, config.beam))
+    if prep.executor is None:
+        results = [_score_one(prep.corpus, t) for t in tasks]
     else:
-        results = list(executor.map(_pipeline_one, tasks, chunksize=8))
+        results = list(prep.executor.map(_pipeline_one, tasks, chunksize=8))
     reports = [r for r, _, _ in results]
-    decodes = [(t[8], phones) for t, (_, phones, _) in zip(tasks, results)]
-    checksums = [(t[8], digest) for t, (_, _, digest) in zip(tasks, results)]
+    decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
+    checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
     return StrategyOutcome(
         raw, drop_rate=drop_rate, reports=reports, decodes=decodes, masks=masks,
@@ -322,6 +354,108 @@ def _fold_increments(live_folds, reports):
     return increments
 
 
+@contextmanager
+def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool):
+    """Build what one command's points share, with its worker pool.
+
+    Loads or synthesizes the corpus, annotates landmarks when a strategy
+    or a rate adjustment reads them, starts one pool of jobs workers
+    (none for jobs 1), and decodes and scores the baseline once. The
+    pool shuts down when the block exits. A failing baseline is fatal.
+    """
+    if config.data_dir is not None:
+        corpus = load_corpus_dir(config.data_dir)
+    else:
+        corpus = gen_corpus(config.synth, config.seed)
+
+    need_landmarks = adjusts_rate or any(
+        parse_strategy(s).needs_landmarks() for s in config.strategies
+    )
+    landmark_sets = [None] * len(corpus.utterances)
+    if need_landmarks:
+        ann = AnnotationConfig(config.annotation, config.widen_radius, config.merge_mc)
+        landmark_sets = [
+            annotate(utt.alignment, corpus.manner_table, ann) for utt in corpus.utterances
+        ]
+
+    executor = None
+    if jobs > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
+        )
+    try:
+        prep = _Prepared(corpus, landmark_sets, executor)
+        # The baseline has no drops and no rng, so one decode serves every point.
+        baseline = _run_strategy(BASELINE, prep, config, 0)
+        baseline.delta_per = 0.0
+        baseline.mean = 0.0
+        baseline.stdev = 0.0
+        baseline.per = merge_reports(baseline.reports, "baseline").per
+
+        # Folds whose baseline slice has no errors are skipped: the
+        # relative increment is undefined there. The skip depends only on
+        # the baseline, so every strategy is summarized over the same folds.
+        base_by_id = {r.utterance_id: r for r in baseline.reports}
+        for fold in _utterance_folds(corpus, config):
+            base_per = merge_reports([base_by_id[u] for u in fold], "fold").per
+            if base_per > 0.0:
+                prep.live_folds.append((fold, base_per))
+        baseline.fold_increments = [0.0] * len(prep.live_folds)
+        prep.baseline = baseline
+        yield prep
+    finally:
+        if executor is not None:
+            executor.shutdown()
+
+
+def _evaluate(prep: _Prepared, config: ExperimentConfig, strategies, rep: int, adjust_rate):
+    """The shared baseline plus every one of strategies at one point.
+
+    A failing strategy yields a row with its error message. adjust_rate,
+    if given, renormalizes every strategy mask to that drop rate. The
+    shared baseline outcome is returned, never modified.
+    """
+    base_per = prep.baseline.per
+    outcomes = [prep.baseline]
+    for si, raw in enumerate(strategies, start=1):
+        try:
+            outcome = _run_strategy(raw, prep, config, si, rep=rep, adjust_rate=adjust_rate)
+            merged = merge_reports(outcome.reports, "strategy")
+            outcome.per = merged.per
+            if merged.per == base_per:
+                outcome.delta_per = 0.0
+            else:
+                outcome.delta_per = per_increment(base_per, merged.per)
+            outcome.fold_increments = _fold_increments(prep.live_folds, outcome.reports)
+            if outcome.fold_increments:
+                outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
+        except LandmarkFramesError as e:
+            outcome = StrategyOutcome(raw, error=str(e))
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _attach_stats(outcomes, comparison):
+    """Pair every strategy row against the comparison row (outcomes[0] is the baseline)."""
+    comparison = comparison if comparison is not None else BASELINE
+    comp = next(o for o in outcomes if o.strategy == comparison)
+    for outcome in outcomes[1:]:
+        if outcome.error is not None or outcome is comp or comp.error is not None:
+            continue
+        # Reports of every outcome follow the corpus utterance order.
+        pairs = [(s.errors, c.errors) for s, c in zip(outcome.reports, comp.reports)]
+        wilcoxon = wilcoxon_signed_rank(pairs)
+        outcome.p_wilcoxon = wilcoxon.p
+        outcome.stat_results.append(wilcoxon)
+        if len(outcome.fold_increments) >= 2 and len(comp.fold_increments) >= 2:
+            try:
+                t_result = welch_t(outcome.fold_increments, comp.fold_increments)
+                outcome.p_t = t_result.p
+                outcome.stat_results.append(t_result)
+            except LandmarkFramesError:
+                outcome.p_t = None
+
+
 def compute_outcomes(
     config: ExperimentConfig,
     jobs: int = 1,
@@ -335,82 +469,10 @@ def compute_outcomes(
     aborting the run; a failing baseline is fatal. adjust_rate, if
     given, renormalizes every strategy mask to that drop rate.
     """
-    if config.data_dir is not None:
-        corpus = load_corpus_dir(config.data_dir)
-    else:
-        corpus = gen_corpus(config.synth, config.seed)
-
-    specs = [parse_strategy(s) for s in config.strategies]
-    need_landmarks = any(s.needs_landmarks() for s in specs) or adjust_rate is not None
-    landmark_sets = [None] * len(corpus.utterances)
-    if need_landmarks:
-        ann = AnnotationConfig(config.annotation, config.widen_radius, config.merge_mc)
-        landmark_sets = [
-            annotate(utt.alignment, corpus.manner_table, ann) for utt in corpus.utterances
-        ]
-
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        baseline = _run_strategy(BASELINE, corpus, landmark_sets, config, 0, executor, rep=rep)
-        baseline.delta_per = 0.0
-        baseline.mean = 0.0
-        baseline.stdev = 0.0
-        base_merged = merge_reports(baseline.reports, "baseline")
-        baseline.per = base_merged.per
-
-        # Folds whose baseline slice has no errors are skipped: the
-        # relative increment is undefined there. The skip depends only on
-        # the baseline, so every strategy is summarized over the same folds.
-        base_by_id = {r.utterance_id: r for r in baseline.reports}
-        live_folds = []
-        for fold in _utterance_folds(corpus, config):
-            base_per = merge_reports([base_by_id[u] for u in fold], "fold").per
-            if base_per > 0.0:
-                live_folds.append((fold, base_per))
-
-        baseline.fold_increments = [0.0] * len(live_folds)
-        outcomes = [baseline]
-        for si, raw in enumerate(config.strategies, start=1):
-            try:
-                outcome = _run_strategy(
-                    raw, corpus, landmark_sets, config, si, executor,
-                    rep=rep, adjust_rate=adjust_rate,
-                )
-                merged = merge_reports(outcome.reports, "strategy")
-                outcome.per = merged.per
-                if merged.per == base_merged.per:
-                    outcome.delta_per = 0.0
-                else:
-                    outcome.delta_per = per_increment(base_merged.per, merged.per)
-                outcome.fold_increments = _fold_increments(live_folds, outcome.reports)
-                if outcome.fold_increments:
-                    outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
-            except LandmarkFramesError as e:
-                outcome = StrategyOutcome(raw, error=str(e))
-            outcomes.append(outcome)
-
-        # outcomes[0] is the baseline row, named BASELINE.
-        comparison = config.comparison if config.comparison is not None else BASELINE
-        comp = next(o for o in outcomes if o.strategy == comparison)
-        for outcome in outcomes[1:]:
-            if outcome.error is not None or outcome is comp or comp.error is not None:
-                continue
-            # Reports of every outcome follow the corpus utterance order.
-            pairs = [(s.errors, c.errors) for s, c in zip(outcome.reports, comp.reports)]
-            wilcoxon = wilcoxon_signed_rank(pairs)
-            outcome.p_wilcoxon = wilcoxon.p
-            outcome.stat_results.append(wilcoxon)
-            if len(outcome.fold_increments) >= 2 and len(comp.fold_increments) >= 2:
-                try:
-                    t_result = welch_t(outcome.fold_increments, comp.fold_increments)
-                    outcome.p_t = t_result.p
-                    outcome.stat_results.append(t_result)
-                except LandmarkFramesError:
-                    outcome.p_t = None
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return outcomes, corpus
+    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None) as prep:
+        outcomes = _evaluate(prep, config, config.strategies, rep, adjust_rate)
+    _attach_stats(outcomes, config.comparison)
+    return outcomes, prep.corpus
 
 
 def _cell(value) -> str:
@@ -671,11 +733,12 @@ def sweep(
     """Sweep one knob over values, averaging each point over repeats.
 
     parameter "overweight" rewrites the factor of overweight/hybrid
-    strategies, and a comparison naming one of them follows its
-    rewritten variant; "drop_rate" renormalizes every strategy mask to
+    strategies; "drop_rate" renormalizes every strategy mask to
     the target rate via seeded adjustment. Rows hold repeat means; mean and
-    stdev summarize the repeat spread. Writes sweep.csv / sweep.svg
-    when out_dir is given.
+    stdev summarize the repeat spread. The corpus, its landmarks, the
+    folds, the baseline decode and the worker pool are prepared once for
+    every (value, repeat) point. Sweep rows carry no significance tests.
+    Writes sweep.csv / sweep.svg when out_dir is given.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidConfig(f"parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
@@ -699,45 +762,40 @@ def sweep(
             _overweight_variant(raw, values[0])
 
     rows = []
-    baseline_row = None
-    for value in values:
-        if parameter == "overweight":
-            variants = [_overweight_variant(raw, value) for raw in config.strategies]
-            renamed = dict(zip(config.strategies, variants))
-            comparison = renamed.get(config.comparison, config.comparison)
-            point, adjust_rate = replace(config, strategies=variants, comparison=comparison), None
-        else:
-            point, adjust_rate = config, value
-        strategies = point.strategies
-        collected = {raw: [] for raw in strategies}
-        errors = {raw: None for raw in strategies}
-        for rep in range(repeats):
-            outcomes, _ = compute_outcomes(point, jobs=jobs, rep=rep, adjust_rate=adjust_rate)
-            if baseline_row is None:
-                baseline_row = outcomes[0]
-            for outcome in outcomes[1:]:
-                if outcome.error is not None:
-                    errors[outcome.strategy] = f"rep {rep}: {outcome.error}"
-                else:
-                    collected[outcome.strategy].append(outcome)
-        for raw in strategies:
-            if errors[raw] is not None:
-                rows.append(StrategyOutcome(raw, error=errors[raw], value=value))
-                continue
-            runs = collected[raw]
-            deltas = [o.delta_per for o in runs]
-            mean, stdev = summarize_cv(deltas)
-            rows.append(StrategyOutcome(
-                raw,
-                drop_rate=float(np.mean([o.drop_rate for o in runs])),
-                per=float(np.mean([o.per for o in runs])),
-                delta_per=mean,
-                mean=mean,
-                stdev=stdev,
-                value=value,
-            ))
+    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate") as prep:
+        for value in values:
+            if parameter == "overweight":
+                strategies = [_overweight_variant(raw, value) for raw in config.strategies]
+                adjust_rate = None
+            else:
+                strategies, adjust_rate = config.strategies, value
+            collected = {raw: [] for raw in strategies}
+            errors = {raw: None for raw in strategies}
+            for rep in range(repeats):
+                outcomes = _evaluate(prep, config, strategies, rep, adjust_rate)
+                for outcome in outcomes[1:]:
+                    if outcome.error is not None:
+                        errors[outcome.strategy] = f"rep {rep}: {outcome.error}"
+                    else:
+                        collected[outcome.strategy].append(outcome)
+            for raw in strategies:
+                if errors[raw] is not None:
+                    rows.append(StrategyOutcome(raw, error=errors[raw], value=value))
+                    continue
+                runs = collected[raw]
+                deltas = [o.delta_per for o in runs]
+                mean, stdev = summarize_cv(deltas)
+                rows.append(StrategyOutcome(
+                    raw,
+                    drop_rate=float(np.mean([o.drop_rate for o in runs])),
+                    per=float(np.mean([o.per for o in runs])),
+                    delta_per=mean,
+                    mean=mean,
+                    stdev=stdev,
+                    value=value,
+                ))
 
-    all_rows = [baseline_row] + rows
+    all_rows = [prep.baseline] + rows
     if out_dir is not None:
         emit_report(
             all_rows, config.seed, out_dir, config.formats, config.tag,

@@ -15,7 +15,10 @@ are described by compact strings such as
     overweight:factor=3.0,r=1
 
 Parts joined by "+" are OR-combined frame-wise. The method= key picks
-the replacement written into dropped rows (default copy).
+the replacement written into dropped rows (default copy). Any other key
+appears at most once per part; the keep/drop shorthand counts as the
+landmark mode= key. On a random part, r= widens the landmark frames that
+match= counts, so it needs match=.
 """
 
 import warnings
@@ -318,6 +321,8 @@ def parse_strategy(text: str) -> StrategySpec:
                 continue
             if key not in keys:
                 raise InvalidPattern(f"bad item {item.strip()!r} for strategy kind {kind!r}")
+            if key in params:
+                raise InvalidPattern(f"key {key!r} given twice in strategy part {chunk.strip()!r}")
             try:
                 params[key] = keys[key][0](value)
             except ValueError:
@@ -333,6 +338,8 @@ def parse_strategy(text: str) -> StrategySpec:
             sources = [key for key in ("rate", "n", "match") if key in params]
             if len(sources) != 1:
                 raise InvalidPattern("random strategy needs exactly one of rate, n, or match")
+            if "r" in params and "match" not in params:
+                raise InvalidPattern("random r= widens landmark frames, so it needs match=")
             if "rate" in params and not 0.0 <= params["rate"] <= 1.0:
                 raise InvalidPattern(f"rate must lie in [0, 1], got {params['rate']}")
         if "P" in params and not (params["P"] >= 2 and 1 <= params["D"] < params["P"]):

@@ -306,6 +306,17 @@ class TestRunAndSweep:
         assert (out / "sweep.csv").exists()
         assert (out / "sweep.svg").exists()
 
+    def test_sweep_byte_identical_across_jobs(self, tmp_path):
+        config = experiment_config(tmp_path, ["landmark:keep", "random:match=keep"])
+        outs = [tmp_path / "serial", tmp_path / "parallel"]
+        for jobs, out in zip(("1", "2"), outs):
+            assert run_cli(
+                "sweep", "--config", str(config), "--out", str(out), "--jobs", jobs,
+                "--parameter", "drop_rate", "--values", "0.3,0.6", "--repeats", "2",
+            ) == 0
+        for name in ("sweep.csv", "sweep.svg"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_sweep_bad_values(self, tmp_path):
         config = experiment_config(tmp_path, ["overweight:factor=2.0"])
         code = run_cli(

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from landmark_frames import (
     ScoreMatrix,
     ShapeError,
     SynthConfig,
+    TransitionModel,
     compute_outcomes,
     emit_report,
     format_alignment,
@@ -24,11 +28,13 @@ from landmark_frames import (
     load_experiment_config,
     read_mask,
     run_experiment,
+    summarize_cv,
     sweep,
     write_manner_table,
     write_score_matrix,
     write_transition_model,
 )
+import landmark_frames.experiment as experiment
 from landmark_frames.experiment import load_corpus_dir
 
 FAST_SYNTH = dict(n_utterances=10, n_speakers=5, utterance_length=6)
@@ -344,6 +350,111 @@ class TestSweep:
         svg = format_sweep_svg(rows[1:], "overweight")
         assert "overweight" in svg
         assert svg.count("circle") == 2
+
+
+def per_point_rows(config, values, repeats, variants=None):
+    """Sweep rows rebuilt from one compute_outcomes call per (value, repeat).
+
+    variants maps a swept overweight value to its strategy strings; without
+    it, each value is a drop rate. Returns (baseline outcome, row tuples).
+    """
+    baseline, rows = None, []
+    for value in values:
+        if variants is None:
+            point, rate = config, value
+        else:
+            renamed = dict(zip(config.strategies, variants[value]))
+            comparison = renamed.get(config.comparison, config.comparison)
+            point = replace(config, strategies=variants[value], comparison=comparison)
+            rate = None
+        runs = [compute_outcomes(point, rep=r, adjust_rate=rate)[0] for r in range(repeats)]
+        baseline = baseline or runs[0][0]
+        for i, raw in enumerate(point.strategies, start=1):
+            outcomes = [run[i] for run in runs]
+            failed = [f"rep {r}: {o.error}" for r, o in enumerate(outcomes) if o.error]
+            if failed:
+                rows.append((raw, value, None, None, None, None, None, failed[-1]))
+                continue
+            mean, stdev = summarize_cv([o.delta_per for o in outcomes])
+            per = float(np.mean([o.per for o in outcomes]))
+            drop_rate = float(np.mean([o.drop_rate for o in outcomes]))
+            rows.append((raw, value, per, mean, mean, stdev, drop_rate, None))
+    return baseline, rows
+
+
+def row_tuple(row):
+    return (row.strategy, row.value, row.per, row.delta_per, row.mean, row.stdev,
+            row.drop_rate, row.error)
+
+
+def baseline_fields(outcome):
+    masks = [(uid, mask.dropped.tolist()) for uid, mask in outcome.masks]
+    return (outcome.strategy, outcome.drop_rate, outcome.per, outcome.delta_per, outcome.mean,
+            outcome.stdev, outcome.p_wilcoxon, outcome.p_t, outcome.error, outcome.reports,
+            outcome.decodes, masks, outcome.checksums, outcome.fold_increments,
+            outcome.stat_results)
+
+
+class TestSharedPreparation:
+    """A sweep prepares once; its rows equal the per-point compute_outcomes path."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_drop_rate_rows_match_per_point_path(self, jobs):
+        # landmark:keep protects its landmark frames, so rate 1.0 fails on every repeat.
+        config = fast_config(["landmark:keep", "random:match=keep", "random:rate=0.3"])
+        values, repeats = [0.3, 1.0], 2
+        baseline, expected = per_point_rows(config, values, repeats)
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        assert any(row[-1] for row in expected)
+        assert baseline_fields(rows[0]) == baseline_fields(baseline)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overweight_rows_match_per_point_path(self, jobs):
+        strategies = ["overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"]
+        config = fast_config(strategies, comparison="overweight:factor=2.0")
+        values, repeats = [1.0, 3.0], 2
+        variants = {
+            v: [f"overweight:factor={v!r}", f"hybrid:P=2,D=1,overweight={v!r}"] for v in values
+        }
+        baseline, expected = per_point_rows(config, values, repeats, variants)
+        rows = sweep(config, "overweight", values, repeats=repeats, jobs=jobs)
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        assert baseline_fields(rows[0]) == baseline_fields(baseline)
+
+    def test_sweep_builds_shared_work_once(self):
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        calls = Counter()
+        shipped = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                calls["ProcessPoolExecutor"] += 1
+                super().__init__(*args, **kwargs)
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                shipped.extend(tasks)
+                return super().map(fn, tasks, chunksize=chunksize)
+
+        before = dict(vars(experiment))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "gen_corpus", counted("gen_corpus", experiment.gen_corpus))
+            patch.setattr(experiment, "annotate", counted("annotate", experiment.annotate))
+            patch.setattr(experiment, "ProcessPoolExecutor", Pool)
+            sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
+        assert dict(vars(experiment)) == before
+        assert calls == {"gen_corpus": 1, "annotate": 10, "ProcessPoolExecutor": 1}
+        # One baseline decode, then 2 values x 2 repeats x 2 strategies.
+        assert len(shipped) == 10 + 2 * 2 * 2 * 10
+        heavy = (ScoreMatrix, TransitionModel)
+        assert not any(isinstance(item, heavy) for task in shipped for item in task)
 
 
 class TestConfigIO:

@@ -369,11 +369,16 @@ class TestGrammar:
             ("random: match = keep , seed = 7", "random:match=keep,seed=7"),
             ("landmark:mode=keep", "landmark:keep"),
             ("identity:", "identity"),
-            ("random:rate=0.5,r=2", "random:rate=0.5,r=2"),
         ],
     )
     def test_canonical_render(self, text, canonical):
         assert parse_strategy(text).render() == canonical
+
+    def test_repeated_key_is_named(self):
+        with pytest.raises(InvalidPattern, match="'P' given twice"):
+            parse_strategy("regular:P=2,P=3,D=1")
+        with pytest.raises(InvalidPattern, match="'mode' given twice"):
+            parse_strategy("landmark:keep,drop")
 
     def test_default_method_is_copy(self):
         assert parse_strategy("regular:P=2,D=1").method == "copy"
@@ -413,6 +418,11 @@ class TestGrammar:
             "landmark:keep,",
             "regular:,P=2,D=1",
             "landmark:keep=1",
+            "regular:P=2,P=3,D=1",
+            "landmark:keep,drop",
+            "landmark:mode=x,keep",
+            "random:rate=0.5,r=2",
+            "random:n=3,r=1",
         ],
     )
     def test_rejects_bad_strings(self, text):
