@@ -17,6 +17,7 @@ from .corpus_io import (
     ScoreMatrix,
     Utterance,
     format_alignment,
+    format_csv,
     parse_alignment,
     read_manner_table,
     read_mask,
@@ -58,7 +59,6 @@ from .experiment import (
     ExperimentConfig,
     StrategyOutcome,
     compute_outcomes,
-    emit_report,
     format_plot_svg,
     format_report_csv,
     format_sweep_svg,

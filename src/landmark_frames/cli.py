@@ -84,6 +84,14 @@ def _dump_matrix(path: str, matrix, fmt: str) -> None:
         atomic_write_bytes(path, write_score_matrix(matrix))
 
 
+def _write_out(path: str | None, text: str) -> None:
+    """Write text to path, or to standard output when no path is given."""
+    if path:
+        atomic_write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_synth(args) -> int:
     config = parse_synth_config(_read_text(args.config)) if args.config else SynthConfig()
     corpus = gen_corpus(config, args.seed)  # None falls back to config.seed
@@ -99,10 +107,8 @@ def cmd_synth(args) -> int:
         atomic_write_text(
             os.path.join(args.out, f"{a.utterance_id}.align"), format_alignment(a) + "\n"
         )
-        if args.format == "text":
-            _dump_matrix(os.path.join(args.out, f"{a.utterance_id}.llm.txt"), utt.matrix, "text")
-        else:
-            _dump_matrix(os.path.join(args.out, f"{a.utterance_id}.llm"), utt.matrix, "binary")
+        suffix = ".llm.txt" if args.format == "text" else ".llm"
+        _dump_matrix(os.path.join(args.out, a.utterance_id + suffix), utt.matrix, args.format)
     atomic_write_text(os.path.join(args.out, "speakers.tsv"), "\n".join(speaker_lines) + "\n")
     print(f"wrote {len(corpus.utterances)} utterances to {args.out}")
     return 0
@@ -160,11 +166,7 @@ def _realize_from_args(args, num_frames: int):
 
 def cmd_mask(args) -> int:
     _, mask, _ = _realize_from_args(args, args.frames)
-    text = write_mask(mask) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, write_mask(mask) + "\n")
     return 0
 
 
@@ -181,11 +183,7 @@ def cmd_decode(args) -> int:
     matrix = _load_matrix(args.matrix, args.format)
     model = read_transition_model(_read_text(args.model))
     result = viterbi(matrix, model, beam=args.beam)
-    text = f"score {result.score!r}\nphones {' '.join(result.phones)}\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, f"score {result.score!r}\nphones {' '.join(result.phones)}\n")
     return 0
 
 
@@ -208,11 +206,7 @@ def cmd_score(args) -> int:
     alignment = parse_alignment(_read_text(args.ref), args.unit, stem)
     hyp = _read_hyp_phones(args.hyp)
     report = align_edit(alignment.phones(), hyp, stem)
-    text = write_report_csv([report])
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, write_report_csv([report]))
     if args.confusion:
         atomic_write_text(args.confusion, write_confusion_csv(report))
     return 0
@@ -235,11 +229,7 @@ def cmd_stats(args) -> int:
         results.append(welch_t([a for a, _ in pairs], [b for _, b in pairs]))
     except LandmarkFramesError:
         pass
-    text = write_stats_csv(results)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, write_stats_csv(results))
     return 0
 
 

@@ -298,6 +298,20 @@ def read_manner_table(text: str) -> dict:
     return table
 
 
+def format_csv(header, rows, comments=()) -> str:
+    """CSV text: one "# " line per comment, the header, then one line per row.
+
+    A None cell is empty; any other cell is str(cell), which for a float
+    is its shortest round-trip form. Cells are joined unquoted, so a cell
+    holding a comma does not parse back as one cell.
+    """
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join("" if cell is None else str(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 

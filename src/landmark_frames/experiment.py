@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .corpus_io import (
     Corpus,
     Utterance,
     atomic_write_text,
+    format_csv,
     parse_alignment,
     read_manner_table,
     read_score_matrix,
@@ -28,7 +30,7 @@ from .corpus_io import (
     write_score_matrix,
 )
 from .decoder import read_transition_model, viterbi
-from .errors import EmptyInput, FormatError, InvalidConfig, LandmarkFramesError, ShapeError
+from .errors import FormatError, InvalidConfig, LandmarkFramesError, ShapeError
 from .landmarks import AnnotationConfig, annotate, landmark_frames
 from .scoring import align_edit, merge_reports, per_increment, write_confusion_csv, write_report_csv
 from .stats import cv_folds, summarize_cv, welch_t, wilcoxon_signed_rank, write_stats_csv
@@ -255,10 +257,12 @@ def _silence_phones(manner_table: dict) -> frozenset:
 
 def _protection_frames(spec, landmarks, num_frames, default_radius):
     """Landmark frames a rate adjustment must not start dropping."""
+    # A random part reads landmarks only to count its drops, so it protects
+    # none: a matched control gives back landmark and other drops alike.
     radii = [
         params.get("r", default_radius)
         for kind, params in spec.parts
-        if reads_landmarks(kind, params)
+        if kind != "random" and reads_landmarks(kind, params)
     ]
     if not radii or landmarks is None:
         return ()
@@ -475,35 +479,20 @@ def compute_outcomes(
     return outcomes, prep.corpus
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def format_report_csv(outcomes, seed: int, tag: str | None = None) -> str:
     """Summary CSV; the errors column appears only when some row failed."""
     any_error = any(o.error for o in outcomes)
-    header = ",".join(REPORT_COLUMNS + ("errors",) if any_error else REPORT_COLUMNS)
-    lines = [f"# seed={seed}"]
-    if tag is not None:
-        lines.append(f"# tag={tag}")
-    lines.append(header)
+    rows = []
     for o in outcomes:
-        cells = [
-            o.strategy,
-            _cell(o.drop_rate),
-            _cell(o.per),
-            _cell(o.delta_per),
-            _cell(o.mean),
-            _cell(o.stdev),
-            _cell(o.p_wilcoxon),
-            _cell(o.p_t),
-        ]
+        cells = [getattr(o, column) for column in REPORT_COLUMNS]
         if any_error:
-            cells.append(o.error or "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells.append(o.error)
+        rows.append(cells)
+    comments = [f"seed={seed}"]
+    if tag is not None:
+        comments.append(f"tag={tag}")
+    header = REPORT_COLUMNS + ("errors",) if any_error else REPORT_COLUMNS
+    return format_csv(header, rows, comments)
 
 
 def _xml_escape(text: str) -> str:
@@ -626,68 +615,46 @@ def format_sweep_svg(rows, parameter: str) -> str:
     return _svg_chart(f"relative PER change vs {parameter}", body)
 
 
-def emit_report(
-    outcomes,
-    seed: int,
-    out_dir: str,
-    formats=REPORT_FORMATS,
-    tag: str | None = None,
-    stem: str = "report",
-    svg_text: str | None = None,
-):
-    """Write the summary CSV (and optionally SVG) for a set of rows."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise EmptyInput("no rows to report")
-    for fmt in formats:
-        if fmt not in REPORT_FORMATS:
-            raise InvalidConfig(f"unknown report format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{stem}.csv")
-        atomic_write_text(path, format_report_csv(outcomes, seed, tag))
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out_dir, f"{stem}.svg")
-        atomic_write_text(path, svg_text if svg_text is not None else format_plot_svg(outcomes))
-        written.append(path)
-    return written
+def _report_files(stem: str, rows, config: ExperimentConfig, svg: str):
+    """The summary of rows as (relative path, text), in the formats config asks for."""
+    if "csv" in config.formats:
+        yield f"{stem}.csv", format_report_csv(rows, config.seed, config.tag)
+    if "svg" in config.formats:
+        yield f"{stem}.svg", svg
 
 
-def _write_strategy_dir(out_dir: str, name: str, outcome: StrategyOutcome) -> list:
-    sub = os.path.join(out_dir, name)
-    os.makedirs(sub, exist_ok=True)
-    written = []
-
-    def emit(filename, text):
-        path = os.path.join(sub, filename)
-        atomic_write_text(path, text)
-        written.append(path)
-
-    emit("strategy.txt", outcome.strategy + "\n")
+def _strategy_files(name: str, outcome: StrategyOutcome):
+    """One strategy's directory as (relative path, text) pairs, masks last."""
+    yield os.path.join(name, "strategy.txt"), outcome.strategy + "\n"
     if outcome.error is not None:
-        emit("error.txt", outcome.error + "\n")
-        return written
-    emit("per_utterance.csv", write_report_csv(outcome.reports))
-    emit("confusion.csv", write_confusion_csv(merge_reports(outcome.reports, name)))
+        yield os.path.join(name, "error.txt"), outcome.error + "\n"
+        return
+    yield os.path.join(name, "per_utterance.csv"), write_report_csv(outcome.reports)
+    merged = merge_reports(outcome.reports, name)
+    yield os.path.join(name, "confusion.csv"), write_confusion_csv(merged)
     if outcome.stat_results:
-        emit("stats.csv", write_stats_csv(outcome.stat_results))
-    emit(
-        "decode.txt",
-        "\n".join(f"{uid} {' '.join(phones)}" for uid, phones in outcome.decodes) + "\n",
-    )
-    emit(
-        "matrix_checksums.txt",
-        "\n".join(f"{uid} {digest}" for uid, digest in outcome.checksums) + "\n",
-    )
-    mask_dir = os.path.join(sub, "masks")
-    os.makedirs(mask_dir, exist_ok=True)
+        yield os.path.join(name, "stats.csv"), write_stats_csv(outcome.stat_results)
+    decodes = "\n".join(f"{uid} {' '.join(phones)}" for uid, phones in outcome.decodes)
+    yield os.path.join(name, "decode.txt"), decodes + "\n"
+    checksums = "\n".join(f"{uid} {digest}" for uid, digest in outcome.checksums)
+    yield os.path.join(name, "matrix_checksums.txt"), checksums + "\n"
     for uid, mask in outcome.masks:
-        path = os.path.join(mask_dir, f"{uid}.mask")
-        atomic_write_text(path, write_mask(mask) + "\n")
-        written.append(path)
-    return written
+        yield os.path.join(name, "masks", f"{uid}.mask"), write_mask(mask) + "\n"
+
+
+def _write_files(out_dir: str, files) -> str:
+    """Write each (relative path, text) pair under out_dir.
+
+    Returns the manifest: a "sha256  path" line per file, sorted by
+    path, with each digest taken from the text as it was written.
+    """
+    entries = []
+    for rel, text in files:
+        path = os.path.join(out_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_write_text(path, text)
+        entries.append((rel, hashlib.sha256(text.encode("utf-8")).hexdigest()))
+    return "".join(f"{digest}  {rel}\n" for rel, digest in sorted(entries))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1):
@@ -696,18 +663,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1):
     Returns the outcome list (baseline first).
     """
     outcomes, _ = compute_outcomes(config, jobs=jobs)
-    os.makedirs(out_dir, exist_ok=True)
-    written = list(emit_report(outcomes, config.seed, out_dir, config.formats, config.tag))
-    written += _write_strategy_dir(out_dir, "baseline", outcomes[0])
-    for i, outcome in enumerate(outcomes[1:]):
-        written += _write_strategy_dir(out_dir, f"strategy_{i:02d}", outcome)
-
-    checksum_lines = []
-    for path in sorted(written):
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        checksum_lines.append(f"{digest}  {os.path.relpath(path, out_dir)}")
-    atomic_write_text(os.path.join(out_dir, "checksums.txt"), "\n".join(checksum_lines) + "\n")
+    names = ["baseline"] + [f"strategy_{i:02d}" for i in range(len(outcomes) - 1)]
+    files = chain(
+        _report_files("report", outcomes, config, format_plot_svg(outcomes)),
+        *(_strategy_files(name, outcome) for name, outcome in zip(names, outcomes)),
+    )
+    manifest = _write_files(out_dir, files)
+    atomic_write_text(os.path.join(out_dir, "checksums.txt"), manifest)
     return outcomes
 
 
@@ -797,8 +759,6 @@ def sweep(
 
     all_rows = [prep.baseline] + rows
     if out_dir is not None:
-        emit_report(
-            all_rows, config.seed, out_dir, config.formats, config.tag,
-            stem="sweep", svg_text=format_sweep_svg(rows, parameter),
-        )
+        svg = format_sweep_svg(rows, parameter)
+        _write_files(out_dir, _report_files("sweep", all_rows, config, svg))
     return all_rows

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus_io import format_csv
 from .errors import DegenerateBaseline, EmptyInput, FormatError, UnknownPhone
 
 DELETION = "<del>"
@@ -210,14 +211,10 @@ def _fold_counts(counts: dict, fold: dict) -> dict:
 
 
 def write_report_csv(reports) -> str:
-    lines = ["utterance_id,N,ins,del,sub,per"]
-    for r in reports:
-        lines.append(f"{r.utterance_id},{r.n_ref},{r.ins},{r.dels},{r.sub},{repr(r.per)}")
-    return "\n".join(lines) + "\n"
+    rows = [(r.utterance_id, r.n_ref, r.ins, r.dels, r.sub, r.per) for r in reports]
+    return format_csv(("utterance_id", "N", "ins", "del", "sub", "per"), rows)
 
 
 def write_confusion_csv(report: PERReport) -> str:
-    lines = ["ref,hyp,count"]
-    for (ref, hyp), count in sorted(report.confusion.items()):
-        lines.append(f"{ref},{hyp},{count}")
-    return "\n".join(lines) + "\n"
+    rows = [(ref, hyp, count) for (ref, hyp), count in sorted(report.confusion.items())]
+    return format_csv(("ref", "hyp", "count"), rows)

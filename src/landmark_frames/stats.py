@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import format_csv
 from .errors import DegenerateTest, EmptyInput, InvalidConfig, ShapeError
 
 EXACT_WILCOXON_MAX_N = 25
@@ -258,8 +259,5 @@ def summarize_cv(values):
 
 
 def write_stats_csv(results) -> str:
-    lines = ["test,statistic,df,p,verdict"]
-    for r in results:
-        df = "" if r.df is None else repr(float(r.df))
-        lines.append(f"{r.test},{repr(float(r.statistic))},{df},{repr(float(r.p))},{r.verdict}")
-    return "\n".join(lines) + "\n"
+    rows = [(r.test, r.statistic, r.df, r.p, r.verdict) for r in results]
+    return format_csv(("test", "statistic", "df", "p", "verdict"), rows)

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +21,14 @@ from landmark_frames import (
     ShapeError,
     SynthConfig,
     TransitionModel,
+    annotate,
     compute_outcomes,
-    emit_report,
     format_alignment,
     format_plot_svg,
     format_report_csv,
     format_sweep_svg,
     load_experiment_config,
+    parse_strategy,
     read_mask,
     run_experiment,
     summarize_cv,
@@ -157,16 +160,21 @@ class TestReportFormats:
         assert svg.rstrip().endswith("</svg>")
         assert "regular:P=2,D=1" in svg
 
-    def test_emit_report_writes_requested_formats(self, tmp_path):
-        outcomes, _ = compute_outcomes(fast_config([]))
-        emit_report(outcomes, seed=0, out_dir=str(tmp_path), formats=("csv",))
-        assert (tmp_path / "report.csv").exists()
-        assert not (tmp_path / "report.svg").exists()
+    def test_only_requested_formats_are_written(self, tmp_path):
+        config = replace(fast_config(["overweight:factor=2.0"]), formats=["csv"])
+        run_experiment(config, str(tmp_path / "run"))
+        sweep(config, "overweight", [1.0], str(tmp_path / "sweep"), repeats=1)
+        assert (tmp_path / "run" / "report.csv").exists()
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
+        assert not list(tmp_path.rglob("*.svg"))
+        assert ".svg" not in (tmp_path / "run" / "checksums.txt").read_text()
 
-    def test_emit_report_rejects_unknown_format(self, tmp_path):
-        outcomes, _ = compute_outcomes(fast_config([]))
+    @pytest.mark.parametrize(
+        "formats", [["pdf"], ["csv", "pdf"], []], ids=["pdf", "csv-and-pdf", "none"]
+    )
+    def test_config_rejects_unknown_or_no_format(self, formats):
         with pytest.raises(InvalidConfig):
-            emit_report(outcomes, seed=0, out_dir=str(tmp_path), formats=("pdf",))
+            replace(fast_config([]), formats=formats)
 
 
 class TestRunExperiment:
@@ -212,13 +220,37 @@ class TestRunExperiment:
 
     def test_checksums_cover_written_files(self, tmp_path):
         out = self.run(tmp_path)
-        listed = set()
+        listed = []
         for line in (out / "checksums.txt").read_text().splitlines():
-            digest, rel = line.split(None, 1)
-            assert len(digest) == 64
-            listed.add(rel)
+            digest, rel = line.split("  ", 1)
+            assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest(), rel
+            listed.append(rel)
+        on_disk = [
+            os.path.relpath(os.path.join(root, name), out)
+            for root, _, names in os.walk(out)
+            for name in names
+        ]
+        assert sorted(listed) == listed
+        assert Counter(listed) == Counter(on_disk) - Counter(["checksums.txt"])
         assert "report.csv" in listed
         assert "baseline/decode.txt" in listed
+
+    def test_writes_go_through_names_the_benchmark_traces(self, tmp_path, monkeypatch):
+        # perfbench/spans.py patches names inside landmark_frames.experiment;
+        # a write that bypasses them would vanish from the benchmark's counts.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import spans
+
+        tracer = spans.Tracer(pid=os.getpid())
+        tracer.install()
+        try:
+            self.run(tmp_path, jobs=1)
+        finally:
+            tracer.uninstall()
+        data = tracer.rec.export()
+        listed = (tmp_path / "out" / "checksums.txt").read_text().splitlines()
+        assert data["counts"]["corpus_io.files_written"] == len(listed) + 1
+        assert data["spans"]["corpus_io.serialize"]["calls"] > 0
 
     def test_error_dir_replaces_details(self, tmp_path):
         out = tmp_path / "err"
@@ -335,6 +367,26 @@ class TestSweep:
             ("overweight:factor=3.0", None),
             ("hybrid:P=2,D=1,overweight=3.0", None),
         ]
+
+    def test_matched_random_control_completes_at_low_drop_rate(self):
+        # At rate 0.1 some utterance here has fewer non-landmark drops than the
+        # control must give back, so protecting its landmark frames fails the row.
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        rows = sweep(config, "drop_rate", [0.1], repeats=2)
+        assert [(r.strategy, r.error) for r in rows[1:]] == [
+            ("landmark:keep", None),
+            ("random:match=keep", None),
+        ]
+        assert rows[2].drop_rate == pytest.approx(rows[1].drop_rate)
+
+    def test_only_non_random_landmark_parts_are_protected(self, small_corpus):
+        alignment = small_corpus.utterances[0].alignment
+        landmarks = annotate(alignment, small_corpus.manner_table)
+        T = alignment.num_frames
+        for raw in ("landmark:keep", "overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"):
+            assert len(experiment._protection_frames(parse_strategy(raw), landmarks, T, 0)) > 0
+        for raw in ("random:match=keep", "random:match=drop,r=1"):
+            assert len(experiment._protection_frames(parse_strategy(raw), landmarks, T, 0)) == 0
 
     def test_sweep_writes_artifacts(self, tmp_path):
         config = fast_config(["overweight:factor=2.0"])
