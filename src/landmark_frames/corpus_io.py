@@ -246,7 +246,7 @@ def read_score_matrix_text(text: str, utterance_id: str = "") -> ScoreMatrix:
 
 def write_mask(mask: FrameMask) -> str:
     """One line per frame: "t 0|1" where 1 marks a dropped frame."""
-    return "\n".join(f"{t} {int(d)}" for t, d in enumerate(mask.dropped))
+    return "\n".join(f"{t} {d}" for t, d in enumerate(mask.dropped.view(np.uint8).tolist()))
 
 
 def read_mask(text: str) -> FrameMask:

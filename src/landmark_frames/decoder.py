@@ -119,33 +119,54 @@ def viterbi(
     values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
 
+    # Row j of into holds the transitions from every predecessor into j,
+    # so each frame's argmax runs along a contiguous row.
+    into = np.ascontiguousarray(model.trans.T)
+    rows = np.arange(S)
+    scores = np.empty((T, S))
     back = np.zeros((T, S), dtype=np.int64)
-    delta = model.init + values[0]
-    delta = _prune(delta, beam, matrix.utterance_id, 0)
+    cand = np.empty((S, S))
+    peaks = None if beam is None else np.empty(T)
+    np.add(model.init, values[0], out=scores[0])
+    if beam is not None:
+        peaks[0] = _prune(scores[0], beam)
     for t in range(1, T):
-        cand = delta[:, None] + model.trans
-        back[t] = np.argmax(cand, axis=0)  # first occurrence: lowest predecessor wins ties
-        delta = cand[back[t], np.arange(S)] + values[t]
-        delta = _prune(delta, beam, matrix.utterance_id, t)
+        np.add(into, scores[t - 1], out=cand)
+        cand.argmax(axis=1, out=back[t])  # first occurrence: lowest predecessor wins ties
+        np.add(cand[rows, back[t]], values[t], out=scores[t])
+        if beam is not None:
+            peaks[t] = _prune(scores[t], beam)
 
-    best = int(np.argmax(delta))
-    score = float(delta[best])
-    states = np.zeros(T, dtype=np.int64)
-    states[T - 1] = best
+    # peaks holds each frame's maximum before pruning. The lattice dies at
+    # the first frame where it is NEG_INF; the frames computed after that
+    # one change nothing, so one check here replaces a check per frame.
+    if peaks is None:
+        peaks = scores.max(axis=1)
+    dead = np.flatnonzero(peaks == NEG_INF)
+    if dead.size:
+        raise BeamCollapse(f"{matrix.utterance_id}: no surviving state at frame {dead[0]}")
+
+    state = int(np.argmax(scores[T - 1]))
+    score = float(scores[T - 1, state])
+    path = [state] * T
     for t in range(T - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
+        state = back.item(t, state)
+        path[t - 1] = state
     return DecodeResult(
-        matrix.utterance_id, states, score, collapse_states(states, model.senone_phones)
+        matrix.utterance_id, np.array(path, dtype=np.int64), score,
+        collapse_states(path, model.senone_phones),
     )
 
 
-def _prune(delta: np.ndarray, beam: float | None, utterance_id: str, t: int) -> np.ndarray:
-    peak = delta.max()
-    if peak == NEG_INF:
-        raise BeamCollapse(f"{utterance_id}: no surviving state at frame {t}")
-    if beam is None:
-        return delta
-    return np.where(delta >= peak - beam, delta, NEG_INF)
+def _prune(row: np.ndarray, beam: float) -> float:
+    """Set states more than beam below the row maximum to NEG_INF, in place.
+
+    Returns the maximum before pruning. A nan maximum or beam prunes the
+    whole row, as the comparison is then false everywhere.
+    """
+    peak = row.max()
+    row[~(row >= peak - beam)] = NEG_INF
+    return peak
 
 
 def write_transition_model(model: TransitionModel) -> str:

@@ -235,20 +235,24 @@ def _pipeline_one(task):
 def _score_one(corpus, task):
     """Replace, weight, decode, and score one utterance.
 
-    task is (utterance index, mask, weights, method, beam), so a pool
-    task ships no matrix or model.
+    task is (utterance index, mask, weights, method, beam, checksum), so
+    a pool task ships no matrix or model. Returns (report, hypothesis,
+    digest): digest is the sha256 of the modified matrix when checksum is
+    true, None otherwise.
     """
-    ui, mask, weights, method, beam = task
+    ui, mask, weights, method, beam, checksum = task
     utt = corpus.utterances[ui]
     silence = _silence_phones(corpus.manner_table)
     modified = apply_replacement(utt.matrix, mask, method)
     modified = apply_weights(modified, weights)
-    checksum = hashlib.sha256(write_score_matrix(modified)).hexdigest()
+    digest = None
+    if checksum:
+        digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
     result = viterbi(modified, corpus.model, beam=beam)
     hyp = [p for p in result.phones if p not in silence]
     ref = [p for p in utt.alignment.phones() if p not in silence]
     report = align_edit(ref, hyp, utt.alignment.utterance_id)
-    return report, hyp, checksum
+    return report, hyp, digest
 
 
 def _silence_phones(manner_table: dict) -> frozenset:
@@ -274,12 +278,14 @@ class _Prepared:
     """What every point of one command shares.
 
     live_folds holds (utterance ids, baseline PER) for the folds whose
-    baseline slice has errors.
+    baseline slice has errors. checksums says whether outcomes carry the
+    sha256 of every modified matrix; only `run` writes them.
     """
 
     corpus: Corpus
     landmark_sets: list
     executor: ProcessPoolExecutor | None
+    checksums: bool
     baseline: StrategyOutcome | None = None
     live_folds: list = field(default_factory=list)
 
@@ -305,14 +311,16 @@ def _run_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
                 seed=_derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
             )
         masks.append((utt.alignment.utterance_id, mask))
-        tasks.append((ui, mask, weights, spec.method, config.beam))
+        tasks.append((ui, mask, weights, spec.method, config.beam, prep.checksums))
     if prep.executor is None:
         results = [_score_one(prep.corpus, t) for t in tasks]
     else:
         results = list(prep.executor.map(_pipeline_one, tasks, chunksize=8))
     reports = [r for r, _, _ in results]
     decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
-    checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
+    checksums = None
+    if prep.checksums:
+        checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
     return StrategyOutcome(
         raw, drop_rate=drop_rate, reports=reports, decodes=decodes, masks=masks,
@@ -359,13 +367,14 @@ def _fold_increments(live_folds, reports):
 
 
 @contextmanager
-def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool):
+def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, checksums: bool):
     """Build what one command's points share, with its worker pool.
 
     Loads or synthesizes the corpus, annotates landmarks when a strategy
     or a rate adjustment reads them, starts one pool of jobs workers
     (none for jobs 1), and decodes and scores the baseline once. The
     pool shuts down when the block exits. A failing baseline is fatal.
+    checksums says whether outcomes carry matrix checksums.
     """
     if config.data_dir is not None:
         corpus = load_corpus_dir(config.data_dir)
@@ -388,7 +397,7 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool):
             max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
         )
     try:
-        prep = _Prepared(corpus, landmark_sets, executor)
+        prep = _Prepared(corpus, landmark_sets, executor, checksums)
         # The baseline has no drops and no rng, so one decode serves every point.
         baseline = _run_strategy(BASELINE, prep, config, 0)
         baseline.delta_per = 0.0
@@ -473,7 +482,7 @@ def compute_outcomes(
     aborting the run; a failing baseline is fatal. adjust_rate, if
     given, renormalizes every strategy mask to that drop rate.
     """
-    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None) as prep:
+    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, checksums=True) as prep:
         outcomes = _evaluate(prep, config, config.strategies, rep, adjust_rate)
     _attach_stats(outcomes, config.comparison)
     return outcomes, prep.corpus
@@ -724,7 +733,8 @@ def sweep(
             _overweight_variant(raw, values[0])
 
     rows = []
-    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate") as prep:
+    # Sweep rows carry no matrix checksums, so none are computed.
+    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", checksums=False) as prep:
         for value in values:
             if parameter == "overweight":
                 strategies = [_overweight_variant(raw, value) for raw in config.strategies]

@@ -7,8 +7,6 @@ corpus-level aggregation is a plain sum.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus_io import format_csv
 from .errors import DegenerateBaseline, EmptyInput, FormatError, UnknownPhone
 
@@ -25,29 +23,30 @@ def edit_ops(ref, hyp):
     backtrace prefers match/substitution over deletion over insertion.
     """
     n, m = len(ref), len(hyp)
-    d = np.zeros((n + 1, m + 1), dtype=np.int64)
-    d[:, 0] = np.arange(n + 1)
-    d[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            d[i, j] = min(sub, d[i - 1, j] + 1, d[i, j - 1] + 1)
+    # d[i][j] is the distance between ref[:i] and hyp[:j]; plain ints in
+    # lists, so no cell goes through a numpy scalar.
+    d = [list(range(m + 1))]
+    for i, r in enumerate(ref, start=1):
+        row = [i]
+        for h, diag, up in zip(hyp, d[-1], d[-1][1:]):
+            row.append(min(diag + (r != h), up + 1, row[-1] + 1))
+        d.append(row)
 
     ops = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             kind = "match" if ref[i - 1] == hyp[j - 1] else "sub"
             ops.append((kind, ref[i - 1], hyp[j - 1]))
             i, j = i - 1, j - 1
-        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
             ops.append(("del", ref[i - 1], None))
             i -= 1
         else:
             ops.append(("ins", None, hyp[j - 1]))
             j -= 1
     ops.reverse()
-    return int(d[n, m]), ops
+    return int(d[n][m]), ops
 
 
 @dataclass

@@ -1,13 +1,25 @@
-"""Independent oracles: brute-force routes the package must agree with.
+"""Independent oracles: brute-force routes and reference loops the package
+must agree with.
 
-Nothing here reuses package internals beyond public data types, so a
-bug in the implementation cannot hide in its own oracle.
+Nothing here reuses package internals beyond public data types, errors,
+frame weighting and phone collapsing, so a bug in the decoder or the
+scorer cannot hide in its own oracle.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from landmark_frames import (
+    NEG_INF,
+    BeamCollapse,
+    DecodeResult,
+    InvalidConfig,
+    ShapeError,
+    apply_weights,
+    collapse_states,
+)
 
 
 def sequence_score(values, log_init, log_trans, states, weights=None):
@@ -41,6 +53,49 @@ def enumerate_viterbi(values, log_init, log_trans, weights=None):
             best_key = key
             best_path = path
     return float(best_score), list(best_path)
+
+
+def reference_viterbi(matrix, model, weights=None, beam=None):
+    """The dense decode loop `viterbi` had before its transposed step.
+
+    One (S, S) candidate table per frame, argmax down each column, and a
+    collapse check at every frame, before pruning. `viterbi` must return
+    the same states and score, and raise the same BeamCollapse.
+    """
+    if matrix.S != model.S:
+        raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
+    if beam is not None and beam <= 0:
+        raise InvalidConfig(f"beam must be positive, got {beam}")
+    values = matrix.values if weights is None else apply_weights(matrix, weights).values
+    T, S = values.shape
+
+    back = np.zeros((T, S), dtype=np.int64)
+    delta = model.init + values[0]
+    delta = _reference_prune(delta, beam, matrix.utterance_id, 0)
+    for t in range(1, T):
+        cand = delta[:, None] + model.trans
+        back[t] = np.argmax(cand, axis=0)  # first occurrence: lowest predecessor wins ties
+        delta = cand[back[t], np.arange(S)] + values[t]
+        delta = _reference_prune(delta, beam, matrix.utterance_id, t)
+
+    best = int(np.argmax(delta))
+    score = float(delta[best])
+    states = np.zeros(T, dtype=np.int64)
+    states[T - 1] = best
+    for t in range(T - 1, 0, -1):
+        states[t - 1] = back[t, states[t]]
+    return DecodeResult(
+        matrix.utterance_id, states, score, collapse_states(states, model.senone_phones)
+    )
+
+
+def _reference_prune(delta, beam, utterance_id, t):
+    peak = delta.max()
+    if peak == NEG_INF:
+        raise BeamCollapse(f"{utterance_id}: no surviving state at frame {t}")
+    if beam is None:
+        return delta
+    return np.where(delta >= peak - beam, delta, NEG_INF)
 
 
 def dyadic_uniform_model(rng, n_states):

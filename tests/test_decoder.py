@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landmark_frames import (
     NEG_INF,
@@ -16,7 +18,13 @@ from landmark_frames import (
     viterbi,
     write_transition_model,
 )
-from oracles import dyadic_matrix, dyadic_uniform_model, enumerate_viterbi, sequence_score
+from oracles import (
+    dyadic_matrix,
+    dyadic_uniform_model,
+    enumerate_viterbi,
+    reference_viterbi,
+    sequence_score,
+)
 
 
 def uniform_model(n_states, phones=None):
@@ -261,6 +269,84 @@ class TestBeam:
         model = uniform_model(2)
         with pytest.raises(InvalidConfig):
             viterbi(mat(np.zeros((2, 2))), model, beam=0.0)
+
+
+@st.composite
+def decode_cases(draw):
+    """A model, a matrix, frame weights and a beam for one decode.
+
+    Sparse models put NEG_INF on transitions; integer masses and integer
+    scores make equal path scores, so the tie rule decides; NEG_INF
+    scores and narrow beams make the lattice collapse.
+    """
+    S = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 40))
+    sparse = draw(st.booleans())
+
+    def log_row():
+        mass = np.array(draw(st.lists(st.integers(1, 4), min_size=S, max_size=S)), dtype=float)
+        if sparse:
+            support = draw(st.lists(st.booleans(), min_size=S, max_size=S))
+            support[draw(st.integers(0, S - 1))] = True
+            mass[~np.array(support)] = 0.0
+        with np.errstate(divide="ignore"):
+            return np.log(mass / mass.sum())
+
+    model = TransitionModel(log_row(), np.vstack([log_row() for _ in range(S)]),
+                            [f"p{i // 2}" for i in range(S)])
+    if draw(st.booleans()):
+        cell = st.sampled_from([0.0, -1.0, -2.0, -3.0])
+    else:
+        cell = st.floats(-20.0, 0.0)
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.just(NEG_INF))
+    values = np.array(draw(st.lists(st.lists(cell, min_size=S, max_size=S),
+                                    min_size=T, max_size=T)))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                         min_size=T, max_size=T)))
+    beam = draw(st.sampled_from([None, 0.5, 1.0, 3.0, 1e9]))
+    return ScoreMatrix("u", values), model, weights, beam
+
+
+def decode_outcome(decode, matrix, model, weights=None, beam=None):
+    """What a decoder returns or raises, in comparable form."""
+    try:
+        res = decode(matrix, model, weights=weights, beam=beam)
+    except BeamCollapse as e:
+        return type(e), str(e)
+    return res.utterance_id, res.states.dtype, res.states.tolist(), res.score, res.phones
+
+
+class TestReferenceDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases())
+    def test_viterbi_equals_reference_loop(self, case):
+        matrix, model, weights, beam = case
+        got = decode_outcome(viterbi, matrix, model, weights, beam)
+        assert got == decode_outcome(reference_viterbi, matrix, model, weights, beam)
+
+    def test_collapse_names_the_first_dead_frame(self):
+        values = np.zeros((6, 2))
+        values[3] = NEG_INF
+        with pytest.raises(BeamCollapse, match=r"^u: no surviving state at frame 3$"):
+            viterbi(mat(values), uniform_model(2))
+
+    def test_overflow_and_nan_beam_match_reference(self):
+        # 1e308 + 1e308 overflows to +inf and +inf + NEG_INF is nan. A nan
+        # row maximum, or a nan beam, prunes the whole row, and the lattice
+        # collapses at the next frame.
+        init = np.log(np.array([0.5, 0.5]))
+        trans = np.array([[0.0, NEG_INF], [NEG_INF, 0.0]])
+        model = TransitionModel(init, trans, ["a", "b"])
+        m = mat(np.full((4, 2), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for beam in (None, 1.0, float("nan")):
+                got = decode_outcome(viterbi, m, model, beam=beam)
+                want = decode_outcome(reference_viterbi, m, model, beam=beam)
+                assert repr(got) == repr(want)
+            assert got == (BeamCollapse, "u: no surviving state at frame 1")
 
 
 class TestSequenceScore:

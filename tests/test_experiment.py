@@ -459,7 +459,8 @@ class TestSharedPreparation:
         rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
         assert [row_tuple(r) for r in rows[1:]] == expected
         assert any(row[-1] for row in expected)
-        assert baseline_fields(rows[0]) == baseline_fields(baseline)
+        # A sweep computes no matrix checksums; every other field is the same.
+        assert baseline_fields(rows[0]) == baseline_fields(replace(baseline, checksums=None))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_overweight_rows_match_per_point_path(self, jobs):
@@ -472,7 +473,27 @@ class TestSharedPreparation:
         baseline, expected = per_point_rows(config, values, repeats, variants)
         rows = sweep(config, "overweight", values, repeats=repeats, jobs=jobs)
         assert [row_tuple(r) for r in rows[1:]] == expected
-        assert baseline_fields(rows[0]) == baseline_fields(baseline)
+        assert baseline_fields(rows[0]) == baseline_fields(replace(baseline, checksums=None))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_hashes_no_matrix(self, jobs, monkeypatch):
+        # Only run writes matrix_checksums.txt. The stand-in raises, so a
+        # call inside a pool worker fails the sweep too.
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        values, repeats = [0.3, 0.6], 2
+        baseline, expected = per_point_rows(config, values, repeats)
+        assert baseline.checksums
+        calls = []
+
+        def refuse(matrix):
+            calls.append(matrix.utterance_id)
+            raise AssertionError("sweep serialized a matrix for its checksum")
+
+        monkeypatch.setattr(experiment, "write_score_matrix", refuse)
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        assert calls == []
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        assert rows[0].checksums is None
 
     def test_sweep_builds_shared_work_once(self):
         config = fast_config(["landmark:keep", "random:match=keep"])

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landmark_frames import (
     DegenerateBaseline,
@@ -70,6 +72,21 @@ class TestEditOps:
             hyp = [alphabet[i] for i in rng.integers(0, 3, size=rng.integers(0, 6))]
             dist, _ = edit_ops(ref, hyp)
             assert dist == edit_distance_matchings(ref, hyp)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=6), st.lists(st.sampled_from("abc"), max_size=6))
+    def test_ops_replay_ref_into_hyp_at_oracle_distance(self, ref, hyp):
+        dist, ops = edit_ops(ref, hyp)
+        assert dist == edit_distance_matchings(ref, hyp)
+        assert dist == sum(op != "match" for op, _, _ in ops)
+        rest, built = list(ref), []
+        for op, r, h in ops:
+            if op != "ins":
+                assert rest.pop(0) == r
+            if op != "del":
+                built.append(h)
+            assert (op == "match") == (r == h)
+        assert rest == [] and built == hyp
 
 
 class TestAlignEdit:
