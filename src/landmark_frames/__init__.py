@@ -48,6 +48,7 @@ from .errors import (
     LandmarkFramesError,
     MalformedAlignment,
     ParseError,
+    ScoreOverflow,
     ShapeError,
     UnknownPhone,
     UnknownSenone,

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import NEG_INF, ScoreMatrix
-from .errors import BeamCollapse, FormatError, InvalidConfig, ShapeError, UnknownSenone
+from .errors import (
+    BeamCollapse,
+    FormatError,
+    InvalidConfig,
+    ScoreOverflow,
+    ShapeError,
+    UnknownSenone,
+)
 from .strategy import apply_weights
 
 NORMALIZATION_TOL = 1e-6
@@ -110,11 +117,12 @@ def viterbi(
     strategy.apply_weights (NEG_INF entries stay NEG_INF). beam, if
     given, prunes states whose partial score falls more than beam below
     the frame maximum. Pruning everything raises BeamCollapse, as does a
-    model with no feasible path.
+    model with no feasible path; partial scores that overflow to +inf or
+    nan raise ScoreOverflow. Both name the utterance and the frame.
     """
     if matrix.S != model.S:
         raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
-    if beam is not None and beam <= 0:
+    if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
     values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
@@ -138,13 +146,17 @@ def viterbi(
             peaks[t] = _prune(scores[t], beam)
 
     # peaks holds each frame's maximum before pruning. The lattice dies at
-    # the first frame where it is NEG_INF; the frames computed after that
-    # one change nothing, so one check here replaces a check per frame.
+    # the first frame where it is NEG_INF and overflows at the first where
+    # it is +inf or nan; the frames computed after that one change nothing,
+    # so one check here replaces a check per frame.
     if peaks is None:
         peaks = scores.max(axis=1)
-    dead = np.flatnonzero(peaks == NEG_INF)
-    if dead.size:
-        raise BeamCollapse(f"{matrix.utterance_id}: no surviving state at frame {dead[0]}")
+    bad = np.flatnonzero(~np.isfinite(peaks))
+    if bad.size:
+        t = bad[0]
+        if peaks[t] == NEG_INF:
+            raise BeamCollapse(f"{matrix.utterance_id}: no surviving state at frame {t}")
+        raise ScoreOverflow(f"{matrix.utterance_id}: path score is {peaks[t]} at frame {t}")
 
     state = int(np.argmax(scores[T - 1]))
     score = float(scores[T - 1, state])

@@ -41,6 +41,10 @@ class BeamCollapse(LandmarkFramesError):
     """Beam pruning (or NEG_INF emissions) removed every active state."""
 
 
+class ScoreOverflow(LandmarkFramesError):
+    """Partial path scores overflowed to +inf or nan during decoding."""
+
+
 class DegenerateBaseline(LandmarkFramesError):
     """Relative PER increment is undefined for a zero baseline."""
 

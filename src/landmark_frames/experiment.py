@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise InvalidConfig("seed must be >= 0")
         if self.folds < 2:
             raise InvalidConfig("folds must be >= 2")
-        if self.beam is not None and self.beam <= 0:
+        if self.beam is not None and not self.beam > 0:
             raise InvalidConfig("beam must be positive")
         # Reuses the annotation validation for mode and radius.
         AnnotationConfig(self.annotation, self.widen_radius, self.merge_mc)
@@ -290,7 +290,14 @@ class _Prepared:
     live_folds: list = field(default_factory=list)
 
 
-def _run_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
+def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
+    """Realize raw's masks in this process and queue its decodes.
+
+    Returns (masks, results). With a pool, results is the
+    executor's map over the utterance tasks, every chunk queued at once;
+    without one, the decoded list. Realize errors raise here, pool
+    decode errors when _collect_strategy reads results.
+    """
     spec = parse_strategy(raw)
     tasks = []
     masks = []
@@ -315,7 +322,13 @@ def _run_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     if prep.executor is None:
         results = [_score_one(prep.corpus, t) for t in tasks]
     else:
-        results = list(prep.executor.map(_pipeline_one, tasks, chunksize=8))
+        results = prep.executor.map(_pipeline_one, tasks, chunksize=8)
+    return masks, results
+
+
+def _collect_strategy(raw, masks, results, prep):
+    """The outcome of a submitted strategy, once every decode is back."""
+    results = list(results)
     reports = [r for r, _, _ in results]
     decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
     checksums = None
@@ -399,7 +412,7 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, checksums:
     try:
         prep = _Prepared(corpus, landmark_sets, executor, checksums)
         # The baseline has no drops and no rng, so one decode serves every point.
-        baseline = _run_strategy(BASELINE, prep, config, 0)
+        baseline = _collect_strategy(BASELINE, *_submit_strategy(BASELINE, prep, config, 0), prep)
         baseline.delta_per = 0.0
         baseline.mean = 0.0
         baseline.stdev = 0.0
@@ -421,31 +434,57 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, checksums:
             executor.shutdown()
 
 
-def _evaluate(prep: _Prepared, config: ExperimentConfig, strategies, rep: int, adjust_rate):
-    """The shared baseline plus every one of strategies at one point.
+def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
+    """Yield each point's outcomes: the shared baseline, then one per strategy.
 
-    A failing strategy yields a row with its error message. adjust_rate,
-    if given, renormalizes every strategy mask to that drop rate. The
-    shared baseline outcome is returned, never modified.
+    points is a list of (strategies, rep, adjust_rate); adjust_rate, if
+    given, renormalizes every strategy mask to that drop rate. A failing
+    strategy yields a row with its error message. The shared baseline
+    outcome is never modified.
+
+    The strategies of all points form one stream, and strategy k+1 is
+    submitted before strategy k is collected: with a pool, the parent
+    realizes masks while the workers decode, and the pool does not drain
+    between strategies or points. One strategy is queued ahead, no more.
     """
-    base_per = prep.baseline.per
-    outcomes = [prep.baseline]
-    for si, raw in enumerate(strategies, start=1):
+    def submit(si, raw, rep, adjust_rate):
         try:
-            outcome = _run_strategy(raw, prep, config, si, rep=rep, adjust_rate=adjust_rate)
+            return raw, _submit_strategy(raw, prep, config, si, rep=rep, adjust_rate=adjust_rate)
+        except LandmarkFramesError as e:
+            return raw, e
+
+    def collect(raw, submitted):
+        if isinstance(submitted, LandmarkFramesError):
+            return StrategyOutcome(raw, error=str(submitted))
+        try:
+            outcome = _collect_strategy(raw, *submitted, prep)
             merged = merge_reports(outcome.reports, "strategy")
             outcome.per = merged.per
-            if merged.per == base_per:
+            if merged.per == prep.baseline.per:
                 outcome.delta_per = 0.0
             else:
-                outcome.delta_per = per_increment(base_per, merged.per)
+                outcome.delta_per = per_increment(prep.baseline.per, merged.per)
             outcome.fold_increments = _fold_increments(prep.live_folds, outcome.reports)
             if outcome.fold_increments:
                 outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
         except LandmarkFramesError as e:
             outcome = StrategyOutcome(raw, error=str(e))
-        outcomes.append(outcome)
-    return outcomes
+        return outcome
+
+    def stream():
+        pending = None
+        for strategies, rep, adjust_rate in points:
+            for si, raw in enumerate(strategies, start=1):
+                submitted = submit(si, raw, rep, adjust_rate)
+                if pending is not None:
+                    yield collect(*pending)
+                pending = submitted
+        if pending is not None:
+            yield collect(*pending)
+
+    outcomes = stream()
+    for strategies, _, _ in points:
+        yield [prep.baseline, *islice(outcomes, len(strategies))]
 
 
 def _attach_stats(outcomes, comparison):
@@ -483,7 +522,7 @@ def compute_outcomes(
     given, renormalizes every strategy mask to that drop rate.
     """
     with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, checksums=True) as prep:
-        outcomes = _evaluate(prep, config, config.strategies, rep, adjust_rate)
+        [outcomes] = _evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
     _attach_stats(outcomes, config.comparison)
     return outcomes, prep.corpus
 
@@ -735,16 +774,21 @@ def sweep(
     rows = []
     # Sweep rows carry no matrix checksums, so none are computed.
     with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", checksums=False) as prep:
+        points = []
         for value in values:
             if parameter == "overweight":
                 strategies = [_overweight_variant(raw, value) for raw in config.strategies]
                 adjust_rate = None
             else:
                 strategies, adjust_rate = config.strategies, value
+            points += [(strategies, rep, adjust_rate) for rep in range(repeats)]
+        # One stream over every (value, repeat) point keeps the pool busy.
+        evaluated = _evaluate(prep, config, points)
+        for value, (strategies, _, _) in zip(values, points[::repeats]):
             collected = {raw: [] for raw in strategies}
             errors = {raw: None for raw in strategies}
             for rep in range(repeats):
-                outcomes = _evaluate(prep, config, strategies, rep, adjust_rate)
+                outcomes = next(evaluated)
                 for outcome in outcomes[1:]:
                     if outcome.error is not None:
                         errors[outcome.strategy] = f"rep {rep}: {outcome.error}"

@@ -199,13 +199,13 @@ def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> Scor
     elif method == "fill_const":
         values[dropped] = _fill_const_row(matrix.values)
     elif method == "copy":
-        fallback = _fill_const_row(matrix.values)
-        last = None
-        for t in range(matrix.T):
-            if dropped[t]:
-                values[t] = fallback if last is None else values[last]
-            else:
-                last = t
+        # Each frame's most recent kept frame, or -1 before the first one;
+        # the -1 rows are then overwritten by the fallback.
+        last = np.maximum.accumulate(np.where(dropped, -1, np.arange(matrix.T)))
+        values = matrix.values[last]
+        leading = last < 0
+        if leading.any():
+            values[leading] = _fill_const_row(matrix.values)
     else:
         taps = design_interp_filter(_drop_coset_period(mask))
         values = _upsample_rows(matrix.values, mask, taps)

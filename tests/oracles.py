@@ -64,7 +64,7 @@ def reference_viterbi(matrix, model, weights=None, beam=None):
     """
     if matrix.S != model.S:
         raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
-    if beam is not None and beam <= 0:
+    if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
     values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
@@ -96,6 +96,23 @@ def _reference_prune(delta, beam, utterance_id, t):
     if beam is None:
         return delta
     return np.where(delta >= peak - beam, delta, NEG_INF)
+
+
+def reference_copy(values, dropped):
+    """The frame loop `apply_replacement(..., "copy")` had before it was vectorized.
+
+    Each dropped row repeats the most recent kept row; dropped rows before
+    the first kept one take the per-senone mean over all input frames.
+    """
+    out = values.copy()
+    fallback = values.mean(axis=0)
+    last = None
+    for t in range(values.shape[0]):
+        if dropped[t]:
+            out[t] = fallback if last is None else out[last]
+        else:
+            last = t
+    return out
 
 
 def dyadic_uniform_model(rng, n_states):

@@ -191,6 +191,14 @@ class TestTransformDecodeScore:
         )
         assert code == 2
 
+    def test_decode_nan_beam_exits_1(self, corpus_dir, capsys):
+        code = run_cli(
+            "decode", "--matrix", str(corpus_dir / "utt0000.llm"),
+            "--model", str(corpus_dir / "model.tm"), "--beam", "nan",
+        )
+        assert code == 1
+        assert "beam must be positive, got nan" in capsys.readouterr().err
+
     def test_decode_mismatched_model_exits_2(self, corpus_dir, tmp_path):
         model = tmp_path / "tiny.tm"
         from landmark_frames import TransitionModel, write_transition_model

@@ -9,7 +9,9 @@ from landmark_frames import (
     DecodeResult,
     FormatError,
     InvalidConfig,
+    LandmarkFramesError,
     ScoreMatrix,
+    ScoreOverflow,
     ShapeError,
     TransitionModel,
     UnknownSenone,
@@ -270,6 +272,10 @@ class TestBeam:
         with pytest.raises(InvalidConfig):
             viterbi(mat(np.zeros((2, 2))), model, beam=0.0)
 
+    def test_nan_beam_rejected(self):
+        with pytest.raises(InvalidConfig, match="beam must be positive, got nan"):
+            viterbi(mat(np.zeros((2, 2))), uniform_model(2), beam=float("nan"))
+
 
 @st.composite
 def decode_cases(draw):
@@ -314,7 +320,7 @@ def decode_outcome(decode, matrix, model, weights=None, beam=None):
     """What a decoder returns or raises, in comparable form."""
     try:
         res = decode(matrix, model, weights=weights, beam=beam)
-    except BeamCollapse as e:
+    except LandmarkFramesError as e:
         return type(e), str(e)
     return res.utterance_id, res.states.dtype, res.states.tolist(), res.score, res.phones
 
@@ -334,19 +340,28 @@ class TestReferenceDecoder:
             viterbi(mat(values), uniform_model(2))
 
     def test_overflow_and_nan_beam_match_reference(self):
-        # 1e308 + 1e308 overflows to +inf and +inf + NEG_INF is nan. A nan
-        # row maximum, or a nan beam, prunes the whole row, and the lattice
-        # collapses at the next frame.
+        # Both decoders reject a nan beam. 1e308 + 1e308 overflows to +inf at
+        # frame 1, which viterbi names; the reference loop went on from there
+        # to a nan score or a collapse.
         init = np.log(np.array([0.5, 0.5]))
         trans = np.array([[0.0, NEG_INF], [NEG_INF, 0.0]])
         model = TransitionModel(init, trans, ["a", "b"])
         m = mat(np.full((4, 2), 1e308))
+        nan_beam = [decode_outcome(d, m, model, beam=float("nan"))
+                    for d in (viterbi, reference_viterbi)]
+        assert nan_beam == [(InvalidConfig, "beam must be positive, got nan")] * 2
         with np.errstate(over="ignore", invalid="ignore"):
-            for beam in (None, 1.0, float("nan")):
+            for beam in (None, 1.0):
                 got = decode_outcome(viterbi, m, model, beam=beam)
-                want = decode_outcome(reference_viterbi, m, model, beam=beam)
-                assert repr(got) == repr(want)
-            assert got == (BeamCollapse, "u: no surviving state at frame 1")
+                assert got == (ScoreOverflow, "u: path score is inf at frame 1")
+
+    def test_overflow_names_the_utterance_and_first_frame(self):
+        values = np.zeros((5, 2))
+        values[2:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            for beam in (None, 2.0):
+                with pytest.raises(ScoreOverflow, match=r"^w7: path score is inf at frame 3$"):
+                    viterbi(mat(values, uid="w7"), uniform_model(2), beam=beam)
 
 
 class TestSequenceScore:

@@ -530,6 +530,95 @@ class TestSharedPreparation:
         assert not any(isinstance(item, heavy) for task in shipped for item in task)
 
 
+class EagerPool(ProcessPoolExecutor):
+    """An executor whose map returns a list, as a tracing wrapper's may."""
+
+    def map(self, fn, tasks, chunksize=1):
+        return list(super().map(fn, tasks, chunksize=chunksize))
+
+
+class TestPipeline:
+    """Strategy k+1 is realized while strategy k decodes; the numbers do not move."""
+
+    def test_next_strategy_realized_before_results_are_read(self):
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        events = []
+        realize = experiment.realize_strategy
+
+        def recorded(*args, **kwargs):
+            events.append(("realize", None))
+            return realize(*args, **kwargs)
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, tasks, chunksize=1):
+                k = sum(kind == "submit" for kind, _ in events)
+                events.append(("submit", k))
+                results = super().map(fn, tasks, chunksize=chunksize)
+
+                def read():
+                    events.append(("read", k))
+                    yield from results
+                    events.append(("done", k))
+                return read()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "realize_strategy", recorded)
+            patch.setattr(experiment, "ProcessPoolExecutor", Pool)
+            sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
+
+        where = {event: i for i, event in enumerate(events) if event[0] != "realize"}
+        submits = [k for kind, k in events if kind == "submit"]
+        # The baseline, then 2 values x 2 repeats x 2 strategies in one stream.
+        assert submits == list(range(1 + 2 * 2 * 2))
+        for k in submits[1:-1]:
+            first_realize = events.index(("realize", None), where[("submit", k)])
+            assert first_realize < where[("read", k)]
+            assert where[("submit", k + 1)] < where[("read", k)]
+        in_flight = peak = 0
+        for kind, _ in events:
+            in_flight += {"submit": 1, "done": -1}.get(kind, 0)
+            peak = max(peak, in_flight)
+        assert peak == 2
+
+    def test_list_returning_map_gives_the_same_outputs(self, tmp_path, monkeypatch):
+        config = fast_config(["landmark:keep", "random:match=keep", "regular:P=2,D=1"],
+                             comparison="landmark:keep")
+        values, repeats = [0.3, 0.6], 2
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=1)
+        run_experiment(config, str(tmp_path / "plain"), jobs=1)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", EagerPool)
+        eager = sweep(config, "drop_rate", values, repeats=repeats, jobs=2)
+        run_experiment(config, str(tmp_path / "eager"), jobs=2)
+        assert [row_tuple(r) for r in eager] == [row_tuple(r) for r in rows]
+        plain, eager = ((tmp_path / d / "checksums.txt").read_text() for d in ("plain", "eager"))
+        assert eager == plain
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_realize_failure_mid_stream_leaves_neighbours_unchanged(self, jobs, monkeypatch):
+        config = fast_config(["landmark:keep", "regular:P=2,D=1", "random:match=keep"])
+        values, repeats = [0.3, 0.6], 2
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        outcomes, _ = compute_outcomes(config, jobs=jobs)
+        realize = experiment.realize_strategy
+
+        def failing(spec, *args, **kwargs):
+            if spec.render() == "regular:P=2,D=1":
+                raise InvalidPattern("refused")
+            return realize(spec, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "realize_strategy", failing)
+        failed_rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        failed, _ = compute_outcomes(config, jobs=jobs)
+        for got, want in zip(failed_rows, rows):
+            if got.strategy == "regular:P=2,D=1":
+                assert got.error == "rep 1: refused"
+            else:
+                assert row_tuple(got) == row_tuple(want)
+        assert failed[2].error == "refused"
+        for i in (0, 1, 3):
+            assert baseline_fields(failed[i]) == baseline_fields(outcomes[i])
+
+
 class TestConfigIO:
     def test_load_round_trip_essentials(self):
         text = json.dumps(
@@ -562,6 +651,12 @@ class TestConfigIO:
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config(json.dumps({"folds": 1}))
+
+    def test_nan_beam_rejected(self):
+        with pytest.raises(InvalidConfig, match="beam must be positive"):
+            ExperimentConfig(beam=float("nan"))
+        with pytest.raises(InvalidConfig, match="beam must be positive"):
+            load_experiment_config('{"beam": NaN}')
 
 
 def write_corpus_dir(path, corpus, n_utterances=3):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from landmark_frames import (
@@ -27,6 +27,7 @@ from landmark_frames import (
     realize_strategy,
 )
 from landmark_frames.strategy import INTERP_TAPS
+from oracles import reference_copy
 
 
 def mat(rows, uid="u"):
@@ -188,6 +189,19 @@ class TestInterpFilter:
             design_interp_filter(period)
 
 
+@st.composite
+def _copy_cases(draw):
+    """A score matrix with NEG_INF cells and a drop mask at a rate from 0.1 to 1."""
+    T = draw(st.integers(1, 30))
+    S = draw(st.integers(1, 5))
+    cell = st.one_of(st.floats(-50.0, 0.0), st.just(NEG_INF))
+    values = np.array(draw(st.lists(st.lists(cell, min_size=S, max_size=S),
+                                    min_size=T, max_size=T)))
+    rate = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0]))
+    dropped = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T))) < rate
+    return values, dropped
+
+
 class TestReplacement:
     def test_copy_repeats_most_recent_kept(self):
         m = mat([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -200,6 +214,15 @@ class TestReplacement:
         mask = FrameMask(np.array([True, False, False]))
         out = apply_replacement(m, mask, "copy")
         assert out.values[0, 0] == pytest.approx(4.0)
+
+    @given(_copy_cases())
+    @example((np.array([[1.0, NEG_INF], [2.0, 3.0], [4.0, 5.0]]), np.array([True, True, False])))
+    @example((np.array([[1.0, -2.0], [NEG_INF, 3.0]]), np.array([True, True])))
+    @example((np.array([[NEG_INF], [-1.0], [-2.0]]), np.array([False, True, True])))
+    def test_copy_equals_frame_loop(self, case):
+        values, dropped = case
+        out = apply_replacement(mat(values), FrameMask(dropped), "copy")
+        assert out.values.tobytes() == reference_copy(values, dropped).tobytes()
 
     def test_fill_0(self):
         m = mat([[-1.5], [-2.5]])
