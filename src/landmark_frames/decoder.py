@@ -10,7 +10,7 @@ are broken toward the lowest senone index at every step, so the
 returned path is deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,11 +35,20 @@ class TransitionModel:
     init: (S,) log start probabilities. trans: (S, S) log transition
     probabilities, trans[i, j] = log p(j | i). senone_phones maps each
     senone index to the phone it belongs to.
+
+    pred and pred_logp are the predecessor table built from trans: row j
+    of pred lists the K senones that can move into j, live ones first
+    in ascending index order, and pred_logp[j, k] = trans[pred[j, k], j].
+    K is the largest number of live predecessors of any senone; shorter
+    rows are padded with dead predecessors, whose log probability is
+    NEG_INF.
     """
 
     init: np.ndarray
     trans: np.ndarray
     senone_phones: list
+    pred: np.ndarray = field(init=False, repr=False)
+    pred_logp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         init = np.asarray(self.init, dtype=np.float64)
@@ -68,10 +77,18 @@ class TransitionModel:
             raise FormatError(f"transition row {i} sums to {row_sums[i]!r}, not 1")
         init = init.copy() if init.flags.writeable else init
         trans = trans.copy() if trans.flags.writeable else trans
-        init.setflags(write=False)
-        trans.setflags(write=False)
+        # A stable sort of each column's dead flags puts its live
+        # predecessors first, in ascending index order.
+        live = trans > NEG_INF
+        k = int(live.sum(axis=0).max())
+        pred = np.ascontiguousarray(np.argsort(~live, axis=0, kind="stable")[:k].T)
+        pred_logp = trans[pred, np.arange(s)[:, None]]
+        for arr in (init, trans, pred, pred_logp):
+            arr.setflags(write=False)
         self.init = init
         self.trans = trans
+        self.pred = pred
+        self.pred_logp = pred_logp
         self.senone_phones = [str(p) for p in self.senone_phones]
 
     @property
@@ -91,14 +108,18 @@ def collapse_states(states, senone_phones, silence=()) -> list:
     """Map a senone path to its phone sequence.
 
     Consecutive identical phones merge first; labels in `silence` are
-    then removed. Out-of-range senone indices raise UnknownSenone.
+    then removed. Out-of-range senone indices raise UnknownSenone, naming
+    the first one in path order.
     """
+    states = np.asarray(states, dtype=np.int64)
+    n = len(senone_phones)
+    bad = (states < 0) | (states >= n)
+    if bad.any():
+        raise UnknownSenone(f"senone index {int(states[bad.argmax()])} outside [0, {n})")
     silence = frozenset(silence)
     phones = []
-    for s in states:
-        i = int(s)
-        if not 0 <= i < len(senone_phones):
-            raise UnknownSenone(f"senone index {i} outside [0, {len(senone_phones)})")
+    # Only the first frame of each run of one state can start a new phone.
+    for i in states[np.flatnonzero(np.diff(states, prepend=-1))].tolist():
         phone = senone_phones[i]
         if not phones or phones[-1] != phone:
             phones.append(phone)
@@ -127,23 +148,33 @@ def viterbi(
     values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
 
-    # Row j of into holds the transitions from every predecessor into j,
-    # so each frame's argmax runs along a contiguous row.
-    into = np.ascontiguousarray(model.trans.T)
-    rows = np.arange(S)
+    pred, pred_logp = model.pred, model.pred_logp
+    K = pred.shape[1]
     scores = np.empty((T, S))
+    # back[t, j] is the slot j * K + k of j's best predecessor pred[j, k].
     back = np.zeros((T, S), dtype=np.int64)
-    cand = np.empty((S, S))
+    cand = np.empty((S, K))
+    cand_flat = cand.reshape(-1)
+    row_starts = np.arange(0, S * K, K)
     peaks = None if beam is None else np.empty(T)
-    np.add(model.init, values[0], out=scores[0])
-    if beam is not None:
-        peaks[0] = _prune(scores[0], beam)
-    for t in range(1, T):
-        np.add(into, scores[t - 1], out=cand)
-        cand.argmax(axis=1, out=back[t])  # first occurrence: lowest predecessor wins ties
-        np.add(cand[rows, back[t]], values[t], out=scores[t])
+    add = np.add
+    # Overflow and inf - inf are reported below as ScoreOverflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        add(model.init, values[0], out=scores[0])
         if beam is not None:
-            peaks[t] = _prune(scores[t], beam)
+            peaks[0] = _prune(scores[0], beam)
+        frames = zip(scores, scores[1:], back[1:], values[1:])
+        for t, (prev, cur, slot, emit) in enumerate(frames, 1):
+            # Every index is in range; "clip" skips the check and the
+            # buffered copy of out that the default mode makes.
+            prev.take(pred, out=cand, mode="clip")
+            add(cand, pred_logp, out=cand)
+            cand.argmax(axis=1, out=slot)  # first occurrence: lowest predecessor wins ties
+            add(slot, row_starts, out=slot)
+            cand_flat.take(slot, out=cur, mode="clip")
+            add(cur, emit, out=cur)
+            if beam is not None:
+                peaks[t] = _prune(cur, beam)
 
     # peaks holds each frame's maximum before pruning. The lattice dies at
     # the first frame where it is NEG_INF and overflows at the first where
@@ -162,11 +193,11 @@ def viterbi(
     score = float(scores[T - 1, state])
     path = [state] * T
     for t in range(T - 1, 0, -1):
-        state = back.item(t, state)
+        state = pred.item(back.item(t, state))
         path[t - 1] = state
+    states = np.array(path, dtype=np.int64)
     return DecodeResult(
-        matrix.utterance_id, np.array(path, dtype=np.int64), score,
-        collapse_states(path, model.senone_phones),
+        matrix.utterance_id, states, score, collapse_states(states, model.senone_phones)
     )
 
 

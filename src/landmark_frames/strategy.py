@@ -222,12 +222,17 @@ def landmark_weights(num_frames: int, frames, factor: float) -> np.ndarray:
 
 
 def apply_weights(matrix: ScoreMatrix, weights: np.ndarray) -> ScoreMatrix:
-    """Scale each frame's log-likelihood row; NEG_INF entries stay NEG_INF."""
+    """Scale each frame's log-likelihood row; NEG_INF entries stay NEG_INF.
+
+    Unit weights change nothing, so they return matrix itself.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (matrix.T,):
         raise ShapeError(f"weights shape {weights.shape} != ({matrix.T},)")
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise InvalidConfig("weights must be finite and >= 0")
+    if (weights == 1.0).all():  # 1.0 * v == v for every finite v and for NEG_INF
+        return matrix
     values = matrix.values
     with np.errstate(invalid="ignore"):  # 0 * NEG_INF is nan until np.where replaces it
         scaled = np.where(values == NEG_INF, NEG_INF, weights[:, None] * values)

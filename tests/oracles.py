@@ -1,9 +1,9 @@
 """Independent oracles: brute-force routes and reference loops the package
 must agree with.
 
-Nothing here reuses package internals beyond public data types, errors,
-frame weighting and phone collapsing, so a bug in the decoder or the
-scorer cannot hide in its own oracle.
+Nothing here reuses package internals beyond public data types, errors
+and frame weighting, so a bug in the decoder or the scorer cannot hide
+in its own oracle.
 """
 
 import itertools
@@ -16,9 +16,10 @@ from landmark_frames import (
     BeamCollapse,
     DecodeResult,
     InvalidConfig,
+    ScoreOverflow,
     ShapeError,
+    UnknownSenone,
     apply_weights,
-    collapse_states,
 )
 
 
@@ -56,11 +57,14 @@ def enumerate_viterbi(values, log_init, log_trans, weights=None):
 
 
 def reference_viterbi(matrix, model, weights=None, beam=None):
-    """The dense decode loop `viterbi` had before its transposed step.
+    """A dense decode loop over the full transition table.
 
-    One (S, S) candidate table per frame, argmax down each column, and a
-    collapse check at every frame, before pruning. `viterbi` must return
-    the same states and score, and raise the same BeamCollapse.
+    One (S, S) candidate table per frame over every (predecessor, state)
+    pair, argmax down each column, and a collapse and overflow check at
+    every frame, before pruning. `viterbi`, which reads only each state's
+    live predecessors and checks once after its loop, must return the
+    same states and score, and raise the same BeamCollapse or
+    ScoreOverflow at the same frame.
     """
     if matrix.S != model.S:
         raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
@@ -85,7 +89,7 @@ def reference_viterbi(matrix, model, weights=None, beam=None):
     for t in range(T - 1, 0, -1):
         states[t - 1] = back[t, states[t]]
     return DecodeResult(
-        matrix.utterance_id, states, score, collapse_states(states, model.senone_phones)
+        matrix.utterance_id, states, score, reference_collapse(states, model.senone_phones)
     )
 
 
@@ -93,9 +97,25 @@ def _reference_prune(delta, beam, utterance_id, t):
     peak = delta.max()
     if peak == NEG_INF:
         raise BeamCollapse(f"{utterance_id}: no surviving state at frame {t}")
+    if not peak < math.inf:
+        raise ScoreOverflow(f"{utterance_id}: path score is {peak} at frame {t}")
     if beam is None:
         return delta
     return np.where(delta >= peak - beam, delta, NEG_INF)
+
+
+def reference_collapse(states, senone_phones, silence=()):
+    """The frame loop `collapse_states` had before it walked state runs."""
+    silence = frozenset(silence)
+    phones = []
+    for s in states:
+        i = int(s)
+        if not 0 <= i < len(senone_phones):
+            raise UnknownSenone(f"senone index {i} outside [0, {len(senone_phones)})")
+        phone = senone_phones[i]
+        if not phones or phones[-1] != phone:
+            phones.append(phone)
+    return [p for p in phones if p not in silence]
 
 
 def reference_copy(values, dropped):

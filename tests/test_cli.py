@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,23 @@ class TestTransformDecodeScore:
         )
         assert code == 1
         assert "beam must be positive, got nan" in capsys.readouterr().err
+
+    def test_decode_overflow_reports_only_the_error(self, tmp_path, capsys):
+        from landmark_frames import (
+            ScoreMatrix, TransitionModel, write_score_matrix, write_transition_model,
+        )
+
+        matrix = tmp_path / "big.llm"
+        matrix.write_bytes(write_score_matrix(ScoreMatrix("big", np.full((4, 2), 1e308))))
+        model = tmp_path / "tiny.tm"
+        model.write_text(write_transition_model(
+            TransitionModel(np.log([0.5, 0.5]), np.log(np.full((2, 2), 0.5)), ["a", "b"])
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("decode", "--matrix", str(matrix), "--model", str(model))
+        assert code == 2
+        assert capsys.readouterr().err == "error: big: path score is inf at frame 1\n"
 
     def test_decode_mismatched_model_exits_2(self, corpus_dir, tmp_path):
         model = tmp_path / "tiny.tm"

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landmark_frames import (
@@ -24,6 +26,7 @@ from oracles import (
     dyadic_matrix,
     dyadic_uniform_model,
     enumerate_viterbi,
+    reference_collapse,
     reference_viterbi,
     sequence_score,
 )
@@ -140,6 +143,28 @@ class TestCollapse:
             collapse_states([2], ["a", "b"])
         with pytest.raises(UnknownSenone):
             collapse_states([-1], ["a", "b"])
+
+    def test_unknown_senone_named_in_path_order(self):
+        with pytest.raises(UnknownSenone, match=r"^senone index 5 outside \[0, 2\)$"):
+            collapse_states([0, 0, 5, 1, -1], ["a", "b"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-2, 6), max_size=30),
+        st.lists(st.sampled_from(["a", "b", "sil"]), min_size=1, max_size=5),
+        st.sampled_from([(), ("sil",), ("a", "sil")]),
+    )
+    @example([], ["a"], ())
+    @example([0, 0, 1, 1, 0], ["sil", "sil"], ("sil",))
+    @example([1, 1, 0, 2, 7, -1], ["a", "b", "a"], ())
+    def test_equals_reference_loop(self, states, phones, silence):
+        def outcome(collapse):
+            try:
+                return collapse(np.array(states, dtype=np.int64), phones, silence)
+            except UnknownSenone as e:
+                return type(e), str(e)
+
+        assert outcome(collapse_states) == outcome(reference_collapse)
 
 
 class TestViterbi:
@@ -281,11 +306,12 @@ class TestBeam:
 def decode_cases(draw):
     """A model, a matrix, frame weights and a beam for one decode.
 
-    Sparse models put NEG_INF on transitions; integer masses and integer
-    scores make equal path scores, so the tie rule decides; NEG_INF
-    scores and narrow beams make the lattice collapse.
+    Sparse models put NEG_INF on transitions, so states have fewer live
+    predecessors than the widest one and some have none; integer masses
+    and integer scores make equal path scores, so the tie rule decides;
+    NEG_INF scores and narrow beams make the lattice collapse.
     """
-    S = draw(st.integers(1, 6))
+    S = draw(st.integers(1, 12))
     T = draw(st.integers(1, 40))
     sparse = draw(st.booleans())
 
@@ -341,8 +367,7 @@ class TestReferenceDecoder:
 
     def test_overflow_and_nan_beam_match_reference(self):
         # Both decoders reject a nan beam. 1e308 + 1e308 overflows to +inf at
-        # frame 1, which viterbi names; the reference loop went on from there
-        # to a nan score or a collapse.
+        # frame 1, which both name.
         init = np.log(np.array([0.5, 0.5]))
         trans = np.array([[0.0, NEG_INF], [NEG_INF, 0.0]])
         model = TransitionModel(init, trans, ["a", "b"])
@@ -350,18 +375,103 @@ class TestReferenceDecoder:
         nan_beam = [decode_outcome(d, m, model, beam=float("nan"))
                     for d in (viterbi, reference_viterbi)]
         assert nan_beam == [(InvalidConfig, "beam must be positive, got nan")] * 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            for beam in (None, 1.0):
-                got = decode_outcome(viterbi, m, model, beam=beam)
-                assert got == (ScoreOverflow, "u: path score is inf at frame 1")
+        for beam in (None, 1.0):
+            got = quiet_outcome(m, model, beam=beam)
+            assert got == (ScoreOverflow, "u: path score is inf at frame 1")
+            assert got == reference_outcome(m, model, beam=beam)
 
     def test_overflow_names_the_utterance_and_first_frame(self):
         values = np.zeros((5, 2))
         values[2:] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            for beam in (None, 2.0):
+        for beam in (None, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ScoreOverflow, match=r"^w7: path score is inf at frame 3$"):
                     viterbi(mat(values, uid="w7"), uniform_model(2), beam=beam)
+
+
+def quiet_outcome(matrix, model, weights=None, beam=None):
+    """decode_outcome of viterbi, failing on any numpy RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return decode_outcome(viterbi, matrix, model, weights, beam)
+
+
+def reference_outcome(matrix, model, weights=None, beam=None):
+    """decode_outcome of the reference loop, which may warn on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return decode_outcome(reference_viterbi, matrix, model, weights, beam)
+
+
+def sparse_model(rows, init=None):
+    """A model whose row i moves uniformly to the states in rows[i]."""
+    S = len(rows)
+    trans = np.full((S, S), NEG_INF)
+    for i, succ in enumerate(rows):
+        trans[i, succ] = -np.log(len(succ))
+    init = np.log(np.full(S, 1.0 / S)) if init is None else init
+    return TransitionModel(init, trans, [f"p{i}" for i in range(S)])
+
+
+class TestPredecessorTable:
+    def assert_decodes_like_reference(self, model, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            T = int(rng.integers(1, 30))
+            m = ScoreMatrix("u", dyadic_matrix(rng, T, model.S))
+            for beam in (None, 2.0):
+                got = quiet_outcome(m, model, beam=beam)
+                assert got == reference_outcome(m, model, beam=beam)
+
+    def test_rows_list_live_predecessors_in_ascending_order(self):
+        model = sparse_model([[0, 1], [0, 2], [0]])
+        # Columns: 0 <- {0, 1, 2}, 1 <- {0}, 2 <- {1}; K = 3.
+        assert model.pred.tolist() == [[0, 1, 2], [0, 1, 2], [1, 0, 2]]
+        live = model.pred_logp > NEG_INF
+        assert live.tolist() == [[True] * 3, [True, False, False], [True, False, False]]
+        assert (model.pred_logp == model.trans[model.pred, np.arange(3)[:, None]]).all()
+        for arr in (model.pred, model.pred_logp):
+            assert not arr.flags.writeable
+
+    def test_unreachable_state(self):
+        # No state moves into 2, so its column is all NEG_INF and its row
+        # of the table is all padding; it can only hold frame 0.
+        model = sparse_model([[0, 1], [0, 1], [0, 1]])
+        assert model.pred.shape == (3, 3)
+        assert (model.pred_logp[2] == NEG_INF).all()
+        res = viterbi(mat([[-9.0, -9.0, 0.0], [-1.0, -2.0, 0.0]]), model)
+        assert res.states.tolist() == [2, 0]
+        self.assert_decodes_like_reference(model, seed=1)
+
+    def test_fully_dense_model(self):
+        rng = np.random.default_rng(2)
+        init = np.log(np.full(5, 0.2))
+        probs = rng.uniform(0.1, 1.0, size=(5, 5))
+        model = TransitionModel(init, np.log(probs / probs.sum(axis=1, keepdims=True)),
+                                list("abcde"))
+        assert model.pred.tolist() == [list(range(5))] * 5
+        self.assert_decodes_like_reference(model, seed=2)
+
+    def test_widest_column_belongs_to_one_state(self):
+        # Every state can return to 0; the others have one or two predecessors.
+        model = sparse_model([[0, 1], [0, 2], [0, 3], [0, 4], [0]])
+        assert model.pred.shape == (5, 5)
+        assert ((model.pred_logp > NEG_INF).sum(axis=1) == [5, 1, 1, 1, 1]).all()
+        self.assert_decodes_like_reference(model, seed=3)
+
+    def test_overflow_next_to_pad_slots(self):
+        # State 0 overflows to +inf at frame 1. At frame 2, state 0 is a pad
+        # slot of state 2, so +inf + NEG_INF gives nan there; the decode
+        # still names frame 1, as the reference does.
+        model = sparse_model([[0, 1], [0, 2], [0]])
+        assert model.pred[2].tolist() == [1, 0, 2]
+        values = np.zeros((5, 3))
+        values[:2, 0] = 1e308
+        m = mat(values, uid="w2")
+        for beam in (None, 1.0):
+            got = quiet_outcome(m, model, beam=beam)
+            assert got == (ScoreOverflow, "w2: path score is inf at frame 1")
+            assert got == reference_outcome(m, model, beam=beam)
 
 
 class TestSequenceScore:

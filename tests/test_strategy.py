@@ -317,6 +317,21 @@ class TestWeights:
         with pytest.raises(InvalidConfig):
             apply_weights(mat([[0.0]]), np.array([np.inf]))
 
+    def test_unit_weights_return_the_input(self):
+        m = mat([[NEG_INF, -1.5], [0.0, -3.0]])
+        assert apply_weights(m, np.ones(2)) is m
+        assert apply_weights(m, [1, 1]) is m
+        assert apply_weights(m, np.array([1.0, 0.5])) is not m
+
+    def test_unit_weights_still_validated(self):
+        m = mat([[0.0], [-1.0]])
+        for bad in ([1.0, -1.0], [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(InvalidConfig):
+                apply_weights(m, np.array(bad))
+        for shape in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ShapeError):
+                apply_weights(m, shape)
+
 
 _RADIUS = {"r": st.integers(0, 5)}
 _FACTOR = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
