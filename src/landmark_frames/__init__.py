@@ -20,7 +20,6 @@ from .corpus_io import (
     format_csv,
     parse_alignment,
     read_manner_table,
-    read_mask,
     read_score_matrix,
     read_score_matrix_text,
     write_manner_table,
@@ -110,12 +109,8 @@ from .strategy import (
     apply_replacement,
     apply_weights,
     design_interp_filter,
-    landmark_weights,
-    mask_landmark,
-    mask_or,
     mask_random,
     mask_regular,
-    mask_subtract,
     parse_strategy,
     realize_strategy,
 )

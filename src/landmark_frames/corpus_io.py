@@ -249,31 +249,6 @@ def write_mask(mask: FrameMask) -> str:
     return "\n".join(f"{t} {d}" for t, d in enumerate(mask.dropped.view(np.uint8).tolist()))
 
 
-def read_mask(text: str) -> FrameMask:
-    entries = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2 or fields[1] not in ("0", "1"):
-            raise FormatError(f"line {lineno}: expected 't 0|1', got {line!r}")
-        try:
-            t = int(fields[0])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad frame index in {line!r}") from None
-        if t in entries:
-            raise FormatError(f"duplicate frame index {t}")
-        entries[t] = fields[1] == "1"
-    if not entries:
-        raise FormatError("empty mask")
-    if sorted(entries) != list(range(len(entries))):
-        # n distinct indices that are not 0..n-1 must miss one below n.
-        missing = next(t for t in range(len(entries)) if t not in entries)
-        raise FormatError(f"frame indices not contiguous from 0; first missing index {missing}")
-    return FrameMask(np.array([entries[t] for t in range(len(entries))], dtype=bool))
-
-
 def write_manner_table(manners: dict) -> str:
     return "\n".join(f"{phone} {manner}" for phone, manner in sorted(manners.items()))
 

@@ -104,26 +104,24 @@ class DecodeResult:
     phones: list  # collapsed phone sequence
 
 
-def collapse_states(states, senone_phones, silence=()) -> list:
-    """Map a senone path to its phone sequence.
+def collapse_states(states, senone_phones) -> list:
+    """Map a senone path to its phone sequence; consecutive identical phones merge.
 
-    Consecutive identical phones merge first; labels in `silence` are
-    then removed. Out-of-range senone indices raise UnknownSenone, naming
-    the first one in path order.
+    Out-of-range senone indices raise UnknownSenone, naming the first one
+    in path order.
     """
     states = np.asarray(states, dtype=np.int64)
     n = len(senone_phones)
     bad = (states < 0) | (states >= n)
     if bad.any():
         raise UnknownSenone(f"senone index {int(states[bad.argmax()])} outside [0, {n})")
-    silence = frozenset(silence)
     phones = []
     # Only the first frame of each run of one state can start a new phone.
     for i in states[np.flatnonzero(np.diff(states, prepend=-1))].tolist():
         phone = senone_phones[i]
         if not phones or phones[-1] != phone:
             phones.append(phone)
-    return [p for p in phones if p not in silence]
+    return phones
 
 
 def viterbi(

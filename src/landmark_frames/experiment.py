@@ -122,6 +122,11 @@ def load_experiment_config(text: str) -> ExperimentConfig:
     if "synth" in raw:
         if not isinstance(raw["synth"], dict):
             raise InvalidConfig("synth must be a JSON object")
+        # Both would be ignored: the corpus comes from data_dir, or from gen_corpus on seed.
+        if raw.get("data_dir") is not None:
+            raise InvalidConfig("synth is ignored when data_dir is set")
+        if "seed" in raw["synth"]:
+            raise InvalidConfig("synth.seed is ignored: the top-level seed seeds the corpus")
         try:
             kwargs["synth"] = SynthConfig(**raw["synth"])
         except TypeError as e:
@@ -295,29 +300,36 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
 
     Returns (masks, results). With a pool, results is the
     executor's map over the utterance tasks, every chunk queued at once;
-    without one, the decoded list. Realize errors raise here, pool
-    decode errors when _collect_strategy reads results.
+    without one, the decoded list. Realize and adjust errors raise here,
+    prefixed with the utterance and the stage; pool decode errors raise
+    when _collect_strategy reads results.
     """
     spec = parse_strategy(raw)
     tasks = []
     masks = []
     for ui, utt in enumerate(prep.corpus.utterances):
+        uid = utt.alignment.utterance_id
         landmarks = prep.landmark_sets[ui]
         rng = None
         if spec.needs_rng():
             rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
-        mask, weights = realize_strategy(
-            spec, utt.matrix.T, landmarks=landmarks, rng=rng,
-            default_radius=config.widen_radius,
-        )
-        if adjust_rate is not None:
-            target_n = int(np.floor(adjust_rate * mask.T + 0.5))
-            protected = _protection_frames(spec, landmarks, mask.T, config.widen_radius)
-            mask = adjust_mask_to_rate(
-                mask, target_n, protected,
-                seed=_derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
+        stage = "realize"
+        try:
+            mask, weights = realize_strategy(
+                spec, utt.matrix.T, landmarks=landmarks, rng=rng,
+                default_radius=config.widen_radius,
             )
-        masks.append((utt.alignment.utterance_id, mask))
+            if adjust_rate is not None:
+                stage = "adjust"
+                target_n = int(np.floor(adjust_rate * mask.T + 0.5))
+                protected = _protection_frames(spec, landmarks, mask.T, config.widen_radius)
+                mask = adjust_mask_to_rate(
+                    mask, target_n, protected,
+                    seed=_derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
+                )
+        except LandmarkFramesError as e:
+            raise type(e)(f"{uid}: {stage}: {e}") from None
+        masks.append((uid, mask))
         tasks.append((ui, mask, weights, spec.method, config.beam, prep.checksums))
     if prep.executor is None:
         results = [_score_one(prep.corpus, t) for t in tasks]

@@ -82,9 +82,6 @@ class LandmarkSet:
             [(int(f), k) for f, k in self.events], key=lambda e: e[0]
         )
 
-    def frames(self) -> np.ndarray:
-        return np.array(sorted({f for f, _ in self.events}), dtype=np.int64)
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import NEG_INF, FrameMask, ScoreMatrix
-from .errors import InvalidConfig, InvalidPattern, ShapeError
+from .errors import InvalidConfig, InvalidPattern, ScoreOverflow, ShapeError
 from .landmarks import frame_map, landmark_frames
 
 REPLACEMENT_METHODS = ("copy", "fill_0", "fill_const", "upsample")
@@ -59,27 +59,6 @@ def mask_random(num_frames: int, n_drop: int, seed: int, protected=()) -> FrameM
         rng = np.random.default_rng(seed)
         dropped[rng.choice(pool, size=n_drop, replace=False)] = True
     return FrameMask(dropped)
-
-
-def mask_landmark(frames, num_frames: int, regime: str) -> FrameMask:
-    """keep: drop every frame outside `frames`; drop: drop exactly `frames`."""
-    if regime not in ("keep", "drop"):
-        raise InvalidPattern(f"landmark regime must be keep or drop, got {regime!r}")
-    marked = frame_map(frames, num_frames)
-    if regime == "keep" and not marked.any():
-        warnings.warn("landmark keep with no landmark frames drops every frame")
-    return FrameMask(marked if regime == "drop" else ~marked)
-
-
-def mask_or(a: FrameMask, b: FrameMask) -> FrameMask:
-    if a.T != b.T:
-        raise ShapeError(f"mask lengths differ: {a.T} vs {b.T}")
-    return FrameMask(a.dropped | b.dropped)
-
-
-def mask_subtract(mask: FrameMask, protected) -> FrameMask:
-    """Clear drops on the protected frames."""
-    return FrameMask(mask.dropped & ~frame_map(protected, mask.T))
 
 
 def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=(), seed: int = 0) -> FrameMask:
@@ -212,19 +191,12 @@ def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> Scor
     return ScoreMatrix(matrix.utterance_id, values)
 
 
-def landmark_weights(num_frames: int, frames, factor: float) -> np.ndarray:
-    """Unit weights everywhere except the given frames, which get factor."""
-    if factor < 0:
-        raise InvalidPattern(f"weight factor must be >= 0, got {factor}")
-    weights = np.ones(num_frames, dtype=np.float64)
-    weights[frame_map(frames, num_frames)] = factor
-    return weights
-
-
 def apply_weights(matrix: ScoreMatrix, weights: np.ndarray) -> ScoreMatrix:
     """Scale each frame's log-likelihood row; NEG_INF entries stay NEG_INF.
 
-    Unit weights change nothing, so they return matrix itself.
+    Unit weights change nothing, so they return matrix itself. A scaled
+    score past the float range raises ScoreOverflow naming the utterance
+    and the first frame that overflows.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (matrix.T,):
@@ -233,9 +205,14 @@ def apply_weights(matrix: ScoreMatrix, weights: np.ndarray) -> ScoreMatrix:
         raise InvalidConfig("weights must be finite and >= 0")
     if (weights == 1.0).all():  # 1.0 * v == v for every finite v and for NEG_INF
         return matrix
-    values = matrix.values
-    with np.errstate(invalid="ignore"):  # 0 * NEG_INF is nan until np.where replaces it
-        scaled = np.where(values == NEG_INF, NEG_INF, weights[:, None] * values)
+    possible = matrix.values != NEG_INF
+    # 0 * NEG_INF is nan until np.where replaces it; an overflow is named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.where(possible, weights[:, None] * matrix.values, NEG_INF)
+    overflow = possible & np.isinf(scaled)
+    if overflow.any():
+        t = int(overflow.any(axis=1).argmax())
+        raise ScoreOverflow(f"{matrix.utterance_id}: weighted score overflows at frame {t}")
     return ScoreMatrix(matrix.utterance_id, scaled)
 
 
@@ -368,37 +345,45 @@ def realize_strategy(
     """Materialize a strategy for one utterance.
 
     Returns (FrameMask, weights). Drops from all parts are OR-combined;
-    weight factors multiply. Random parts without an explicit seed draw
-    one from rng.
+    weight factors multiply, and a product past the float range is an
+    InvalidPattern. Random parts without an explicit seed draw one from
+    rng.
     """
     if spec.needs_landmarks() and landmarks is None:
         raise InvalidConfig(f"strategy {spec.raw!r} needs landmark annotations")
     if spec.needs_rng() and rng is None:
         raise InvalidConfig(f"strategy {spec.raw!r} needs an rng")
-    mask = FrameMask(np.zeros(num_frames, dtype=bool))
+    dropped = np.zeros(num_frames, dtype=bool)
     weights = np.ones(num_frames, dtype=np.float64)
     for kind, params in spec.parts:
-        frames = None
         if reads_landmarks(kind, params):
-            frames = landmark_frames(landmarks, num_frames, params.get("r", default_radius))
-        if kind == "regular":
-            mask = mask_or(mask, mask_regular(num_frames, params["P"], params["D"]))
+            radius = params.get("r", default_radius)
+            marked = frame_map(landmark_frames(landmarks, num_frames, radius), num_frames)
+            # landmark's mode and random's match: the regime drops marked or ~marked.
+            regime = params.get("mode", params.get("match"))
+            if regime == "keep" and not marked.any():
+                warnings.warn("landmark keep with no landmark frames drops every frame")
+            regime_drops = marked if regime == "drop" else ~marked
+        if kind in ("regular", "hybrid"):
+            regular = mask_regular(num_frames, params["P"], params["D"]).dropped
+            # hybrid never drops a landmark frame.
+            dropped |= regular & ~marked if kind == "hybrid" else regular
         elif kind == "random":
             if "n" in params:
                 n_drop = params["n"]
             elif "rate" in params:
                 n_drop = int(np.floor(params["rate"] * num_frames + 0.5))
             else:
-                n_drop = mask_landmark(frames, num_frames, params["match"]).n_dropped
+                n_drop = int(regime_drops.sum())
             seed = params.get("seed")
             if seed is None:
                 seed = int(rng.integers(0, 2**63))
-            mask = mask_or(mask, mask_random(num_frames, n_drop, seed))
+            dropped |= mask_random(num_frames, n_drop, seed).dropped
         elif kind == "landmark":
-            mask = mask_or(mask, mask_landmark(frames, num_frames, params["mode"]))
-        elif kind == "hybrid":
-            regular = mask_regular(num_frames, params["P"], params["D"])
-            mask = mask_or(mask, mask_subtract(regular, frames))
+            dropped |= regime_drops
         if kind in WEIGHT_KEYS:
-            weights = weights * landmark_weights(num_frames, frames, params[WEIGHT_KEYS[kind]])
-    return mask, weights
+            with np.errstate(over="ignore", invalid="ignore"):  # checked once below
+                weights[marked] *= params[WEIGHT_KEYS[kind]]
+    if not np.isfinite(weights).all():
+        raise InvalidPattern(f"weight factors of {spec.raw!r} multiply past the float range")
+    return FrameMask(dropped), weights

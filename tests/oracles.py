@@ -1,13 +1,15 @@
 """Independent oracles: brute-force routes and reference loops the package
 must agree with.
 
-Nothing here reuses package internals beyond public data types, errors
-and frame weighting, so a bug in the decoder or the scorer cannot hide
-in its own oracle.
+Nothing here reuses package internals beyond public data types, errors,
+frame weighting and the mask and landmark primitives, so a bug in the
+decoder, the scorer or the strategy composition cannot hide in its own
+oracle.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -15,11 +17,16 @@ from landmark_frames import (
     NEG_INF,
     BeamCollapse,
     DecodeResult,
+    FrameMask,
     InvalidConfig,
     ScoreOverflow,
     ShapeError,
     UnknownSenone,
     apply_weights,
+    frame_map,
+    landmark_frames,
+    mask_random,
+    mask_regular,
 )
 
 
@@ -104,9 +111,8 @@ def _reference_prune(delta, beam, utterance_id, t):
     return np.where(delta >= peak - beam, delta, NEG_INF)
 
 
-def reference_collapse(states, senone_phones, silence=()):
+def reference_collapse(states, senone_phones):
     """The frame loop `collapse_states` had before it walked state runs."""
-    silence = frozenset(silence)
     phones = []
     for s in states:
         i = int(s)
@@ -115,7 +121,61 @@ def reference_collapse(states, senone_phones, silence=()):
         phone = senone_phones[i]
         if not phones or phones[-1] != phone:
             phones.append(phone)
-    return [p for p in phones if p not in silence]
+    return phones
+
+
+def _reference_landmark_mask(frames, num_frames, regime):
+    """keep: drop every frame outside frames; drop: drop exactly frames."""
+    marked = frame_map(frames, num_frames)
+    if regime == "keep" and not marked.any():
+        warnings.warn("landmark keep with no landmark frames drops every frame")
+    return FrameMask(marked if regime == "drop" else ~marked)
+
+
+def _reference_or(a, b):
+    return FrameMask(a.dropped | b.dropped)
+
+
+def reference_realize(spec, num_frames, landmarks=None, rng=None, default_radius=0):
+    """The per-part composition `realize_strategy` had before its single pass.
+
+    Every part builds its own FrameMask from landmark frame indices, and
+    each is OR-ed into a new FrameMask; hybrid subtracts the landmark
+    frames from its regular mask; each weighted part multiplies in a
+    full weight vector, ones except its factor on the landmark frames.
+    Weight products are returned as they come, even past the float range.
+    """
+    mask = FrameMask(np.zeros(num_frames, dtype=bool))
+    weights = np.ones(num_frames, dtype=np.float64)
+    for kind, params in spec.parts:
+        frames = None
+        if kind in ("landmark", "hybrid", "overweight") or "match" in params:
+            frames = landmark_frames(landmarks, num_frames, params.get("r", default_radius))
+        if kind == "regular":
+            mask = _reference_or(mask, mask_regular(num_frames, params["P"], params["D"]))
+        elif kind == "random":
+            if "n" in params:
+                n_drop = params["n"]
+            elif "rate" in params:
+                n_drop = int(np.floor(params["rate"] * num_frames + 0.5))
+            else:
+                n_drop = _reference_landmark_mask(frames, num_frames, params["match"]).n_dropped
+            seed = params.get("seed")
+            if seed is None:
+                seed = int(rng.integers(0, 2**63))
+            mask = _reference_or(mask, mask_random(num_frames, n_drop, seed))
+        elif kind == "landmark":
+            mask = _reference_or(mask, _reference_landmark_mask(frames, num_frames, params["mode"]))
+        elif kind == "hybrid":
+            regular = mask_regular(num_frames, params["P"], params["D"])
+            protected = frame_map(frames, num_frames)
+            mask = _reference_or(mask, FrameMask(regular.dropped & ~protected))
+        if kind in ("hybrid", "overweight"):
+            part = np.ones(num_frames, dtype=np.float64)
+            part[frame_map(frames, num_frames)] = params["overweight" if kind == "hybrid" else "factor"]
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = weights * part
+    return mask, weights
 
 
 def reference_copy(values, dropped):

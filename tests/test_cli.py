@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from landmark_frames import read_mask, read_score_matrix
+from landmark_frames import FrameMask, mask_random, read_score_matrix, write_mask
 from landmark_frames.cli import main
 
 
@@ -112,8 +112,8 @@ class TestAnnotate:
 class TestMask:
     def test_stdout_mask(self, capsys):
         assert run_cli("mask", "--strategy", "regular:P=2,D=1", "--frames", "6") == 0
-        mask = read_mask(capsys.readouterr().out)
-        assert mask.dropped_frames().tolist() == [0, 2, 4]
+        expected = FrameMask(np.array([True, False] * 3))
+        assert capsys.readouterr().out == write_mask(expected) + "\n"
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "drop.mask"
@@ -122,7 +122,9 @@ class TestMask:
             "--out", str(out),
         )
         assert code == 0
-        assert read_mask(out.read_text()).n_dropped == 5
+        expected = mask_random(10, 5, seed=3)
+        assert out.read_text() == write_mask(expected) + "\n"
+        assert out.read_text().count(" 1") == 5
 
     def test_landmark_strategy_needs_landmark_file(self):
         assert run_cli("mask", "--strategy", "landmark:keep", "--frames", "10") == 1

@@ -27,13 +27,14 @@ from landmark_frames import (
     format_plot_svg,
     format_report_csv,
     format_sweep_svg,
+    landmark_frames,
     load_experiment_config,
     parse_strategy,
-    read_mask,
     run_experiment,
     summarize_cv,
     sweep,
     write_manner_table,
+    write_mask,
     write_score_matrix,
     write_transition_model,
 )
@@ -209,12 +210,14 @@ class TestRunExperiment:
         assert text.strip() == "regular:P=2,D=1"
 
     def test_mask_files_reflect_drop_rate(self, tmp_path):
-        out = self.run(tmp_path)
+        out = tmp_path / "out"
+        outcomes = run_experiment(fast_config(self.STRATEGIES), str(out))
         masks_dir = out / "strategy_00" / "masks"
-        rates = []
-        for name in sorted(os.listdir(masks_dir)):
-            mask = read_mask((masks_dir / name).read_text())
-            rates.append(mask.n_dropped / mask.T)
+        masks = outcomes[1].masks
+        assert sorted(os.listdir(masks_dir)) == sorted(f"{uid}.mask" for uid, _ in masks)
+        for uid, mask in masks:
+            assert (masks_dir / f"{uid}.mask").read_text() == write_mask(mask) + "\n"
+        rates = [mask.n_dropped / mask.T for _, mask in masks]
         assert len(rates) == 10
         assert np.mean(rates) == pytest.approx(0.5, abs=0.02)
 
@@ -609,14 +612,31 @@ class TestPipeline:
         monkeypatch.setattr(experiment, "realize_strategy", failing)
         failed_rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
         failed, _ = compute_outcomes(config, jobs=jobs)
+        first = outcomes[0].reports[0].utterance_id
         for got, want in zip(failed_rows, rows):
             if got.strategy == "regular:P=2,D=1":
-                assert got.error == "rep 1: refused"
+                assert got.error == f"rep 1: {first}: realize: refused"
             else:
                 assert row_tuple(got) == row_tuple(want)
-        assert failed[2].error == "refused"
+        assert failed[2].error == f"{first}: realize: refused"
         for i in (0, 1, 3):
             assert baseline_fields(failed[i]) == baseline_fields(outcomes[i])
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_realize_and_adjust_failures_name_utterance_and_stage(self, jobs):
+        outcomes, corpus = compute_outcomes(fast_config(["random:n=10000,seed=0"]), jobs=jobs)
+        utt = corpus.utterances[0]
+        uid, T = utt.alignment.utterance_id, utt.matrix.T
+        assert outcomes[1].error == (
+            f"{uid}: realize: cannot drop 10000 of {T} unprotected frames (T={T})"
+        )
+        # At rate 1.0 every kept frame of landmark:keep is a protected landmark frame.
+        rows = sweep(fast_config(["landmark:keep"]), "drop_rate", [1.0], repeats=1, jobs=jobs)
+        kept = len(landmark_frames(annotate(utt.alignment, corpus.manner_table), T))
+        assert rows[1].error == (
+            f"rep 0: {uid}: adjust: need {kept} more drops but only 0 unprotected kept frames"
+        )
 
 
 class TestConfigIO:
@@ -647,6 +667,19 @@ class TestConfigIO:
     def test_unknown_synth_key(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config(json.dumps({"synth": {"volume": 11}}))
+
+    def test_synth_seed_refused(self):
+        # gen_corpus draws on the top-level seed, so synth.seed would be ignored.
+        with pytest.raises(InvalidConfig, match=r"synth\.seed is ignored"):
+            load_experiment_config(json.dumps({"synth": {"seed": 7}}))
+        with pytest.raises(InvalidConfig, match=r"synth\.seed is ignored"):
+            load_experiment_config(json.dumps({"seed": 7, "synth": {"seed": 7}}))
+
+    def test_synth_next_to_data_dir_refused(self, tmp_path):
+        text = json.dumps({"data_dir": str(tmp_path), "synth": {"n_utterances": 5}})
+        with pytest.raises(InvalidConfig, match="synth is ignored when data_dir is set"):
+            load_experiment_config(text)
+        assert load_experiment_config(json.dumps({"data_dir": str(tmp_path)})).data_dir
 
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):

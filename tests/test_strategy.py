@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landmark_frames import (
+    LANDMARK_TYPES,
     NEG_INF,
     REPLACEMENT_METHODS,
     FrameMask,
@@ -11,23 +14,22 @@ from landmark_frames import (
     InvalidPattern,
     LandmarkSet,
     ScoreMatrix,
+    ScoreOverflow,
     ShapeError,
     StrategySpec,
+    TransitionModel,
     adjust_mask_to_rate,
     apply_replacement,
     apply_weights,
     design_interp_filter,
-    landmark_weights,
-    mask_landmark,
-    mask_or,
     mask_random,
     mask_regular,
-    mask_subtract,
     parse_strategy,
     realize_strategy,
+    viterbi,
 )
 from landmark_frames.strategy import INTERP_TAPS
-from oracles import reference_copy
+from oracles import reference_copy, reference_realize
 
 
 def mat(rows, uid="u"):
@@ -90,44 +92,48 @@ class TestRandomMask:
         assert mask_random(10, 0, seed=0).n_dropped == 0
 
 
+def landmarks_at(*frames):
+    return LandmarkSet("u", [(f, "V") for f in frames])
+
+
+def realized(text, num_frames, *frames):
+    return realize_strategy(parse_strategy(text), num_frames, landmarks=landmarks_at(*frames))
+
+
 class TestLandmarkMask:
     def test_keep_regime(self):
-        mask = mask_landmark(np.array([2, 5]), 8, "keep")
+        mask, _ = realized("landmark:keep", 8, 2, 5)
         assert mask.dropped_frames().tolist() == [0, 1, 3, 4, 6, 7]
 
     def test_drop_regime(self):
-        mask = mask_landmark(np.array([2, 5]), 8, "drop")
+        mask, _ = realized("landmark:drop", 8, 2, 5)
         assert mask.dropped_frames().tolist() == [2, 5]
 
     def test_keep_with_no_landmarks_warns(self):
-        with pytest.warns(UserWarning):
-            mask = mask_landmark(np.array([], dtype=int), 4, "keep")
-        assert mask.n_dropped == 4
+        for text in ("landmark:keep", "random:match=keep,seed=0"):
+            with pytest.warns(UserWarning, match="no landmark frames"):
+                mask, _ = realized(text, 4)
+            assert mask.n_dropped == 4
 
     def test_bad_regime(self):
-        with pytest.raises(InvalidPattern):
-            mask_landmark(np.array([0]), 4, "invert")
+        # A regime enters only through the grammar, which refuses anything else.
+        for text in ("landmark:mode=invert", "random:match=invert"):
+            with pytest.raises(InvalidPattern, match="regime must be keep or drop"):
+                parse_strategy(text)
 
 
 class TestMaskAlgebra:
     def test_or_union(self):
-        a = mask_regular(6, 2, 1)
-        b = mask_landmark(np.array([1]), 6, "drop")
-        assert mask_or(a, b).dropped_frames().tolist() == [0, 1, 2, 4]
-
-    def test_or_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            mask_or(keep_all(4), keep_all(5))
+        mask, _ = realized("regular:P=2,D=1+landmark:drop", 6, 1)
+        assert mask.dropped_frames().tolist() == [0, 1, 2, 4]
 
     def test_subtract_clears_protected(self):
-        mask = mask_regular(6, 2, 1)
-        out = mask_subtract(mask, np.array([2]))
-        assert out.dropped_frames().tolist() == [0, 4]
+        mask, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 2)
+        assert mask.dropped_frames().tolist() == [0, 4]
 
     def test_subtract_noop_for_kept_frames(self):
-        mask = mask_regular(6, 2, 1)
-        out = mask_subtract(mask, np.array([1, 3]))
-        assert (out.dropped == mask.dropped).all()
+        mask, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 1, 3)
+        assert (mask.dropped == mask_regular(6, 2, 1).dropped).all()
 
 
 class TestAdjustMaskToRate:
@@ -289,12 +295,34 @@ class TestReplacement:
 
 class TestWeights:
     def test_landmark_weights(self):
-        w = landmark_weights(5, np.array([1, 3]), 2.5)
+        _, w = realized("overweight:factor=2.5", 5, 1, 3)
         assert w.tolist() == [1.0, 2.5, 1.0, 2.5, 1.0]
 
     def test_negative_factor(self):
-        with pytest.raises(InvalidPattern):
-            landmark_weights(5, np.array([1]), -0.5)
+        # A factor enters only through the grammar, which refuses a negative one.
+        for text in ("overweight:factor=-0.5", "hybrid:P=2,D=1,overweight=-0.5"):
+            with pytest.raises(InvalidPattern, match="must be finite and >= 0"):
+                parse_strategy(text)
+
+    def test_factor_product_past_float_range_is_refused(self):
+        with pytest.raises(InvalidPattern, match="multiply past the float range"):
+            realized("overweight:factor=1e200+overweight:factor=1e200", 5, 1)
+        _, w = realized("overweight:factor=1e200+overweight:factor=1e-200", 5, 1)
+        assert w[1] == 1e200 * 1e-200
+
+    def test_apply_overflow_names_utterance_and_frame(self):
+        m = mat(np.full((2, 2), 1e308), uid="utt7")
+        with pytest.raises(ScoreOverflow, match=r"^utt7: weighted score overflows at frame 0$"):
+            apply_weights(m, np.array([2.0, 1.0]))
+        # A negative score that overflows must not pass for the NEG_INF sentinel.
+        m = mat([[-1.0, -2.0], [-1e308, NEG_INF]], uid="utt8")
+        with pytest.raises(ScoreOverflow, match=r"^utt8: weighted score overflows at frame 1$"):
+            apply_weights(m, np.array([3.0, 2.0]))
+
+    def test_viterbi_weights_overflow_names_utterance(self):
+        model = TransitionModel(np.log([0.5, 0.5]), np.log(np.full((2, 2), 0.5)), ["a", "b"])
+        with pytest.raises(ScoreOverflow, match=r"^utt7: weighted score overflows at frame 0$"):
+            viterbi(mat(np.full((2, 2), 1e308), uid="utt7"), model, weights=np.array([2.0, 1.0]))
 
     def test_apply_scales_rows(self):
         m = mat([[-2.0, -4.0], [-1.0, -3.0]])
@@ -554,3 +582,47 @@ class TestRealize:
         a, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
         b, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
         assert (a.dropped == b.dropped).all()
+
+
+_EVENTS = st.lists(st.tuples(st.integers(0, 40), st.sampled_from(LANDMARK_TYPES)), max_size=6)
+
+
+def _realize_outcome(realize, parts, num_frames, events, seed, radius):
+    """Mask bytes, weight bytes and warnings of one realization, or its error."""
+    spec = StrategySpec("", parts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            mask, weights = realize(
+                spec, num_frames, landmarks=LandmarkSet("u", events),
+                rng=np.random.default_rng(seed), default_radius=radius,
+            )
+            result = (mask.dropped.tobytes(), weights.tobytes(), np.isfinite(weights).all())
+        except (InvalidPattern, InvalidConfig) as e:
+            result = (type(e), str(e))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestRealizeEqualsPerPartComposition:
+    """realize_strategy's one pass gives the bytes the per-part wrappers gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_PARTS, min_size=1, max_size=3), st.integers(1, 30), _EVENTS,
+        st.integers(0, 2**32), st.integers(0, 3),
+    )
+    # Both warn here: the warnings must be equal, and TestLandmarkMask checks the new one warns.
+    @example([("landmark", {"mode": "keep"})], 7, [], 0, 0)
+    @example(parse_strategy("overweight:factor=2.0+hybrid:P=2,D=1,overweight=3.0").parts,
+             12, [(2, "V"), (6, "Fc"), (11, "Sr")], 0, 1)
+    @example(parse_strategy("regular:P=3,D=1+landmark:drop").parts, 10, [(2, "V"), (6, "Fc")], 0, 0)
+    def test_equals_reference(self, parts, num_frames, events, seed, radius):
+        args = (parts, num_frames, events, seed, radius)
+        want, want_warnings = _realize_outcome(reference_realize, *args)
+        got, got_warnings = _realize_outcome(realize_strategy, *args)
+        assert got_warnings == want_warnings
+        if len(want) == 3 and not want[2]:
+            # The old composition let a weight product overflow; the one pass refuses it.
+            assert got == (InvalidPattern, "weight factors of '' multiply past the float range")
+        else:
+            assert got == want
