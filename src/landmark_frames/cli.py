@@ -56,7 +56,7 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         jobs = args.jobs
     elif os.environ.get(JOBS_ENV):
         try:

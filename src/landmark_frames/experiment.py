@@ -295,7 +295,16 @@ class _Prepared:
     live_folds: list = field(default_factory=list)
 
 
-def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
+def _memoized(memo, key, compute):
+    """compute(), kept in memo under key; memo None keeps nothing. Errors are never kept."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, memo=None):
     """Realize raw's masks in this process and queue its decodes.
 
     Returns (masks, results). With a pool, results is the
@@ -303,30 +312,48 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     without one, the decoded list. Realize and adjust errors raise here,
     prefixed with the utterance and the stage; pool decode errors raise
     when _collect_strategy reads results.
+
+    memo, a dict shared by the points of one stream, keeps what does not
+    depend on the point: each utterance's realization (with read-only
+    weights), keyed by raw, stream_index and, for a strategy that draws
+    from an rng, rep; its protected frames, keyed by raw; and its adjust
+    seed, keyed by rep and stream_index. The rate adjustment itself runs
+    at every point.
     """
     spec = parse_strategy(raw)
+    rng_rep = rep if spec.needs_rng() else None
     tasks = []
     masks = []
     for ui, utt in enumerate(prep.corpus.utterances):
         uid = utt.alignment.utterance_id
         landmarks = prep.landmark_sets[ui]
-        rng = None
-        if spec.needs_rng():
-            rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
-        stage = "realize"
-        try:
+
+        def realize():
+            rng = None
+            if spec.needs_rng():
+                rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
             mask, weights = realize_strategy(
                 spec, utt.matrix.T, landmarks=landmarks, rng=rng,
                 default_radius=config.widen_radius,
             )
+            weights.flags.writeable = False
+            return mask, weights
+
+        stage = "realize"
+        try:
+            mask, weights = _memoized(memo, ("realize", raw, stream_index, rng_rep, ui), realize)
             if adjust_rate is not None:
                 stage = "adjust"
                 target_n = int(np.floor(adjust_rate * mask.T + 0.5))
-                protected = _protection_frames(spec, landmarks, mask.T, config.widen_radius)
-                mask = adjust_mask_to_rate(
-                    mask, target_n, protected,
-                    seed=_derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
+                protected = _memoized(
+                    memo, ("protect", raw, ui),
+                    lambda: _protection_frames(spec, landmarks, mask.T, config.widen_radius),
                 )
+                seed = _memoized(
+                    memo, ("seed", rep, stream_index, ui),
+                    lambda: _derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
+                )
+                mask = adjust_mask_to_rate(mask, target_n, protected, seed=seed)
         except LandmarkFramesError as e:
             raise type(e)(f"{uid}: {stage}: {e}") from None
         masks.append((uid, mask))
@@ -458,10 +485,16 @@ def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
     submitted before strategy k is collected: with a pool, the parent
     realizes masks while the workers decode, and the pool does not drain
     between strategies or points. One strategy is queued ahead, no more.
+    A stream of more than one point shares a memo (see _submit_strategy),
+    so the work that does not depend on the point is done once.
     """
+    memo = {} if len(points) > 1 else None
+
     def submit(si, raw, rep, adjust_rate):
         try:
-            return raw, _submit_strategy(raw, prep, config, si, rep=rep, adjust_rate=adjust_rate)
+            return raw, _submit_strategy(
+                raw, prep, config, si, rep=rep, adjust_rate=adjust_rate, memo=memo
+            )
         except LandmarkFramesError as e:
             return raw, e
 
@@ -797,20 +830,20 @@ def sweep(
         # One stream over every (value, repeat) point keeps the pool busy.
         evaluated = _evaluate(prep, config, points)
         for value, (strategies, _, _) in zip(values, points[::repeats]):
-            collected = {raw: [] for raw in strategies}
-            errors = {raw: None for raw in strategies}
+            # By position: a strategy listed twice is two rows with their own rng streams.
+            collected = [[] for _ in strategies]
+            errors = [None] * len(strategies)
             for rep in range(repeats):
                 outcomes = next(evaluated)
-                for outcome in outcomes[1:]:
+                for i, outcome in enumerate(outcomes[1:]):
                     if outcome.error is not None:
-                        errors[outcome.strategy] = f"rep {rep}: {outcome.error}"
+                        errors[i] = f"rep {rep}: {outcome.error}"
                     else:
-                        collected[outcome.strategy].append(outcome)
-            for raw in strategies:
-                if errors[raw] is not None:
-                    rows.append(StrategyOutcome(raw, error=errors[raw], value=value))
+                        collected[i].append(outcome)
+            for raw, error, runs in zip(strategies, errors, collected):
+                if error is not None:
+                    rows.append(StrategyOutcome(raw, error=error, value=value))
                     continue
-                runs = collected[raw]
                 deltas = [o.delta_per for o in runs]
                 mean, stdev = summarize_cv(deltas)
                 rows.append(StrategyOutcome(

@@ -48,6 +48,9 @@ END_OFFSET_FRAC = 0.20
 
 ANNOTATION_MODES = ("boundary", "offset")
 
+# Frames past this are refused, so that landmark_frames can cap its radius and work in int64.
+_MAX_FRAME = 2**60
+
 
 @dataclass
 class AnnotationConfig:
@@ -77,6 +80,8 @@ class LandmarkSet:
                 raise FormatError(f"unknown landmark type {kind!r}")
             if frame < 0:
                 raise FormatError(f"negative landmark frame {frame}")
+            if frame > _MAX_FRAME:
+                raise FormatError(f"landmark frame {frame} is too large")
         # Stable: events at the same frame keep their derivation order.
         self.events = sorted(
             [(int(f), k) for f, k in self.events], key=lambda e: e[0]
@@ -180,22 +185,32 @@ def landmark_frames(landmarks: LandmarkSet, num_frames: int, radius: int = 0) ->
     """
     if radius < 0:
         raise InvalidConfig(f"radius must be >= 0, got {radius}")
-    marked = np.zeros(num_frames, dtype=bool)
-    for frame, _ in landmarks.events:
-        lo = max(frame - radius, 0)
-        hi = min(frame + radius + 1, num_frames)
-        if lo < hi:
-            marked[lo:hi] = True
-    return np.flatnonzero(marked)
+    # Past _MAX_FRAME + num_frames every event marks every frame, so the cap changes nothing.
+    radius = min(radius, 2 * _MAX_FRAME)
+    frames = np.array([frame for frame, _ in landmarks.events], dtype=np.int64)
+    # A frame further out than these bounds marks nothing, and clipped it cannot overflow below.
+    frames = np.minimum(np.maximum(frames, -radius - 1), num_frames + radius)
+    # Each event covers [lo, hi); a frame is marked where more intervals have opened than closed.
+    lo = np.maximum(frames - radius, 0)
+    hi = np.minimum(frames + (radius + 1), num_frames)
+    depth = np.bincount(lo, minlength=num_frames + 1) - np.bincount(hi, minlength=num_frames + 1)
+    return np.flatnonzero(depth[:num_frames].cumsum() > 0)
 
 
 def frame_map(frames, num_frames: int) -> np.ndarray:
-    """Boolean frame map from a collection of frame indices."""
+    """Boolean frame map from a collection of frame indices.
+
+    A frame outside [0, num_frames) is an InvalidConfig naming the first
+    such frame in input order.
+    """
+    if not isinstance(frames, np.ndarray):
+        frames = np.array(list(frames))
     marked = np.zeros(num_frames, dtype=bool)
-    for frame in frames:
-        if not 0 <= frame < num_frames:
-            raise InvalidConfig(f"frame {frame} outside [0, {num_frames})")
-        marked[int(frame)] = True
+    if frames.size:
+        outside = ~((frames >= 0) & (frames < num_frames))
+        if outside.any():
+            raise InvalidConfig(f"frame {frames[outside.argmax()]} outside [0, {num_frames})")
+        marked[frames.astype(np.intp)] = True
     return marked
 
 

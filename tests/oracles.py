@@ -195,6 +195,29 @@ def reference_copy(values, dropped):
     return out
 
 
+def reference_landmark_frames(landmarks, num_frames, radius=0):
+    """The event loop `landmark_frames` had before it was vectorized."""
+    if radius < 0:
+        raise InvalidConfig(f"radius must be >= 0, got {radius}")
+    marked = np.zeros(num_frames, dtype=bool)
+    for frame, _ in landmarks.events:
+        lo = max(frame - radius, 0)
+        hi = min(frame + radius + 1, num_frames)
+        if lo < hi:
+            marked[lo:hi] = True
+    return np.flatnonzero(marked)
+
+
+def reference_frame_map(frames, num_frames):
+    """The frame loop `frame_map` had before it was vectorized."""
+    marked = np.zeros(num_frames, dtype=bool)
+    for frame in frames:
+        if not 0 <= frame < num_frames:
+            raise InvalidConfig(f"frame {frame} outside [0, {num_frames})")
+        marked[int(frame)] = True
+    return marked
+
+
 def dyadic_uniform_model(rng, n_states):
     """Random init/trans log tables with exactly representable values.
 

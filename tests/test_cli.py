@@ -305,6 +305,23 @@ class TestRunAndSweep:
         monkeypatch.setenv("LANDMARK_FRAMES_JOBS", "many")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "bad")) == 1
 
+    @pytest.mark.parametrize("env", [None, "2"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_jobs_zero_is_refused(self, tmp_path, monkeypatch, capsys, command, env):
+        # --jobs 0 is given, so it is refused like --jobs -1 rather than read as absent.
+        if env is None:
+            monkeypatch.delenv("LANDMARK_FRAMES_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("LANDMARK_FRAMES_JOBS", env)
+        config = experiment_config(tmp_path, ["regular:P=2,D=1"])
+        out = tmp_path / "out"
+        args = [command, "--config", str(config), "--out", str(out), "--jobs", "0"]
+        if command == "sweep":
+            args += ["--parameter", "drop_rate", "--values", "0.5", "--repeats", "1"]
+        assert run_cli(*args) == 1
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_bad_config_json(self, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")

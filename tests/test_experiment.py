@@ -382,6 +382,24 @@ class TestSweep:
         ]
         assert rows[2].drop_rate == pytest.approx(rows[1].drop_rate)
 
+    def test_strategy_listed_twice_keeps_its_own_rows(self):
+        # Each position draws from its own rng stream, as in run; the rows are not pooled.
+        config = fast_config(["random:rate=0.3", "random:rate=0.3"])
+        values, repeats = [0.3, 0.5], 2
+        _, expected = per_point_rows(config, values, repeats)
+        rows = sweep(config, "drop_rate", values, repeats=repeats)
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        assert rows[1].per != rows[2].per
+        # Two strategies that the overweight sweep rewrites to one variant.
+        config = fast_config(["random:rate=0.3+overweight:factor=2.0",
+                              "random:rate=0.3+overweight:factor=5.0"])
+        values = [1.0, 3.0]
+        variants = {v: [f"random:rate=0.3+overweight:factor={v!r}"] * 2 for v in values}
+        _, expected = per_point_rows(config, values, repeats, variants)
+        rows = sweep(config, "overweight", values, repeats=repeats)
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        assert rows[1].strategy == rows[2].strategy and rows[1].per != rows[2].per
+
     def test_only_non_random_landmark_parts_are_protected(self, small_corpus):
         alignment = small_corpus.utterances[0].alignment
         landmarks = annotate(alignment, small_corpus.manner_table)
@@ -546,11 +564,12 @@ class TestPipeline:
     def test_next_strategy_realized_before_results_are_read(self):
         config = fast_config(["landmark:keep", "random:match=keep"])
         events = []
-        realize = experiment.realize_strategy
+        # Realizations are memoized across points; the rate adjustment runs at every one.
+        adjust = experiment.adjust_mask_to_rate
 
         def recorded(*args, **kwargs):
-            events.append(("realize", None))
-            return realize(*args, **kwargs)
+            events.append(("adjust", None))
+            return adjust(*args, **kwargs)
 
         class Pool(ProcessPoolExecutor):
             def map(self, fn, tasks, chunksize=1):
@@ -565,17 +584,17 @@ class TestPipeline:
                 return read()
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiment, "realize_strategy", recorded)
+            patch.setattr(experiment, "adjust_mask_to_rate", recorded)
             patch.setattr(experiment, "ProcessPoolExecutor", Pool)
             sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
 
-        where = {event: i for i, event in enumerate(events) if event[0] != "realize"}
+        where = {event: i for i, event in enumerate(events) if event[0] != "adjust"}
         submits = [k for kind, k in events if kind == "submit"]
         # The baseline, then 2 values x 2 repeats x 2 strategies in one stream.
         assert submits == list(range(1 + 2 * 2 * 2))
         for k in submits[1:-1]:
-            first_realize = events.index(("realize", None), where[("submit", k)])
-            assert first_realize < where[("read", k)]
+            first_adjust = events.index(("adjust", None), where[("submit", k)])
+            assert first_adjust < where[("read", k)]
             assert where[("submit", k + 1)] < where[("read", k)]
         in_flight = peak = 0
         for kind, _ in events:
@@ -637,6 +656,64 @@ class TestPipeline:
         assert rows[1].error == (
             f"rep 0: {uid}: adjust: need {kept} more drops but only 0 unprotected kept frames"
         )
+
+
+class TestPointMemo:
+    """A sweep does the work that does not depend on its point once; run keeps no memo."""
+
+    def record(self, monkeypatch, fail=None):
+        """Count realize_strategy calls by strategy and collect each submit's memo."""
+        calls, memos = Counter(), []
+        realize, submit = experiment.realize_strategy, experiment._submit_strategy
+
+        def counted(spec, *args, **kwargs):
+            calls[spec.raw] += 1
+            if spec.raw == fail:
+                raise InvalidPattern("refused")
+            return realize(spec, *args, **kwargs)
+
+        def recorded(*args, memo=None, **kwargs):
+            memos.append(memo)
+            return submit(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(experiment, "realize_strategy", counted)
+        monkeypatch.setattr(experiment, "_submit_strategy", recorded)
+        return calls, memos
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_realize_runs_once_per_rng_stream(self, jobs, tmp_path, monkeypatch):
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        values, repeats = [0.3, 0.5, 0.6], 3
+        expected = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        calls, memos = self.record(monkeypatch)
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        assert [row_tuple(r) for r in rows] == [row_tuple(r) for r in expected]
+        U = len(rows[0].reports)
+        # The baseline and landmark:keep once per utterance; the rng control once per repeat.
+        assert calls == {BASELINE: U, "landmark:keep": U, "random:match=keep": U * repeats}
+        assert sum(calls.values()) == U * (1 + 1 + repeats)
+        # The baseline is submitted without a memo; every point shares one.
+        memo = memos[1]
+        assert memos[0] is None and all(m is memo for m in memos[1:])
+        realized = [value for key, value in memo.items() if key[0] == "realize"]
+        assert len(realized) == U * (1 + repeats)
+        assert not any(weights.flags.writeable for _, weights in realized)
+
+        calls.clear()
+        memos.clear()
+        run_experiment(config, str(tmp_path / "run"), jobs=jobs)
+        assert calls == {BASELINE: U, "landmark:keep": U, "random:match=keep": U}
+        assert memos == [None] * 3
+
+    def test_realize_failure_repeats_at_every_point(self, monkeypatch):
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        values, repeats = [0.3, 0.5], 2
+        calls, _ = self.record(monkeypatch, fail="landmark:keep")
+        rows = sweep(config, "drop_rate", values, repeats=repeats)
+        first = rows[0].reports[0].utterance_id
+        # Each point tries the first utterance again and fails there.
+        assert calls["landmark:keep"] == len(values) * repeats
+        assert [r.error for r in rows[1:]] == [f"rep 1: {first}: realize: refused", None] * 2
 
 
 class TestConfigIO:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landmark_frames import (
     DEFAULT_TIMIT_MANNERS,
+    LANDMARK_TYPES,
     AnnotationConfig,
     EmptyInput,
+    FormatError,
     InvalidConfig,
     LandmarkSet,
     PhoneAlignment,
@@ -16,6 +20,7 @@ from landmark_frames import (
     read_landmarks,
     write_landmarks,
 )
+from oracles import reference_frame_map, reference_landmark_frames
 
 MANNERS = {
     "iy": "vowel",
@@ -160,6 +165,74 @@ class TestFrameSets:
     def test_frame_map_out_of_range(self):
         with pytest.raises(InvalidConfig):
             frame_map(np.array([4]), 4)
+
+    def test_frame_map_names_first_out_of_range_frame_in_input_order(self):
+        for frames in ([1, 7, -2], np.array([1, 7, -2]), (np.int64(1), np.int64(7), -2)):
+            with pytest.raises(InvalidConfig, match=r"^frame 7 outside \[0, 4\)$"):
+                frame_map(frames, 4)
+        with pytest.raises(InvalidConfig, match=r"^frame -2 outside"):
+            frame_map([-2, 7], 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 30).flatmap(lambda T: st.tuples(
+            st.just(T),
+            st.lists(st.integers(-3, T + 3), max_size=12),
+            st.sampled_from(["list", "tuple", "array", "numpy ints"]),
+        ))
+    )
+    @example((0, [], "list"))
+    @example((5, [], "array"))
+    @example((5, [4, 0, 4], "numpy ints"))
+    @example((5, [2, 5, -1], "tuple"))
+    def test_frame_map_equals_frame_loop(self, case):
+        T, frames, form = case
+        frames = {
+            "list": list, "tuple": tuple, "array": np.array,
+            "numpy ints": lambda f: [np.int64(x) for x in f],
+        }[form](frames)
+        try:
+            want = reference_frame_map(frames, T)
+        except InvalidConfig as e:
+            with pytest.raises(InvalidConfig) as got:
+                frame_map(frames, T)
+            assert str(got.value) == str(e)
+            return
+        got = frame_map(frames, T)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 30).flatmap(lambda T: st.tuples(
+            st.just(T),
+            st.lists(
+                st.tuples(st.integers(-5, T + 5), st.sampled_from(LANDMARK_TYPES)), max_size=12
+            ),
+            st.integers(0, 3),
+            st.booleans(),
+        ))
+    )
+    @example((0, [], 0, False))
+    @example((10, [], 2, False))
+    @example((10, [(12, "V"), (13, "Fc")], 3, False))
+    @example((10, [(-2, "V"), (9, "MC")], 2, True))
+    @example((10, [(2**60, "V"), (3, "V")], 2, False))
+    @example((10, [(2**60, "V")], 10**30, False))
+    @example((10, [(4, "V")], 2**61 + 5, False))
+    def test_landmark_frames_equals_event_loop(self, case):
+        T, events, radius, numpy_ints = case
+        lms = LandmarkSet("u", [])
+        # Assigned directly, so frames keep their type and may be negative.
+        lms.events = [(np.int64(f) if numpy_ints else f, k) for f, k in events]
+        want = reference_landmark_frames(lms, T, radius)
+        got = landmark_frames(lms, T, radius)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_huge_frames_are_refused_at_read(self):
+        lms = read_landmarks(f"{2**60} V\n3 V")
+        assert landmark_frames(lms, 10, 2).tolist() == [1, 2, 3, 4, 5]
+        with pytest.raises(FormatError, match="too large"):
+            read_landmarks(f"{2**60 + 1} V")
 
     def test_fraction(self):
         lms = LandmarkSet("u", [(2, "V"), (7, "Fc")])
