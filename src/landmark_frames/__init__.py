@@ -86,14 +86,12 @@ from .scoring import (
     align_edit,
     edit_ops,
     merge_reports,
-    normalized_error_increment,
     per_increment,
     write_confusion_csv,
     write_report_csv,
 )
 from .stats import (
     EXACT_WILCOXON_MAX_N,
-    FoldSpec,
     StatResult,
     cv_folds,
     summarize_cv,

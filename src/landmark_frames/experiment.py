@@ -75,7 +75,6 @@ class ExperimentConfig:
     strategies: list = field(default_factory=list)
     comparison: str | None = None
     folds: int = 10
-    cv_seed: int | None = None
     beam: float | None = None
     annotation: str = "boundary"
     widen_radius: int = 0
@@ -243,12 +242,16 @@ def _score_one(corpus, task):
     task is (utterance index, mask, weights, method, beam, checksum), so
     a pool task ships no matrix or model. Returns (report, hypothesis,
     digest): digest is the sha256 of the modified matrix when checksum is
-    true, None otherwise.
+    true, None otherwise. Replacement errors name the utterance and the
+    stage; weight and decode errors already name the utterance.
     """
     ui, mask, weights, method, beam, checksum = task
     utt = corpus.utterances[ui]
     silence = _silence_phones(corpus.manner_table)
-    modified = apply_replacement(utt.matrix, mask, method)
+    try:
+        modified = apply_replacement(utt.matrix, mask, method)
+    except LandmarkFramesError as e:
+        raise type(e)(f"{utt.alignment.utterance_id}: replace: {e}") from None
     modified = apply_weights(modified, weights)
     digest = None
     if checksum:
@@ -392,10 +395,9 @@ def _utterance_folds(corpus, config):
         else:
             gender[sid] = g
             speakers.append((sid, g))
-    seed = config.cv_seed if config.cv_seed is not None else _derive_seed(config.seed, _STREAM_FOLDS)
-    spec = cv_folds(speakers, k=config.folds, seed=seed)
     folds = []
-    for fold in spec.folds:
+    seed = _derive_seed(config.seed, _STREAM_FOLDS)
+    for fold in cv_folds(speakers, k=config.folds, seed=seed):
         members = set(fold)
         folds.append([
             utt.alignment.utterance_id
@@ -842,7 +844,8 @@ def sweep(
                         collected[i].append(outcome)
             for raw, error, runs in zip(strategies, errors, collected):
                 if error is not None:
-                    rows.append(StrategyOutcome(raw, error=error, value=value))
+                    cell = f"{repeats - len(runs)} of {repeats} repeats; {error}"
+                    rows.append(StrategyOutcome(raw, error=cell, value=value))
                     continue
                 deltas = [o.delta_per for o in runs]
                 mean, stdev = summarize_cv(deltas)

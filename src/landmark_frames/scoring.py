@@ -8,7 +8,7 @@ corpus-level aggregation is a plain sum.
 from dataclasses import dataclass, field
 
 from .corpus_io import format_csv
-from .errors import DegenerateBaseline, EmptyInput, FormatError, UnknownPhone
+from .errors import DegenerateBaseline, EmptyInput, FormatError
 
 DELETION = "<del>"
 INSERTION = "<ins>"
@@ -132,81 +132,6 @@ def per_increment(base_per: float, mod_per: float) -> float:
     if base_per == 0:
         raise DegenerateBaseline("baseline PER is zero; relative increment undefined")
     return 100.0 * (mod_per - base_per) / base_per
-
-
-def _error_counts(report: PERReport, fold: dict | None):
-    """Per-phone deletion and insertion counts from a confusion map.
-
-    Deletions charge the reference phone; insertions charge the
-    hypothesis phone.
-    """
-    dels = {}
-    ins = {}
-    for (ref, hyp), count in report.confusion.items():
-        if ref == INSERTION:
-            phone = hyp if fold is None else fold.get(hyp, hyp)
-            ins[phone] = ins.get(phone, 0) + count
-        elif hyp == DELETION:
-            phone = ref if fold is None else fold.get(ref, ref)
-            dels[phone] = dels.get(phone, 0) + count
-    return {"del": dels, "ins": ins}
-
-
-def normalized_error_increment(
-    base: PERReport,
-    sys: PERReport,
-    ref_occurrences: dict,
-    grouping: dict,
-    fold: dict | None = None,
-) -> dict:
-    """Added deletions and insertions per reference occurrence, by manner.
-
-    For each phone, (sys errors - base errors) / occurrences is computed
-    for deletions and insertions separately, then pooled within each
-    manner as an occurrence-weighted mean. The result maps
-    (manner, "del"|"ins") to that ratio. Phones with errors but zero
-    occurrences accumulate raw added-error counts under ("unseen", kind).
-    An optional fold map collapses phone labels before grouping.
-    """
-    if fold is not None:
-        ref_occurrences = _fold_counts(ref_occurrences, fold)
-    base_counts = _error_counts(base, fold)
-    sys_counts = _error_counts(sys, fold)
-    added = {}
-    occ = {}
-    for kind in ("del", "ins"):
-        for phone in set(base_counts[kind]) | set(sys_counts[kind]):
-            if phone not in ref_occurrences:
-                raise UnknownPhone(f"no occurrence count for phone {phone!r}")
-        # Error-free phones still weight the manner mean through their
-        # occurrence counts.
-        for phone, n in ref_occurrences.items():
-            delta = sys_counts[kind].get(phone, 0) - base_counts[kind].get(phone, 0)
-            if n == 0:
-                if delta != 0:
-                    key = ("unseen", kind)
-                    added[key] = added.get(key, 0) + delta
-                continue
-            if phone not in grouping:
-                raise UnknownPhone(f"no manner for phone {phone!r}")
-            key = (grouping[phone], kind)
-            added[key] = added.get(key, 0) + delta
-            occ[key] = occ.get(key, 0) + n
-    result = {}
-    for key in sorted(added):
-        if key[0] == "unseen":
-            result[key] = float(added[key])
-        else:
-            result[key] = added[key] / occ[key]
-    return result
-
-
-def _fold_counts(counts: dict, fold: dict) -> dict:
-    folded = {}
-    for phone, count in counts.items():
-        phone = fold.get(phone, phone)
-        folded[phone] = folded.get(phone, 0) + count
-    return folded
 
 
 def write_report_csv(reports) -> str:

@@ -192,46 +192,22 @@ def welch_t(a, b) -> StatResult:
     return StatResult("welch_t", t, min(max(p, 0.0), 1.0), df=float(df), n=a.size + b.size)
 
 
-@dataclass
-class FoldSpec:
-    """Speaker-level cross-validation split.
-
-    folds holds disjoint speaker-id lists; gender maps every speaker to
-    its gender label.
-    """
-
-    k: int
-    folds: list
-    gender: dict
-
-    def __post_init__(self):
-        if self.k < 2 or len(self.folds) != self.k:
-            raise InvalidConfig(f"need k >= 2 folds, got k={self.k} with {len(self.folds)}")
-        seen = set()
-        for fold in self.folds:
-            for speaker in fold:
-                if speaker in seen:
-                    raise InvalidConfig(f"speaker {speaker!r} appears in two folds")
-                seen.add(speaker)
-                if speaker not in self.gender:
-                    raise InvalidConfig(f"no gender for speaker {speaker!r}")
-
-
-def cv_folds(speakers, k: int = 10, seed: int = 0) -> FoldSpec:
+def cv_folds(speakers, k: int = 10, seed: int = 0) -> list:
     """Gender-stratified speaker folds from (speaker_id, gender) pairs.
 
-    Each gender group is shuffled and dealt round-robin; the dealing
-    position carries over between groups so fold sizes stay balanced and
-    every fold's gender mix is within one speaker of the global ratio.
+    Returns k disjoint lists of speaker ids covering every speaker. Each
+    gender group is shuffled and dealt round-robin; the dealing position
+    carries over between groups so fold sizes stay balanced and every
+    fold's gender mix is within one speaker of the global ratio.
     """
     speakers = list(speakers)
     if not speakers:
         raise EmptyInput("no speakers to split")
-    gender = {}
-    for speaker_id, g in speakers:
-        if speaker_id in gender:
+    seen = set()
+    for speaker_id, _ in speakers:
+        if speaker_id in seen:
             raise InvalidConfig(f"duplicate speaker {speaker_id!r}")
-        gender[speaker_id] = g
+        seen.add(speaker_id)
     if k < 2:
         raise InvalidConfig(f"need at least 2 folds, got {k}")
     if k > len(speakers):
@@ -245,7 +221,7 @@ def cv_folds(speakers, k: int = 10, seed: int = 0) -> FoldSpec:
         for speaker_id in group:
             folds[position % k].append(speaker_id)
             position += 1
-    return FoldSpec(k, folds, gender)
+    return folds
 
 
 def summarize_cv(values):

@@ -1,28 +1,25 @@
 """Pipeline helpers shared across test modules."""
 
 import landmark_frames as lf
+from landmark_frames.experiment import _score_one
 
 
-def silence_phones(manner_table):
-    return frozenset(p for p, m in manner_table.items() if m == "silence")
+def corpus_reports(corpus, strategy="identity", landmarks=None, rng=None):
+    """Realize strategy on every utterance, then replace, decode and score it.
 
-
-def corpus_reports(corpus, transform=None):
-    """Decode every utterance (optionally transformed) and score it."""
-    silence = silence_phones(corpus.manner_table)
+    landmarks, if given, lists each utterance's LandmarkSet; rng is shared
+    by the utterances in corpus order.
+    """
+    spec = lf.parse_strategy(strategy)
     reports = []
     for ui, utt in enumerate(corpus.utterances):
-        matrix = utt.matrix if transform is None else transform(ui, utt)
-        result = lf.viterbi(matrix, corpus.model)
-        hyp = [
-            p
-            for p in lf.collapse_states(result.states, corpus.model.senone_phones)
-            if p not in silence
-        ]
-        ref = [p for p in utt.alignment.phones() if p not in silence]
-        reports.append(lf.align_edit(ref, hyp, utt.alignment.utterance_id))
+        mask, weights = lf.realize_strategy(
+            spec, utt.matrix.T, landmarks=None if landmarks is None else landmarks[ui], rng=rng
+        )
+        report, _, _ = _score_one(corpus, (ui, mask, weights, spec.method, None, False))
+        reports.append(report)
     return reports
 
 
-def corpus_per(corpus, transform=None):
-    return lf.merge_reports(corpus_reports(corpus, transform)).per
+def corpus_per(corpus, strategy="identity", landmarks=None, rng=None):
+    return lf.merge_reports(corpus_reports(corpus, strategy, landmarks, rng)).per

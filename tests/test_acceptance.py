@@ -17,8 +17,9 @@ import pytest
 
 import landmark_frames as lf
 from landmark_frames.cli import main as cli_main
+from landmark_frames.experiment import _silence_phones
 
-from helpers import corpus_per, silence_phones
+from helpers import corpus_per
 from oracles import (
     dyadic_matrix,
     dyadic_uniform_model,
@@ -34,26 +35,10 @@ def _verdict(capsys, n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def _masked_transform(raw, lms=None, rng=None):
-    """Per-utterance transform dropping frames per a strategy string."""
-    spec = lf.parse_strategy(raw)
-
-    def transform(ui, utt):
-        mask, _ = lf.realize_strategy(
-            spec,
-            utt.matrix.T,
-            landmarks=None if lms is None else lms[ui],
-            rng=rng,
-        )
-        return lf.apply_replacement(utt.matrix, mask, spec.method)
-
-    return transform
-
-
 def test_criterion_01_identity_pipeline(capsys):
     start = time.perf_counter()
     corpus = lf.gen_corpus(lf.SynthConfig(n_utterances=100))
-    silence = silence_phones(corpus.manner_table)
+    silence = _silence_phones(corpus.manner_table)
     spec = lf.parse_strategy("overweight:factor=1.0")
     bit_identical = True
     base_reports = []
@@ -274,8 +259,8 @@ def test_criterion_08_synthetic_direction_gates(capsys):
     inc_copy = []
     inc_fill = []
     for corpus, base in zip(corpora, bases):
-        copy50 = corpus_per(corpus, _masked_transform("regular:P=2,D=1,method=copy"))
-        fill50 = corpus_per(corpus, _masked_transform("regular:P=2,D=1,method=fill_0"))
+        copy50 = corpus_per(corpus, "regular:P=2,D=1,method=copy")
+        fill50 = corpus_per(corpus, "regular:P=2,D=1,method=fill_0")
         inc_copy.append(lf.per_increment(base, copy50))
         inc_fill.append(lf.per_increment(base, fill50))
     time_a = time.perf_counter() - start_a
@@ -286,8 +271,8 @@ def test_criterion_08_synthetic_direction_gates(capsys):
     for seed, (corpus, base) in enumerate(zip(corpora, bases)):
         lms = [lf.annotate(u.alignment, corpus.manner_table) for u in corpus.utterances]
         rng = np.random.default_rng(seed)
-        keep = corpus_per(corpus, _masked_transform("landmark:keep", lms=lms))
-        rand = corpus_per(corpus, _masked_transform("random:match=keep", lms=lms, rng=rng))
+        keep = corpus_per(corpus, "landmark:keep", landmarks=lms)
+        rand = corpus_per(corpus, "random:match=keep", landmarks=lms, rng=rng)
         inc_keep.append(lf.per_increment(base, keep))
         inc_rand.append(lf.per_increment(base, rand))
     time_b = time.perf_counter() - start_b

@@ -446,7 +446,8 @@ def per_point_rows(config, values, repeats, variants=None):
             outcomes = [run[i] for run in runs]
             failed = [f"rep {r}: {o.error}" for r, o in enumerate(outcomes) if o.error]
             if failed:
-                rows.append((raw, value, None, None, None, None, None, failed[-1]))
+                cell = f"{len(failed)} of {repeats} repeats; {failed[-1]}"
+                rows.append((raw, value, None, None, None, None, None, cell))
                 continue
             mean, stdev = summarize_cv([o.delta_per for o in outcomes])
             per = float(np.mean([o.per for o in outcomes]))
@@ -634,7 +635,7 @@ class TestPipeline:
         first = outcomes[0].reports[0].utterance_id
         for got, want in zip(failed_rows, rows):
             if got.strategy == "regular:P=2,D=1":
-                assert got.error == f"rep 1: {first}: realize: refused"
+                assert got.error == f"2 of 2 repeats; rep 1: {first}: realize: refused"
             else:
                 assert row_tuple(got) == row_tuple(want)
         assert failed[2].error == f"{first}: realize: refused"
@@ -654,8 +655,20 @@ class TestPipeline:
         rows = sweep(fast_config(["landmark:keep"]), "drop_rate", [1.0], repeats=1, jobs=jobs)
         kept = len(landmark_frames(annotate(utt.alignment, corpus.manner_table), T))
         assert rows[1].error == (
-            f"rep 0: {uid}: adjust: need {kept} more drops but only 0 unprotected kept frames"
+            f"1 of 1 repeats; rep 0: {uid}: adjust: "
+            f"need {kept} more drops but only 0 unprotected kept frames"
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replace_failures_name_utterance_and_stage(self, jobs):
+        strategies = [
+            "random:rate=0.3,seed=1,method=upsample",
+            "hybrid:P=3,D=1,overweight=2.0,method=upsample",
+        ]
+        outcomes, corpus = compute_outcomes(fast_config(strategies), jobs=jobs)
+        uid = corpus.utterances[0].alignment.utterance_id
+        for outcome in outcomes[1:]:
+            assert outcome.error == f"{uid}: replace: upsample needs a regular drop-1-in-P mask"
 
 
 class TestPointMemo:
@@ -713,7 +726,28 @@ class TestPointMemo:
         first = rows[0].reports[0].utterance_id
         # Each point tries the first utterance again and fails there.
         assert calls["landmark:keep"] == len(values) * repeats
-        assert [r.error for r in rows[1:]] == [f"rep 1: {first}: realize: refused", None] * 2
+        error = f"2 of 2 repeats; rep 1: {first}: realize: refused"
+        assert [r.error for r in rows[1:]] == [error, None] * 2
+
+    def test_error_cell_counts_only_the_failed_repeats(self, monkeypatch):
+        config = fast_config(["random:match=keep"])
+        values, repeats = [0.3, 0.5], 2
+        expected = sweep(config, "drop_rate", values, repeats=repeats)
+        realize, calls = experiment.realize_strategy, Counter()
+
+        def first_call_fails(spec, *args, **kwargs):
+            calls[spec.raw] += 1
+            if spec.raw == "random:match=keep" and calls[spec.raw] == 1:
+                raise InvalidPattern("refused")
+            return realize(spec, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "realize_strategy", first_call_fails)
+        rows = sweep(config, "drop_rate", values, repeats=repeats)
+        first = rows[0].reports[0].utterance_id
+        # Only rep 0 of the first value fails; the error is not kept, so the
+        # second value realizes rep 0 again and gets the unpatched row.
+        assert rows[1].error == f"1 of 2 repeats; rep 0: {first}: realize: refused"
+        assert row_tuple(rows[2]) == row_tuple(expected[2])
 
 
 class TestConfigIO:
@@ -738,8 +772,10 @@ class TestConfigIO:
             load_experiment_config("turbo = yes\n")
 
     def test_unknown_key(self):
-        with pytest.raises(InvalidConfig):
-            load_experiment_config(json.dumps({"turbo": True}))
+        # Folds draw from the config seed; there is no separate fold seed.
+        for key in ("turbo", "cv_seed"):
+            with pytest.raises(InvalidConfig, match="unknown config keys"):
+                load_experiment_config(json.dumps({key: 7}))
 
     def test_unknown_synth_key(self):
         with pytest.raises(InvalidConfig):

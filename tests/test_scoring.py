@@ -10,11 +10,9 @@ from landmark_frames import (
     DegenerateBaseline,
     EmptyInput,
     PERReport,
-    UnknownPhone,
     align_edit,
     edit_ops,
     merge_reports,
-    normalized_error_increment,
     per_increment,
     write_confusion_csv,
     write_report_csv,
@@ -163,77 +161,6 @@ class TestPerIncrement:
     def test_degenerate_baseline(self):
         with pytest.raises(DegenerateBaseline):
             per_increment(0.0, 10.0)
-
-
-class TestNormalizedIncrement:
-    GROUPING = {"p": "stop", "t": "stop", "s": "fricative"}
-
-    def test_no_change_is_zero(self):
-        base = align_edit(["p", "t"], ["p"], "u")
-        occurrences = {"p": 5, "t": 5, "s": 2}
-        out = normalized_error_increment(base, base, occurrences, self.GROUPING)
-        assert set(out) == {
-            ("fricative", "del"),
-            ("fricative", "ins"),
-            ("stop", "del"),
-            ("stop", "ins"),
-        }
-        assert all(v == 0.0 for v in out.values())
-
-    def test_single_phone_rate(self):
-        base = align_edit(["p"], ["p"], "u")
-        sys = align_edit(["p"], [], "u")
-        out = normalized_error_increment(base, sys, {"p": 5}, self.GROUPING)
-        assert out[("stop", "del")] == pytest.approx(0.2)
-        assert out[("stop", "ins")] == 0.0
-
-    def test_occurrence_weighted_pooling(self):
-        # One added deletion of p pooled with an error-free t of the
-        # same manner: 1 / (10 + 10).
-        base = align_edit(["p", "t"], ["p", "t"], "u")
-        sys = align_edit(["p", "t"], ["t"], "u")
-        out = normalized_error_increment(base, sys, {"p": 10, "t": 10}, self.GROUPING)
-        assert out[("stop", "del")] == pytest.approx(0.05)
-
-    def test_zero_occurrence_errors_go_unseen(self):
-        base = align_edit(["p"], ["p"], "u")
-        sys = align_edit(["p"], ["p", "s"], "u")
-        out = normalized_error_increment(base, sys, {"p": 5, "s": 0}, self.GROUPING)
-        assert out[("unseen", "ins")] == 1.0
-
-    def test_missing_occurrence_count(self):
-        base = align_edit(["p"], ["p"], "u")
-        sys = align_edit(["p"], ["p", "z"], "u")
-        with pytest.raises(UnknownPhone):
-            normalized_error_increment(base, sys, {"p": 5}, self.GROUPING)
-
-    def test_missing_grouping(self):
-        base = align_edit(["z"], ["z"], "u")
-        with pytest.raises(UnknownPhone):
-            normalized_error_increment(base, base, {"z": 3}, self.GROUPING)
-
-    def test_fold_collapses_labels(self):
-        base = align_edit(["t"], ["t"], "u")
-        sys = align_edit(["t"], [], "u")
-        fold = {"t": "p"}
-        out = normalized_error_increment(
-            base, sys, {"p": 2, "t": 2}, self.GROUPING, fold=fold
-        )
-        assert out[("stop", "del")] == pytest.approx(0.25)
-
-    def test_deletions_and_insertions_kept_separate(self):
-        base = merge_reports(
-            [align_edit(["p", "p"], ["p", "p"], "u1"), align_edit(["s"], ["s"], "u2")]
-        )
-        sys = merge_reports(
-            [align_edit(["p", "p"], ["p"], "u1"), align_edit(["s"], ["s", "s"], "u2")]
-        )
-        occurrences = {"p": 4, "s": 4}
-        out = normalized_error_increment(base, sys, occurrences, self.GROUPING)
-        assert out[("stop", "del")] == pytest.approx(0.25)
-        assert out[("stop", "ins")] == 0.0
-        assert out[("fricative", "ins")] == pytest.approx(0.25)
-        assert out[("fricative", "del")] == 0.0
 
 
 class TestCSV:

@@ -5,7 +5,6 @@ import scipy.stats
 from landmark_frames import (
     DegenerateTest,
     EmptyInput,
-    FoldSpec,
     InvalidConfig,
     StatResult,
     cv_folds,
@@ -180,35 +179,33 @@ class TestCvFolds:
     SPEAKERS = [(f"s{i:02d}", "F" if i < 10 else "M") for i in range(20)]
 
     def test_each_fold_one_per_gender(self):
-        spec = cv_folds(self.SPEAKERS, k=10, seed=0)
-        for fold in spec.folds:
-            genders = sorted(spec.gender[s] for s in fold)
-            assert genders == ["F", "M"]
+        gender = dict(self.SPEAKERS)
+        for fold in cv_folds(self.SPEAKERS, k=10, seed=0):
+            assert sorted(gender[s] for s in fold) == ["F", "M"]
 
     def test_disjoint_cover(self):
-        spec = cv_folds(self.SPEAKERS, k=7, seed=1)
-        seen = [s for fold in spec.folds for s in fold]
+        folds = cv_folds(self.SPEAKERS, k=7, seed=1)
+        assert len(folds) == 7
+        seen = [s for fold in folds for s in fold]
         assert sorted(seen) == sorted(s for s, _ in self.SPEAKERS)
         assert len(seen) == len(set(seen))
 
     def test_fold_sizes_balanced(self):
-        spec = cv_folds(self.SPEAKERS, k=7, seed=1)
-        sizes = [len(f) for f in spec.folds]
+        sizes = [len(f) for f in cv_folds(self.SPEAKERS, k=7, seed=1)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_gender_balance_within_one(self):
         speakers = [(f"s{i:02d}", "F" if i < 13 else "M") for i in range(31)]
+        gender = dict(speakers)
         for seed in range(5):
-            spec = cv_folds(speakers, k=10, seed=seed)
-            f_counts = [sum(1 for s in fold if spec.gender[s] == "F") for fold in spec.folds]
+            folds = cv_folds(speakers, k=10, seed=seed)
+            f_counts = [sum(1 for s in fold if gender[s] == "F") for fold in folds]
             assert max(f_counts) - min(f_counts) <= 1
 
     def test_deterministic(self):
         a = cv_folds(self.SPEAKERS, k=10, seed=3)
-        b = cv_folds(self.SPEAKERS, k=10, seed=3)
-        assert a.folds == b.folds
-        c = cv_folds(self.SPEAKERS, k=10, seed=4)
-        assert a.folds != c.folds
+        assert a == cv_folds(self.SPEAKERS, k=10, seed=3)
+        assert a != cv_folds(self.SPEAKERS, k=10, seed=4)
 
     def test_duplicate_speaker(self):
         with pytest.raises(InvalidConfig):
@@ -223,14 +220,6 @@ class TestCvFolds:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             cv_folds([], k=2)
-
-    def test_foldspec_rejects_overlap(self):
-        with pytest.raises(InvalidConfig):
-            FoldSpec(2, [["a"], ["a"]], {"a": "F"})
-
-    def test_foldspec_rejects_missing_gender(self):
-        with pytest.raises(InvalidConfig):
-            FoldSpec(2, [["a"], ["b"]], {"a": "F"})
 
 
 class TestSummarizeCv:
