@@ -11,6 +11,7 @@ returned path is deterministic.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -110,14 +111,12 @@ def collapse_states(states, senone_phones) -> list:
     Out-of-range senone indices raise UnknownSenone, naming the first one
     in path order.
     """
-    states = np.asarray(states, dtype=np.int64)
     n = len(senone_phones)
-    bad = (states < 0) | (states >= n)
-    if bad.any():
-        raise UnknownSenone(f"senone index {int(states[bad.argmax()])} outside [0, {n})")
     phones = []
     # Only the first frame of each run of one state can start a new phone.
-    for i in states[np.flatnonzero(np.diff(states, prepend=-1))].tolist():
+    for i, _ in groupby(states):
+        if not 0 <= i < n:
+            raise UnknownSenone(f"senone index {int(i)} outside [0, {n})")
         phone = senone_phones[i]
         if not phones or phones[-1] != phone:
             phones.append(phone)
@@ -193,9 +192,9 @@ def viterbi(
     for t in range(T - 1, 0, -1):
         state = pred.item(back.item(t, state))
         path[t - 1] = state
-    states = np.array(path, dtype=np.int64)
     return DecodeResult(
-        matrix.utterance_id, states, score, collapse_states(states, model.senone_phones)
+        matrix.utterance_id, np.array(path, dtype=np.int64), score,
+        collapse_states(path, model.senone_phones),
     )
 
 

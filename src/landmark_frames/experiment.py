@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
+from math import ceil
 
 import numpy as np
 
@@ -31,8 +32,16 @@ from .corpus_io import (
 )
 from .decoder import read_transition_model, viterbi
 from .errors import FormatError, InvalidConfig, LandmarkFramesError, ShapeError
-from .landmarks import AnnotationConfig, annotate, landmark_frames
-from .scoring import align_edit, merge_reports, per_increment, write_confusion_csv, write_report_csv
+from .landmarks import AnnotationConfig, annotate, frame_map, landmark_frames
+from .scoring import (
+    align_edit,
+    edit_distance,
+    merge_reports,
+    per_increment,
+    pooled_per,
+    write_confusion_csv,
+    write_report_csv,
+)
 from .stats import cv_folds, summarize_cv, welch_t, wilcoxon_signed_rank, write_stats_csv
 from .strategy import (
     WEIGHT_KEYS,
@@ -213,8 +222,9 @@ class StrategyOutcome:
     p_t: float | None = None
     error: str | None = None
     value: float | None = None  # swept parameter value, if any
-    reports: list | None = None
-    decodes: list | None = None  # (utterance_id, phones)
+    counts: list | None = None  # (n_ref, errors) per utterance
+    reports: list | None = None  # PERReport per utterance; run only
+    decodes: list | None = None  # (utterance_id, phones); run only
     masks: list | None = None  # (utterance_id, FrameMask)
     checksums: list | None = None  # (utterance_id, transformed matrix sha256)
     fold_increments: list | None = None  # relative PER increment per live fold
@@ -239,26 +249,31 @@ def _pipeline_one(task):
 def _score_one(corpus, task):
     """Replace, weight, decode, and score one utterance.
 
-    task is (utterance index, mask, weights, method, beam, checksum), so
-    a pool task ships no matrix or model. Returns (report, hypothesis,
-    digest): digest is the sha256 of the modified matrix when checksum is
-    true, None otherwise. Replacement errors name the utterance and the
-    stage; weight and decode errors already name the utterance.
+    task is (utterance index, mask, weights, method, beam, full), so a
+    pool task ships no matrix or model; weights None means every weight
+    is 1. With full (a run), returns (report, hypothesis, digest), digest
+    being the sha256 of the modified matrix; otherwise (a sweep) returns
+    (n_ref, errors), the only numbers a sweep row reads. Replacement
+    errors name the utterance and the stage; weight and decode errors
+    already name the utterance.
     """
-    ui, mask, weights, method, beam, checksum = task
+    ui, mask, weights, method, beam, full = task
     utt = corpus.utterances[ui]
     silence = _silence_phones(corpus.manner_table)
     try:
         modified = apply_replacement(utt.matrix, mask, method)
     except LandmarkFramesError as e:
         raise type(e)(f"{utt.alignment.utterance_id}: replace: {e}") from None
-    modified = apply_weights(modified, weights)
+    if weights is not None:
+        modified = apply_weights(modified, weights)
     digest = None
-    if checksum:
+    if full:
         digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
     result = viterbi(modified, corpus.model, beam=beam)
     hyp = [p for p in result.phones if p not in silence]
     ref = [p for p in utt.alignment.phones() if p not in silence]
+    if not full:
+        return len(ref), edit_distance(ref, hyp)
     report = align_edit(ref, hyp, utt.alignment.utterance_id)
     return report, hyp, digest
 
@@ -285,15 +300,18 @@ def _protection_frames(spec, landmarks, num_frames, default_radius):
 class _Prepared:
     """What every point of one command shares.
 
-    live_folds holds (utterance ids, baseline PER) for the folds whose
-    baseline slice has errors. checksums says whether outcomes carry the
-    sha256 of every modified matrix; only `run` writes them.
+    live_folds holds (utterance indices, baseline PER) for the folds
+    whose baseline slice has errors. full says whether outcomes carry
+    what `run` writes (reports, decodes and the sha256 of every modified
+    matrix) or, for a sweep, per-utterance counts only. jobs is the
+    executor's worker count.
     """
 
     corpus: Corpus
     landmark_sets: list
     executor: ProcessPoolExecutor | None
-    checksums: bool
+    full: bool
+    jobs: int
     baseline: StrategyOutcome | None = None
     live_folds: list = field(default_factory=list)
 
@@ -316,12 +334,13 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
     prefixed with the utterance and the stage; pool decode errors raise
     when _collect_strategy reads results.
 
-    memo, a dict shared by the points of one stream, keeps what does not
-    depend on the point: each utterance's realization (with read-only
-    weights), keyed by raw, stream_index and, for a strategy that draws
-    from an rng, rep; its protected frames, keyed by raw; and its adjust
-    seed, keyed by rep and stream_index. The rate adjustment itself runs
-    at every point.
+    A task carries weights only when some weight is not 1, read-only;
+    otherwise None. memo, a dict shared by the points of one stream,
+    keeps what does not depend on the point: each utterance's
+    realization, keyed by raw, stream_index and, for a strategy that
+    draws from an rng, rep; its read-only map of protected frames, keyed
+    by raw; and its adjust seed, keyed by rep and stream_index. The rate
+    adjustment itself runs at every point.
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
@@ -339,8 +358,16 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
                 spec, utt.matrix.T, landmarks=landmarks, rng=rng,
                 default_radius=config.widen_radius,
             )
+            if (weights == 1.0).all():
+                return mask, None
             weights.flags.writeable = False
             return mask, weights
+
+        def protect():
+            frames = _protection_frames(spec, landmarks, utt.matrix.T, config.widen_radius)
+            marked = frame_map(frames, utt.matrix.T)
+            marked.flags.writeable = False
+            return marked
 
         stage = "realize"
         try:
@@ -348,10 +375,7 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
             if adjust_rate is not None:
                 stage = "adjust"
                 target_n = int(np.floor(adjust_rate * mask.T + 0.5))
-                protected = _memoized(
-                    memo, ("protect", raw, ui),
-                    lambda: _protection_frames(spec, landmarks, mask.T, config.widen_radius),
-                )
+                protected = _memoized(memo, ("protect", raw, ui), protect)
                 seed = _memoized(
                     memo, ("seed", rep, stream_index, ui),
                     lambda: _derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
@@ -360,31 +384,33 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
         except LandmarkFramesError as e:
             raise type(e)(f"{uid}: {stage}: {e}") from None
         masks.append((uid, mask))
-        tasks.append((ui, mask, weights, spec.method, config.beam, prep.checksums))
+        tasks.append((ui, mask, weights, spec.method, config.beam, prep.full))
     if prep.executor is None:
         results = [_score_one(prep.corpus, t) for t in tasks]
     else:
-        results = prep.executor.map(_pipeline_one, tasks, chunksize=8)
+        # One chunk per worker: each worker gets one message per strategy.
+        chunksize = ceil(len(tasks) / prep.jobs)
+        results = prep.executor.map(_pipeline_one, tasks, chunksize=chunksize)
     return masks, results
 
 
 def _collect_strategy(raw, masks, results, prep):
     """The outcome of a submitted strategy, once every decode is back."""
     results = list(results)
-    reports = [r for r, _, _ in results]
-    decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
-    checksums = None
-    if prep.checksums:
-        checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
-    return StrategyOutcome(
-        raw, drop_rate=drop_rate, reports=reports, decodes=decodes, masks=masks,
-        checksums=checksums,
-    )
+    outcome = StrategyOutcome(raw, drop_rate=drop_rate, masks=masks)
+    if not prep.full:
+        outcome.counts = results
+        return outcome
+    outcome.reports = [r for r, _, _ in results]
+    outcome.counts = [(r.n_ref, r.errors) for r in outcome.reports]
+    outcome.decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
+    outcome.checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
+    return outcome
 
 
 def _utterance_folds(corpus, config):
-    """Speaker-disjoint utterance groups from a gender-stratified split."""
+    """Speaker-disjoint groups of utterance indices from a gender-stratified split."""
     speakers = []
     gender = {}
     for utt in corpus.utterances:
@@ -400,35 +426,34 @@ def _utterance_folds(corpus, config):
     for fold in cv_folds(speakers, k=config.folds, seed=seed):
         members = set(fold)
         folds.append([
-            utt.alignment.utterance_id
-            for utt in corpus.utterances
+            ui
+            for ui, utt in enumerate(corpus.utterances)
             if utt.alignment.speaker_id in members
         ])
     return [f for f in folds if f]
 
 
-def _fold_increments(live_folds, reports):
+def _fold_increments(live_folds, counts):
     """Relative PER increments per (fold, baseline fold PER) pair."""
-    by_id = {r.utterance_id: r for r in reports}
     increments = []
     for fold, base_per in live_folds:
-        mod = merge_reports([by_id[u] for u in fold], "fold")
-        if mod.per == base_per:
+        mod_per = pooled_per([counts[ui] for ui in fold])
+        if mod_per == base_per:
             increments.append(0.0)
         else:
-            increments.append(per_increment(base_per, mod.per))
+            increments.append(per_increment(base_per, mod_per))
     return increments
 
 
 @contextmanager
-def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, checksums: bool):
+def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool):
     """Build what one command's points share, with its worker pool.
 
     Loads or synthesizes the corpus, annotates landmarks when a strategy
     or a rate adjustment reads them, starts one pool of jobs workers
     (none for jobs 1), and decodes and scores the baseline once. The
     pool shuts down when the block exits. A failing baseline is fatal.
-    checksums says whether outcomes carry matrix checksums.
+    full says whether outcomes carry what `run` writes (see _Prepared).
     """
     if config.data_dir is not None:
         corpus = load_corpus_dir(config.data_dir)
@@ -451,20 +476,19 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, checksums:
             max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
         )
     try:
-        prep = _Prepared(corpus, landmark_sets, executor, checksums)
+        prep = _Prepared(corpus, landmark_sets, executor, full, jobs)
         # The baseline has no drops and no rng, so one decode serves every point.
         baseline = _collect_strategy(BASELINE, *_submit_strategy(BASELINE, prep, config, 0), prep)
         baseline.delta_per = 0.0
         baseline.mean = 0.0
         baseline.stdev = 0.0
-        baseline.per = merge_reports(baseline.reports, "baseline").per
+        baseline.per = pooled_per(baseline.counts)
 
         # Folds whose baseline slice has no errors are skipped: the
         # relative increment is undefined there. The skip depends only on
         # the baseline, so every strategy is summarized over the same folds.
-        base_by_id = {r.utterance_id: r for r in baseline.reports}
         for fold in _utterance_folds(corpus, config):
-            base_per = merge_reports([base_by_id[u] for u in fold], "fold").per
+            base_per = pooled_per([baseline.counts[ui] for ui in fold])
             if base_per > 0.0:
                 prep.live_folds.append((fold, base_per))
         baseline.fold_increments = [0.0] * len(prep.live_folds)
@@ -505,13 +529,12 @@ def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
             return StrategyOutcome(raw, error=str(submitted))
         try:
             outcome = _collect_strategy(raw, *submitted, prep)
-            merged = merge_reports(outcome.reports, "strategy")
-            outcome.per = merged.per
-            if merged.per == prep.baseline.per:
+            outcome.per = pooled_per(outcome.counts)
+            if outcome.per == prep.baseline.per:
                 outcome.delta_per = 0.0
             else:
-                outcome.delta_per = per_increment(prep.baseline.per, merged.per)
-            outcome.fold_increments = _fold_increments(prep.live_folds, outcome.reports)
+                outcome.delta_per = per_increment(prep.baseline.per, outcome.per)
+            outcome.fold_increments = _fold_increments(prep.live_folds, outcome.counts)
             if outcome.fold_increments:
                 outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
         except LandmarkFramesError as e:
@@ -541,8 +564,8 @@ def _attach_stats(outcomes, comparison):
     for outcome in outcomes[1:]:
         if outcome.error is not None or outcome is comp or comp.error is not None:
             continue
-        # Reports of every outcome follow the corpus utterance order.
-        pairs = [(s.errors, c.errors) for s, c in zip(outcome.reports, comp.reports)]
+        # Counts of every outcome follow the corpus utterance order.
+        pairs = [(s, c) for (_, s), (_, c) in zip(outcome.counts, comp.counts)]
         wilcoxon = wilcoxon_signed_rank(pairs)
         outcome.p_wilcoxon = wilcoxon.p
         outcome.stat_results.append(wilcoxon)
@@ -568,7 +591,7 @@ def compute_outcomes(
     aborting the run; a failing baseline is fatal. adjust_rate, if
     given, renormalizes every strategy mask to that drop rate.
     """
-    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, checksums=True) as prep:
+    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, full=True) as prep:
         [outcomes] = _evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
     _attach_stats(outcomes, config.comparison)
     return outcomes, prep.corpus
@@ -819,8 +842,8 @@ def sweep(
             _overweight_variant(raw, values[0])
 
     rows = []
-    # Sweep rows carry no matrix checksums, so none are computed.
-    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", checksums=False) as prep:
+    # Sweep rows read only per-utterance counts: no reports, decodes or checksums.
+    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", full=False) as prep:
         points = []
         for value in values:
             if parameter == "overweight":

@@ -14,6 +14,31 @@ DELETION = "<del>"
 INSERTION = "<ins>"
 
 
+def _edit_rows(ref, hyp):
+    """Rows of the unit-cost edit-distance table, one per prefix of ref.
+
+    Row i holds the distances between ref[:i] and every prefix of hyp;
+    plain ints in lists, so no cell goes through a numpy scalar.
+    """
+    row = list(range(len(hyp) + 1))
+    yield row
+    for i, r in enumerate(ref, start=1):
+        prev, row = row, [i]
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            row.append(min(diag + (r != h), up + 1, row[-1] + 1))
+        yield row
+
+
+def edit_distance(ref, hyp) -> int:
+    """Unit-cost edit distance of two symbol sequences, without the alignment.
+
+    Equal to edit_ops(ref, hyp)[0]; keeps one row of the table at a time.
+    """
+    for row in _edit_rows(ref, hyp):
+        pass
+    return row[-1]
+
+
 def edit_ops(ref, hyp):
     """Unit-cost edit alignment of two symbol sequences.
 
@@ -23,14 +48,8 @@ def edit_ops(ref, hyp):
     backtrace prefers match/substitution over deletion over insertion.
     """
     n, m = len(ref), len(hyp)
-    # d[i][j] is the distance between ref[:i] and hyp[:j]; plain ints in
-    # lists, so no cell goes through a numpy scalar.
-    d = [list(range(m + 1))]
-    for i, r in enumerate(ref, start=1):
-        row = [i]
-        for h, diag, up in zip(hyp, d[-1], d[-1][1:]):
-            row.append(min(diag + (r != h), up + 1, row[-1] + 1))
-        d.append(row)
+    # d[i][j] is the distance between ref[:i] and hyp[:j].
+    d = list(_edit_rows(ref, hyp))
 
     ops = []
     i, j = n, m
@@ -47,6 +66,21 @@ def edit_ops(ref, hyp):
             j -= 1
     ops.reverse()
     return int(d[n][m]), ops
+
+
+def pooled_per(counts) -> float:
+    """PER in percent of (n_ref, errors) pairs pooled: total errors over total N.
+
+    An empty reference has no rate; it reads 0 with no errors and +inf
+    when anything was inserted.
+    """
+    n_ref = errors = 0
+    for n, e in counts:
+        n_ref += n
+        errors += e
+    if n_ref == 0:
+        return 0.0 if errors == 0 else float("inf")
+    return 100.0 * errors / n_ref
 
 
 @dataclass
@@ -76,11 +110,7 @@ class PERReport:
 
     @property
     def per(self) -> float:
-        # An empty reference has no rate; report 0 for an empty
-        # hypothesis and +inf when anything was inserted.
-        if self.n_ref == 0:
-            return 0.0 if self.errors == 0 else float("inf")
-        return 100.0 * self.errors / self.n_ref
+        return pooled_per([(self.n_ref, self.errors)])
 
 
 def align_edit(ref, hyp, utterance_id: str = "") -> PERReport:

@@ -67,11 +67,18 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=(), seed: int 
     Only unprotected frames change: the result is a superset of the
     input drops when the count grows and a subset when it shrinks, so
     matched-rate comparisons perturb the mask as little as possible.
-    Unreachable targets raise InvalidPattern.
+    protected lists frame indices, or is a boolean map of the mask's
+    frames. Unreachable targets raise InvalidPattern.
     """
     if not 0 <= target_n <= mask.T:
         raise InvalidPattern(f"cannot drop {target_n} of {mask.T} frames")
-    prot = frame_map(protected, mask.T)
+    if isinstance(protected, np.ndarray) and protected.dtype == bool:
+        # frame_map would read a boolean map as the indices 0 and 1.
+        if protected.shape != (mask.T,):
+            raise ShapeError(f"protected map shape {protected.shape} != ({mask.T},)")
+        prot = protected
+    else:
+        prot = frame_map(protected, mask.T)
     delta = target_n - mask.n_dropped
     if delta == 0:
         return FrameMask(mask.dropped)
@@ -87,6 +94,7 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=(), seed: int 
         if pool.size < -delta:
             raise InvalidPattern(f"need {-delta} fewer drops but only {pool.size} unprotected drops")
         dropped[rng.choice(pool, size=-delta, replace=False)] = False
+    dropped.flags.writeable = False  # FrameMask keeps a read-only array without copying it
     return FrameMask(dropped)
 
 
@@ -163,20 +171,19 @@ def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> Scor
     copy: repeat the most recent kept row (leading drops fall back to
     fill_const rows). fill_0: zero log-likelihood. fill_const: per-senone
     mean over all input frames. upsample: windowed-sinc interpolation
-    from kept frames; the mask must drop exactly t = 0 mod P.
+    from kept frames; the mask must drop exactly t = 0 mod P. A mask that
+    drops nothing returns matrix itself.
     """
     if method not in REPLACEMENT_METHODS:
         raise InvalidPattern(f"unknown replacement method {method!r}")
     if mask.T != matrix.T:
         raise ShapeError(f"mask length {mask.T} != matrix frames {matrix.T}")
-    values = matrix.values.copy()
     dropped = mask.dropped
     if not dropped.any():
-        return ScoreMatrix(matrix.utterance_id, values)
-    if method == "fill_0":
-        values[dropped] = 0.0
-    elif method == "fill_const":
-        values[dropped] = _fill_const_row(matrix.values)
+        return matrix
+    if method in ("fill_0", "fill_const"):
+        values = matrix.values.copy()
+        values[dropped] = 0.0 if method == "fill_0" else _fill_const_row(matrix.values)
     elif method == "copy":
         # Each frame's most recent kept frame, or -1 before the first one;
         # the -1 rows are then overwritten by the fallback.
@@ -188,6 +195,8 @@ def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> Scor
     else:
         taps = design_interp_filter(_drop_coset_period(mask))
         values = _upsample_rows(matrix.values, mask, taps)
+    # values is this call's own array: read-only, ScoreMatrix validates it without a copy.
+    values.flags.writeable = False
     return ScoreMatrix(matrix.utterance_id, values)
 
 

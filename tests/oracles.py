@@ -19,6 +19,7 @@ from landmark_frames import (
     DecodeResult,
     FrameMask,
     InvalidConfig,
+    InvalidPattern,
     ScoreOverflow,
     ShapeError,
     UnknownSenone,
@@ -122,6 +123,51 @@ def reference_collapse(states, senone_phones):
         if not phones or phones[-1] != phone:
             phones.append(phone)
     return phones
+
+
+def reference_collapse_runs(states, senone_phones):
+    """The ndarray pass `collapse_states` had before it grouped a path list.
+
+    One vectorized range check, then one phone lookup per run of a state.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    n = len(senone_phones)
+    bad = (states < 0) | (states >= n)
+    if bad.any():
+        raise UnknownSenone(f"senone index {int(states[bad.argmax()])} outside [0, {n})")
+    phones = []
+    for i in states[np.flatnonzero(np.diff(states, prepend=-1))].tolist():
+        phone = senone_phones[i]
+        if not phones or phones[-1] != phone:
+            phones.append(phone)
+    return phones
+
+
+def reference_adjust_mask_to_rate(mask, target_n, protected=(), seed=0):
+    """`adjust_mask_to_rate` as it was before it took a boolean protected map.
+
+    Rebuilds the protected map from frame indices at every call and
+    hands FrameMask a writeable array, which it copies.
+    """
+    if not 0 <= target_n <= mask.T:
+        raise InvalidPattern(f"cannot drop {target_n} of {mask.T} frames")
+    prot = frame_map(protected, mask.T)
+    delta = target_n - mask.n_dropped
+    if delta == 0:
+        return FrameMask(mask.dropped)
+    dropped = mask.dropped.copy()
+    rng = np.random.default_rng(seed)
+    if delta > 0:
+        pool = np.flatnonzero(~dropped & ~prot)
+        if pool.size < delta:
+            raise InvalidPattern(f"need {delta} more drops but only {pool.size} unprotected kept frames")
+        dropped[rng.choice(pool, size=delta, replace=False)] = True
+    else:
+        pool = np.flatnonzero(dropped & ~prot)
+        if pool.size < -delta:
+            raise InvalidPattern(f"need {-delta} fewer drops but only {pool.size} unprotected drops")
+        dropped[rng.choice(pool, size=-delta, replace=False)] = False
+    return FrameMask(dropped)
 
 
 def _reference_landmark_mask(frames, num_frames, regime):

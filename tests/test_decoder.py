@@ -32,6 +32,7 @@ from oracles import (
     dyadic_uniform_model,
     enumerate_viterbi,
     reference_collapse,
+    reference_collapse_runs,
     reference_viterbi,
     sequence_score,
 )
@@ -135,7 +136,7 @@ def scored_hypothesis(path, senone_phones, manner_table):
     model = uniform_model(S, senone_phones)
     alignment = PhoneAlignment("u", [(senone_phones[path[0]], 0, T)])
     corpus = Corpus(model, manner_table, [Utterance(alignment, ScoreMatrix("u", values))])
-    task = (0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T), "copy", None, False)
+    task = (0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T), "copy", None, True)
     _, hyp, _ = experiment._score_one(corpus, task)
     return hyp
 
@@ -184,13 +185,18 @@ class TestCollapse:
     @example([0, 0, 1, 1, 0], ["sil", "sil"])
     @example([1, 1, 0, 2, 7, -1], ["a", "b", "a"])
     def test_equals_reference_loop(self, states, phones):
-        def outcome(collapse):
+        # viterbi passes a list of ints; a DecodeResult holds an int64 array.
+        def outcome(collapse, path):
             try:
-                return collapse(np.array(states, dtype=np.int64), phones)
+                return collapse(path, phones)
             except UnknownSenone as e:
                 return type(e), str(e)
 
-        assert outcome(collapse_states) == outcome(reference_collapse)
+        path = np.array(states, dtype=np.int64)
+        want = outcome(reference_collapse, path)
+        assert outcome(reference_collapse_runs, path) == want
+        assert outcome(collapse_states, states) == want
+        assert outcome(collapse_states, path) == want
 
 
 class TestViterbi:

@@ -17,6 +17,7 @@ from landmark_frames import (
     InvalidConfig,
     InvalidPattern,
     ParseError,
+    PERReport,
     ScoreMatrix,
     ShapeError,
     SynthConfig,
@@ -464,9 +465,15 @@ def row_tuple(row):
 def baseline_fields(outcome):
     masks = [(uid, mask.dropped.tolist()) for uid, mask in outcome.masks]
     return (outcome.strategy, outcome.drop_rate, outcome.per, outcome.delta_per, outcome.mean,
-            outcome.stdev, outcome.p_wilcoxon, outcome.p_t, outcome.error, outcome.reports,
-            outcome.decodes, masks, outcome.checksums, outcome.fold_increments,
-            outcome.stat_results)
+            outcome.stdev, outcome.p_wilcoxon, outcome.p_t, outcome.error, outcome.counts,
+            outcome.reports, outcome.decodes, masks, outcome.checksums,
+            outcome.fold_increments, outcome.stat_results)
+
+
+def as_sweep_baseline(outcome):
+    """A run's baseline as a sweep keeps it: per-utterance counts, no reports, decodes or checksums."""
+    assert outcome.counts == [(r.n_ref, r.errors) for r in outcome.reports]
+    return replace(outcome, reports=None, decodes=None, checksums=None)
 
 
 class TestSharedPreparation:
@@ -481,8 +488,8 @@ class TestSharedPreparation:
         rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
         assert [row_tuple(r) for r in rows[1:]] == expected
         assert any(row[-1] for row in expected)
-        # A sweep computes no matrix checksums; every other field is the same.
-        assert baseline_fields(rows[0]) == baseline_fields(replace(baseline, checksums=None))
+        # A sweep keeps counts only; every field it keeps is the same.
+        assert baseline_fields(rows[0]) == baseline_fields(as_sweep_baseline(baseline))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_overweight_rows_match_per_point_path(self, jobs):
@@ -495,7 +502,7 @@ class TestSharedPreparation:
         baseline, expected = per_point_rows(config, values, repeats, variants)
         rows = sweep(config, "overweight", values, repeats=repeats, jobs=jobs)
         assert [row_tuple(r) for r in rows[1:]] == expected
-        assert baseline_fields(rows[0]) == baseline_fields(replace(baseline, checksums=None))
+        assert baseline_fields(rows[0]) == baseline_fields(as_sweep_baseline(baseline))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_hashes_no_matrix(self, jobs, monkeypatch):
@@ -701,7 +708,7 @@ class TestPointMemo:
         calls, memos = self.record(monkeypatch)
         rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
         assert [row_tuple(r) for r in rows] == [row_tuple(r) for r in expected]
-        U = len(rows[0].reports)
+        U = len(rows[0].counts)
         # The baseline and landmark:keep once per utterance; the rng control once per repeat.
         assert calls == {BASELINE: U, "landmark:keep": U, "random:match=keep": U * repeats}
         assert sum(calls.values()) == U * (1 + 1 + repeats)
@@ -710,7 +717,7 @@ class TestPointMemo:
         assert memos[0] is None and all(m is memo for m in memos[1:])
         realized = [value for key, value in memo.items() if key[0] == "realize"]
         assert len(realized) == U * (1 + repeats)
-        assert not any(weights.flags.writeable for _, weights in realized)
+        assert all(weights is None or not weights.flags.writeable for _, weights in realized)
 
         calls.clear()
         memos.clear()
@@ -723,7 +730,7 @@ class TestPointMemo:
         values, repeats = [0.3, 0.5], 2
         calls, _ = self.record(monkeypatch, fail="landmark:keep")
         rows = sweep(config, "drop_rate", values, repeats=repeats)
-        first = rows[0].reports[0].utterance_id
+        first = rows[0].masks[0][0]
         # Each point tries the first utterance again and fails there.
         assert calls["landmark:keep"] == len(values) * repeats
         error = f"2 of 2 repeats; rep 1: {first}: realize: refused"
@@ -743,11 +750,79 @@ class TestPointMemo:
 
         monkeypatch.setattr(experiment, "realize_strategy", first_call_fails)
         rows = sweep(config, "drop_rate", values, repeats=repeats)
-        first = rows[0].reports[0].utterance_id
+        first = rows[0].masks[0][0]
         # Only rep 0 of the first value fails; the error is not kept, so the
         # second value realizes rep 0 again and gets the unpatched row.
         assert rows[1].error == f"1 of 2 repeats; rep 0: {first}: realize: refused"
         assert row_tuple(rows[2]) == row_tuple(expected[2])
+
+
+class TestTasks:
+    """What a pool task carries and what it returns, at --jobs 1 and 2."""
+
+    def record(self, monkeypatch, jobs):
+        """Collect every task and its result in submission order."""
+        tasks, results = [], []
+        score = experiment._score_one
+
+        def recorded(corpus, task):
+            result = score(corpus, task)
+            tasks.append(task)
+            results.append(result)
+            return result
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                shipped = list(super().map(fn, items, chunksize=chunksize))
+                tasks.extend(items)
+                results.extend(shipped)
+                return shipped
+
+        if jobs == 1:
+            monkeypatch.setattr(experiment, "_score_one", recorded)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        return tasks, results
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_tasks_return_counts_and_run_tasks_everything(self, jobs, monkeypatch):
+        config = fast_config(["landmark:keep", "random:match=keep"])
+        tasks, results = self.record(monkeypatch, jobs)
+        rows = sweep(config, "drop_rate", [0.3], repeats=1, jobs=jobs)
+        U = len(rows[0].counts)
+        assert len(results) == 3 * U
+        assert not any(full for *_, full in tasks)
+        assert all(type(n) is int and type(e) is int for n, e in results)
+        assert rows[0].counts == results[:U]
+
+        tasks.clear()
+        results.clear()
+        outcomes, _ = compute_outcomes(config, jobs=jobs)
+        assert len(results) == 3 * U
+        assert all(full for *_, full in tasks)
+        for report, hyp, digest in results:
+            assert isinstance(report, PERReport) and isinstance(hyp, list)
+            assert len(digest) == 64
+        # The sweep's counts are the run's reports, utterance by utterance.
+        assert [(r.n_ref, r.errors) for r, _, _ in results[:U]] == rows[0].counts
+        assert outcomes[0].counts == rows[0].counts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_weights_other_than_one_are_shipped(self, jobs, monkeypatch):
+        strategies = ["landmark:keep", "overweight:factor=2.0", "overweight:factor=1.0"]
+        tasks, _ = self.record(monkeypatch, jobs)
+        compute_outcomes(fast_config(strategies), jobs=jobs)
+        run_tasks = list(tasks)
+        tasks.clear()
+        sweep(fast_config(strategies), "drop_rate", [0.3], repeats=1, jobs=jobs)
+        for shipped in (run_tasks, tasks):
+            U = len(shipped) // 4
+            weights = [w for _, _, w, *_ in shipped]
+            weighted = weights[2 * U:3 * U]
+            assert weights[:2 * U] == [None] * (2 * U) and weights[3 * U:] == [None] * U
+            assert any(w is not None for w in weighted)
+            for w in weighted:
+                assert w is None or (not w.flags.writeable and (w != 1.0).any())
 
 
 class TestConfigIO:

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landmark_frames import (
@@ -17,7 +17,7 @@ from landmark_frames import (
     write_confusion_csv,
     write_report_csv,
 )
-from landmark_frames.scoring import DELETION, INSERTION
+from landmark_frames.scoring import DELETION, INSERTION, edit_distance, pooled_per
 from oracles import edit_distance_matchings
 
 
@@ -86,6 +86,15 @@ class TestEditOps:
             assert (op == "match") == (r == h)
         assert rest == [] and built == hyp
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from("ab"), max_size=8),
+           st.lists(st.sampled_from("abc"), max_size=8))
+    @example([], [])
+    @example(["a", "b"], [])
+    @example([], ["c", "c", "a"])
+    def test_distance_only_equals_edit_ops_and_align_edit(self, ref, hyp):
+        assert edit_distance(ref, hyp) == edit_ops(ref, hyp)[0] == align_edit(ref, hyp).errors
+
 
 class TestAlignEdit:
     def test_counts_and_per(self):
@@ -148,6 +157,21 @@ class TestMergeReports:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             merge_reports([])
+
+
+class TestPooledPer:
+    @pytest.mark.parametrize("counts,per", [
+        ([(3, 1), (5, 0)], 12.5),
+        ([(0, 1), (4, 1)], 50.0),
+        # An empty reference: 0 with no errors, +inf once anything was inserted.
+        ([(0, 0)], 0.0),
+        ([], 0.0),
+        ([(0, 0), (0, 1)], np.inf),
+    ])
+    def test_pools_errors_over_reference_length(self, counts, per):
+        assert pooled_per(counts) == per
+        reports = [PERReport(f"u{i}", n, e, 0, 0) for i, (n, e) in enumerate(counts)]
+        assert [pooled_per([c]) for c in counts] == [r.per for r in reports]
 
 
 class TestPerIncrement:

@@ -29,7 +29,7 @@ from landmark_frames import (
     viterbi,
 )
 from landmark_frames.strategy import INTERP_TAPS
-from oracles import reference_copy, reference_realize
+from oracles import reference_adjust_mask_to_rate, reference_copy, reference_realize
 
 
 def mat(rows, uid="u"):
@@ -136,6 +136,20 @@ class TestMaskAlgebra:
         assert (mask.dropped == mask_regular(6, 2, 1).dropped).all()
 
 
+@st.composite
+def _adjust_cases(draw):
+    """(dropped, protected map, target count, seed): delta 0, up, down or out of range."""
+    T = draw(st.integers(1, 40))
+    dropped = np.array(draw(st.lists(st.booleans(), min_size=T, max_size=T)))
+    protected = draw(st.sampled_from(["none", "all", "some"]))
+    if protected == "some":
+        protected = np.array(draw(st.lists(st.booleans(), min_size=T, max_size=T)))
+    else:
+        protected = np.full(T, protected == "all")
+    target_n = draw(st.one_of(st.just(int(dropped.sum())), st.integers(-1, T + 1)))
+    return dropped, protected, target_n, draw(st.integers(0, 2**32))
+
+
 class TestAdjustMaskToRate:
     def test_grow_is_superset(self):
         base = mask_regular(20, 4, 1)
@@ -174,6 +188,31 @@ class TestAdjustMaskToRate:
         a = adjust_mask_to_rate(base, 15, seed=9)
         b = adjust_mask_to_rate(base, 15, seed=9)
         assert (a.dropped == b.dropped).all()
+
+    def test_protected_map_must_cover_the_mask(self):
+        with pytest.raises(ShapeError):
+            adjust_mask_to_rate(keep_all(10), 3, protected=np.zeros(9, dtype=bool))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_adjust_cases())
+    @example((np.zeros(6, dtype=bool), np.eye(6, dtype=bool)[5], 5, 0))  # not frames 0 and 1
+    @example((np.zeros(6, dtype=bool), np.ones(6, dtype=bool), 2, 0))  # full protected set
+    @example((np.ones(6, dtype=bool), np.ones(6, dtype=bool), 3, 0))
+    @example((np.ones(6, dtype=bool), np.zeros(6, dtype=bool), 0, 1))  # empty protected set
+    @example((np.eye(6, dtype=bool)[2], np.zeros(6, dtype=bool), 1, 7))  # delta 0
+    def test_equals_reference_on_indices_and_maps(self, case):
+        dropped, protected, target_n, seed = case
+        mask = FrameMask(dropped)
+
+        def outcome(adjust, prot):
+            try:
+                return adjust(mask, target_n, prot, seed=seed).dropped.tobytes()
+            except InvalidPattern as e:
+                return str(e)
+
+        want = outcome(reference_adjust_mask_to_rate, np.flatnonzero(protected))
+        assert outcome(adjust_mask_to_rate, protected) == want
+        assert outcome(adjust_mask_to_rate, np.flatnonzero(protected)) == want
 
 
 class TestInterpFilter:
@@ -281,7 +320,19 @@ class TestReplacement:
     def test_empty_mask_returns_equal_values(self):
         m = mat([[1.0, 2.0], [3.0, 4.0]])
         out = apply_replacement(m, keep_all(2), "fill_0")
-        assert (out.values == m.values).all()
+        assert out is m
+
+    @pytest.mark.parametrize("method", REPLACEMENT_METHODS)
+    def test_input_untouched_and_output_read_only(self, method):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(18, 4))
+        values[4, 1] = NEG_INF
+        m = mat(values)
+        out = apply_replacement(m, mask_regular(18, 3, 1), method)
+        assert m.values.tobytes() == values.tobytes()
+        assert not m.values.flags.writeable
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, m.values)
 
     @pytest.mark.parametrize("method", ["copy", "fill_0", "fill_const", "upsample"])
     def test_kept_rows_untouched(self, method):
