@@ -131,7 +131,7 @@ def cmd_annotate(args) -> int:
     manner_table = (
         read_manner_table(_read_text(args.manners)) if args.manners else dict(DEFAULT_TIMIT_MANNERS)
     )
-    config = AnnotationConfig(args.mode, args.radius, not args.no_merge_mc)
+    config = AnnotationConfig(args.mode, not args.no_merge_mc)
     fractions = []
     count = 0
     for path in _iter_alignment_files(args):

@@ -27,12 +27,13 @@ from .corpus_io import (
     parse_alignment,
     read_manner_table,
     read_score_matrix,
+    read_score_matrix_text,
     write_mask,
     write_score_matrix,
 )
 from .decoder import read_transition_model, viterbi
 from .errors import FormatError, InvalidConfig, LandmarkFramesError, ShapeError
-from .landmarks import AnnotationConfig, annotate, frame_map, landmark_frames
+from .landmarks import AnnotationConfig, annotate
 from .scoring import (
     align_edit,
     edit_distance,
@@ -49,7 +50,7 @@ from .strategy import (
     apply_replacement,
     apply_weights,
     parse_strategy,
-    reads_landmarks,
+    protected_map,
     realize_strategy,
 )
 from .synth import SynthConfig, gen_corpus
@@ -100,8 +101,9 @@ class ExperimentConfig:
             raise InvalidConfig("folds must be >= 2")
         if self.beam is not None and not self.beam > 0:
             raise InvalidConfig("beam must be positive")
-        # Reuses the annotation validation for mode and radius.
-        AnnotationConfig(self.annotation, self.widen_radius, self.merge_mc)
+        AnnotationConfig(self.annotation, self.merge_mc)  # validates the mode
+        if self.widen_radius < 0:
+            raise InvalidConfig(f"widen_radius must be >= 0, got {self.widen_radius}")
         if not self.formats:
             raise InvalidConfig("formats must not be empty")
         for fmt in self.formats:
@@ -149,11 +151,11 @@ def load_corpus_dir(path: str) -> Corpus:
     """Load a decoding corpus from a directory.
 
     Expects model.tm, manners.txt, and per-utterance <stem>.align plus
-    <stem>.llm pairs; speakers.tsv ("stem speaker gender") is optional
-    and defaults every utterance to its own F speaker. A malformed
-    speakers.tsv line, an .align without its .llm, or a matrix whose
-    frame or senone count disagrees with its alignment or the model
-    fails here, naming the file and the utterance.
+    <stem>.llm (else text <stem>.llm.txt) pairs; speakers.tsv ("stem
+    speaker gender") is optional and defaults every utterance to its own
+    F speaker. A malformed speakers.tsv line, an .align without its
+    matrix, or a matrix whose frame or senone count disagrees with its
+    alignment or the model fails here, naming the file and utterance.
     """
     def read(name, parse, *args, utterance=None):
         """parse(contents of name, *args); its errors name the file and utterance."""
@@ -191,18 +193,24 @@ def load_corpus_dir(path: str) -> Corpus:
         alignment = read(
             f"{stem}.align", parse_alignment, "frames", stem, speaker, gender, utterance=stem
         )
+        name = f"{stem}.llm"
+        if not os.path.exists(os.path.join(path, name)):
+            name += ".txt"  # as `synth --format text` writes it
+        parse = read_score_matrix if name.endswith(".llm") else read_score_matrix_text
         try:
-            matrix = read(f"{stem}.llm", read_score_matrix, stem, utterance=stem)
+            matrix = read(name, parse, stem, utterance=stem)
         except FileNotFoundError:
-            raise FormatError(f"{stem}.align has no {stem}.llm for utterance {stem!r}") from None
+            raise FormatError(
+                f"{stem}.align has no {stem}.llm or {stem}.llm.txt for utterance {stem!r}"
+            ) from None
         if matrix.T != alignment.num_frames:
             raise ShapeError(
-                f"{stem}.llm: utterance {stem!r} has {matrix.T} frames, "
+                f"{name}: utterance {stem!r} has {matrix.T} frames, "
                 f"its alignment {alignment.num_frames}"
             )
         if matrix.S != model.S:
             raise ShapeError(
-                f"{stem}.llm: utterance {stem!r} has {matrix.S} senones, model.tm {model.S}"
+                f"{name}: utterance {stem!r} has {matrix.S} senones, model.tm {model.S}"
             )
         utterances.append(Utterance(alignment, matrix))
     return Corpus(model, manner_table, utterances)
@@ -282,29 +290,13 @@ def _silence_phones(manner_table: dict) -> frozenset:
     return frozenset(p for p, m in manner_table.items() if m == "silence")
 
 
-def _protection_frames(spec, landmarks, num_frames, default_radius):
-    """Landmark frames a rate adjustment must not start dropping."""
-    # A random part reads landmarks only to count its drops, so it protects
-    # none: a matched control gives back landmark and other drops alike.
-    radii = [
-        params.get("r", default_radius)
-        for kind, params in spec.parts
-        if kind != "random" and reads_landmarks(kind, params)
-    ]
-    if not radii or landmarks is None:
-        return ()
-    return landmark_frames(landmarks, num_frames, max(radii))
-
-
 @dataclass
 class _Prepared:
     """What every point of one command shares.
 
-    live_folds holds (utterance indices, baseline PER) for the folds
-    whose baseline slice has errors. full says whether outcomes carry
-    what `run` writes (reports, decodes and the sha256 of every modified
-    matrix) or, for a sweep, per-utterance counts only. jobs is the
-    executor's worker count.
+    full says whether outcomes carry what `run` writes (reports, decodes
+    and the sha256 of every modified matrix) or, for a sweep,
+    per-utterance counts only. jobs is the executor's worker count.
     """
 
     corpus: Corpus
@@ -313,7 +305,6 @@ class _Prepared:
     full: bool
     jobs: int
     baseline: StrategyOutcome | None = None
-    live_folds: list = field(default_factory=list)
 
 
 def _memoized(memo, key, compute):
@@ -364,8 +355,7 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
             return mask, weights
 
         def protect():
-            frames = _protection_frames(spec, landmarks, utt.matrix.T, config.widen_radius)
-            marked = frame_map(frames, utt.matrix.T)
+            marked = protected_map(spec, utt.matrix.T, landmarks, config.widen_radius)
             marked.flags.writeable = False
             return marked
 
@@ -433,18 +423,6 @@ def _utterance_folds(corpus, config):
     return [f for f in folds if f]
 
 
-def _fold_increments(live_folds, counts):
-    """Relative PER increments per (fold, baseline fold PER) pair."""
-    increments = []
-    for fold, base_per in live_folds:
-        mod_per = pooled_per([counts[ui] for ui in fold])
-        if mod_per == base_per:
-            increments.append(0.0)
-        else:
-            increments.append(per_increment(base_per, mod_per))
-    return increments
-
-
 @contextmanager
 def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool):
     """Build what one command's points share, with its worker pool.
@@ -465,7 +443,7 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
     )
     landmark_sets = [None] * len(corpus.utterances)
     if need_landmarks:
-        ann = AnnotationConfig(config.annotation, config.widen_radius, config.merge_mc)
+        ann = AnnotationConfig(config.annotation, config.merge_mc)
         landmark_sets = [
             annotate(utt.alignment, corpus.manner_table, ann) for utt in corpus.utterances
         ]
@@ -483,15 +461,6 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
         baseline.mean = 0.0
         baseline.stdev = 0.0
         baseline.per = pooled_per(baseline.counts)
-
-        # Folds whose baseline slice has no errors are skipped: the
-        # relative increment is undefined there. The skip depends only on
-        # the baseline, so every strategy is summarized over the same folds.
-        for fold in _utterance_folds(corpus, config):
-            base_per = pooled_per([baseline.counts[ui] for ui in fold])
-            if base_per > 0.0:
-                prep.live_folds.append((fold, base_per))
-        baseline.fold_increments = [0.0] * len(prep.live_folds)
         prep.baseline = baseline
         yield prep
     finally:
@@ -530,13 +499,7 @@ def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
         try:
             outcome = _collect_strategy(raw, *submitted, prep)
             outcome.per = pooled_per(outcome.counts)
-            if outcome.per == prep.baseline.per:
-                outcome.delta_per = 0.0
-            else:
-                outcome.delta_per = per_increment(prep.baseline.per, outcome.per)
-            outcome.fold_increments = _fold_increments(prep.live_folds, outcome.counts)
-            if outcome.fold_increments:
-                outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
+            outcome.delta_per = per_increment(prep.baseline.per, outcome.per)
         except LandmarkFramesError as e:
             outcome = StrategyOutcome(raw, error=str(e))
         return outcome
@@ -557,8 +520,25 @@ def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
         yield [prep.baseline, *islice(outcomes, len(strategies))]
 
 
-def _attach_stats(outcomes, comparison):
-    """Pair every strategy row against the comparison row (outcomes[0] is the baseline)."""
+def _attach_stats(outcomes, folds, comparison):
+    """Summarize every row over the folds, then pair each strategy row against the comparison row.
+
+    outcomes[0] is the baseline. Folds whose baseline slice has no errors
+    are skipped: the relative increment is undefined there. The skip
+    depends only on the baseline, so every row is summarized over the
+    same folds.
+    """
+    base_pers = [(fold, pooled_per([outcomes[0].counts[ui] for ui in fold])) for fold in folds]
+    live = [(fold, base_per) for fold, base_per in base_pers if base_per > 0.0]
+    for outcome in outcomes:
+        if outcome.error is not None:
+            continue
+        outcome.fold_increments = [
+            per_increment(base_per, pooled_per([outcome.counts[ui] for ui in fold]))
+            for fold, base_per in live
+        ]
+        if live:
+            outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
     comparison = comparison if comparison is not None else BASELINE
     comp = next(o for o in outcomes if o.strategy == comparison)
     for outcome in outcomes[1:]:
@@ -592,8 +572,9 @@ def compute_outcomes(
     given, renormalizes every strategy mask to that drop rate.
     """
     with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, full=True) as prep:
+        folds = _utterance_folds(prep.corpus, config)
         [outcomes] = _evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
-    _attach_stats(outcomes, config.comparison)
+    _attach_stats(outcomes, folds, config.comparison)
     return outcomes, prep.corpus
 
 
@@ -816,8 +797,9 @@ def sweep(
     strategies; "drop_rate" renormalizes every strategy mask to
     the target rate via seeded adjustment. Rows hold repeat means; mean and
     stdev summarize the repeat spread. The corpus, its landmarks, the
-    folds, the baseline decode and the worker pool are prepared once for
-    every (value, repeat) point. Sweep rows carry no significance tests.
+    baseline decode and the worker pool are prepared once for every
+    (value, repeat) point. Sweep rows carry no significance tests and
+    read no folds.
     Writes sweep.csv / sweep.svg when out_dir is given.
     """
     if parameter not in SWEEP_PARAMETERS:

@@ -1,12 +1,16 @@
 """Acoustic landmark annotation derived from phone alignments.
 
-Each phone segment [a, b) contributes events determined by its manner
-class: vowels and glides get a single pivot at the temporal midpoint,
-consonants get a closure event at the segment start and a release event
-at the last frame. When two consonantal segments of different manners
-abut, the transition is a single articulatory event, so the release of
-the first and the closure of the second collapse into one MC (manner
-change) landmark at the junction frame.
+MANNER_EVENTS lists the events each manner class places in a phone
+segment [a, b), in derivation order: vowels (V) and glides (G) get a
+single pivot at the temporal midpoint; fricatives (Fc, Fr), stops (Sc,
+Sr) and nasals (Nc, Nr) get a closure at the segment start and a
+release at the last frame; an affricate gets a stop release (Sr) and a
+frication closure (Fc) at the start and a frication release (Fr) at the
+end. Silence and other manners get none. When two consonantal segments
+of different manners abut, the transition is a single articulatory
+event, so the release ending the first and the closures starting the
+second collapse into one MC (manner change) landmark at the junction
+frame.
 """
 
 import math
@@ -18,11 +22,21 @@ from .errors import EmptyInput, FormatError, InvalidConfig, UnknownPhone
 
 LANDMARK_TYPES = ("V", "G", "Fc", "Fr", "Sc", "Sr", "Nc", "Nr", "MC")
 
+# (placement, type) events per manner; manners not listed place none.
+MANNER_EVENTS = {
+    "vowel": (("pivot", "V"),),
+    "glide": (("pivot", "G"),),
+    "fricative": (("start", "Fc"), ("end", "Fr")),
+    "stop": (("start", "Sc"), ("end", "Sr")),
+    "nasal": (("start", "Nc"), ("end", "Nr")),
+    "affricate": (("start", "Sr"), ("start", "Fc"), ("end", "Fr")),
+}
+
 # Manners that participate in MC merging at segment junctions.
 CONSONANTAL = ("fricative", "affricate", "nasal", "stop")
 
+# The start events an MC event absorbs. It absorbs every end event, since each is a release.
 CLOSURE_TYPES = ("Fc", "Sc", "Nc")
-RELEASE_TYPES = ("Fr", "Sr", "Nr")
 
 # TIMIT 61-phone inventory grouped by manner. Closures, pauses, and
 # epenthetic silence carry no landmarks.
@@ -57,14 +71,11 @@ class AnnotationConfig:
     """Landmark placement options."""
 
     mode: str = "boundary"
-    widen_radius: int = 0
     merge_mc: bool = True
 
     def __post_init__(self):
         if self.mode not in ANNOTATION_MODES:
             raise InvalidConfig(f"mode must be one of {ANNOTATION_MODES}, got {self.mode!r}")
-        if self.widen_radius < 0:
-            raise InvalidConfig(f"widen_radius must be >= 0, got {self.widen_radius}")
 
 
 @dataclass
@@ -115,65 +126,30 @@ def annotate(alignment, manner_table: dict, config: AnnotationConfig | None = No
         if phone not in manner_table:
             raise UnknownPhone(f"{alignment.utterance_id}: no manner for phone {phone!r}")
         manners.append(manner_table[phone])
-
-    # Per-segment events tagged with their placement role so the MC merge
-    # and the offset pass can act on roles, not concrete frames.
-    per_segment = []
-    for (phone, a, b), manner in zip(alignment.segments, manners):
-        events = []
-        if manner == "vowel":
-            events.append(["pivot", "V"])
-        elif manner == "glide":
-            events.append(["pivot", "G"])
-        elif manner == "fricative":
-            events.append(["start", "Fc"])
-            events.append(["end", "Fr"])
-        elif manner == "stop":
-            events.append(["start", "Sc"])
-            events.append(["end", "Sr"])
-        elif manner == "nasal":
-            events.append(["start", "Nc"])
-            events.append(["end", "Nr"])
-        elif manner == "affricate":
-            # Stop release into frication at onset, frication release at
-            # the end; there is no separate closure landmark.
-            events.append(["start", "Sr"])
-            events.append(["start", "Fc"])
-            events.append(["end", "Fr"])
-        per_segment.append(events)
-
-    mc_frames = []
-    if config.merge_mc:
-        for i in range(len(manners) - 1):
-            left, right = manners[i], manners[i + 1]
-            if left in CONSONANTAL and right in CONSONANTAL and left != right:
-                junction = alignment.segments[i + 1][1]
-                per_segment[i] = [
-                    e for e in per_segment[i] if not (e[0] == "end" and e[1] in RELEASE_TYPES)
-                ]
-                per_segment[i + 1] = [
-                    e for e in per_segment[i + 1] if not (e[0] == "start" and e[1] in CLOSURE_TYPES)
-                ]
-                mc_frames.append(junction)
+    # mc[i]: the junction before segment i is one MC event; the utterance edges are none.
+    mc = [False] + [
+        config.merge_mc and left in CONSONANTAL and right in CONSONANTAL and left != right
+        for left, right in zip(manners, manners[1:])
+    ] + [False]
 
     offsets = config.mode == "offset"
     events = []
-    for (phone, a, b), seg_events in zip(alignment.segments, per_segment):
-        duration = b - a
-        for role, kind in seg_events:
-            if role == "pivot":
+    for i, ((_, a, b), manner) in enumerate(zip(alignment.segments, manners)):
+        for placement, kind in MANNER_EVENTS.get(manner, ()):
+            if placement == "pivot":
                 frame = (a + b - 1) // 2
-            elif role == "start":
-                frame = a
-                if offsets:
-                    frame = a + _round_half_up(START_OFFSET_FRAC * duration)
+            elif placement == "start":
+                if mc[i] and kind in CLOSURE_TYPES:
+                    continue  # absorbed by the MC event at a
+                frame = a + _round_half_up(START_OFFSET_FRAC * (b - a)) if offsets else a
             else:
-                frame = b - 1
-                if offsets:
-                    frame = b - 1 - _round_half_up(END_OFFSET_FRAC * duration)
-            frame = min(max(frame, a), b - 1)
-            events.append((frame, kind))
-    events.extend((frame, "MC") for frame in mc_frames)
+                if mc[i + 1]:
+                    continue  # absorbed by the MC event at b
+                frame = b - 1 - _round_half_up(END_OFFSET_FRAC * (b - a)) if offsets else b - 1
+            events.append((min(max(frame, a), b - 1), kind))
+        # After the segment's own events, so the stable sort keeps it last at frame a.
+        if mc[i]:
+            events.append((a, "MC"))
     return LandmarkSet(alignment.utterance_id, events)
 
 

@@ -158,7 +158,9 @@ def merge_reports(reports, utterance_id: str = "all") -> PERReport:
 
 
 def per_increment(base_per: float, mod_per: float) -> float:
-    """Relative PER change in percent: 100 * (mod - base) / base."""
+    """Relative PER change in percent: 100 * (mod - base) / base, or 0 when the PERs are equal."""
+    if mod_per == base_per:
+        return 0.0
     if base_per == 0:
         raise DegenerateBaseline("baseline PER is zero; relative increment undefined")
     return 100.0 * (mod_per - base_per) / base_per

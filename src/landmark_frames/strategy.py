@@ -247,6 +247,22 @@ def reads_landmarks(kind: str, params: dict) -> bool:
     return kind in ("landmark", "hybrid", "overweight") or (kind == "random" and "match" in params)
 
 
+def protected_map(spec, num_frames: int, landmarks, default_radius: int = 0) -> np.ndarray:
+    """Boolean map of the landmark frames a rate adjustment must not start dropping.
+
+    A random part reads landmarks only to count its drops, so it protects
+    none: a matched control gives back landmark and other drops alike.
+    """
+    radii = [
+        params.get("r", default_radius)
+        for kind, params in spec.parts
+        if kind != "random" and reads_landmarks(kind, params)
+    ]
+    if not radii:
+        return np.zeros(num_frames, dtype=bool)
+    return frame_map(landmark_frames(landmarks, num_frames, max(radii)), num_frames)
+
+
 @dataclass
 class StrategySpec:
     """Parsed strategy string: OR-combined parts plus a replacement method."""

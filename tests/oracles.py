@@ -17,11 +17,14 @@ from landmark_frames import (
     NEG_INF,
     BeamCollapse,
     DecodeResult,
+    EmptyInput,
     FrameMask,
     InvalidConfig,
     InvalidPattern,
+    LandmarkSet,
     ScoreOverflow,
     ShapeError,
+    UnknownPhone,
     UnknownSenone,
     apply_weights,
     frame_map,
@@ -262,6 +265,81 @@ def reference_frame_map(frames, num_frames):
             raise InvalidConfig(f"frame {frame} outside [0, {num_frames})")
         marked[int(frame)] = True
     return marked
+
+
+def reference_annotate(alignment, manner_table, config):
+    """The manner if-chain `annotate` had before it read one manner->events table.
+
+    Every segment lists its events tagged by role; a second pass over
+    the junctions filters out the releases and closures each MC event
+    absorbs, and the MC events are appended after all segment events.
+    """
+    if not alignment.segments:
+        raise EmptyInput(f"{alignment.utterance_id}: nothing to annotate")
+
+    manners = []
+    for phone, _, _ in alignment.segments:
+        if phone not in manner_table:
+            raise UnknownPhone(f"{alignment.utterance_id}: no manner for phone {phone!r}")
+        manners.append(manner_table[phone])
+
+    per_segment = []
+    for (phone, a, b), manner in zip(alignment.segments, manners):
+        events = []
+        if manner == "vowel":
+            events.append(["pivot", "V"])
+        elif manner == "glide":
+            events.append(["pivot", "G"])
+        elif manner == "fricative":
+            events.append(["start", "Fc"])
+            events.append(["end", "Fr"])
+        elif manner == "stop":
+            events.append(["start", "Sc"])
+            events.append(["end", "Sr"])
+        elif manner == "nasal":
+            events.append(["start", "Nc"])
+            events.append(["end", "Nr"])
+        elif manner == "affricate":
+            events.append(["start", "Sr"])
+            events.append(["start", "Fc"])
+            events.append(["end", "Fr"])
+        per_segment.append(events)
+
+    consonantal = ("fricative", "affricate", "nasal", "stop")
+    mc_frames = []
+    if config.merge_mc:
+        for i in range(len(manners) - 1):
+            left, right = manners[i], manners[i + 1]
+            if left in consonantal and right in consonantal and left != right:
+                junction = alignment.segments[i + 1][1]
+                per_segment[i] = [
+                    e for e in per_segment[i] if not (e[0] == "end" and e[1] in ("Fr", "Sr", "Nr"))
+                ]
+                per_segment[i + 1] = [
+                    e for e in per_segment[i + 1]
+                    if not (e[0] == "start" and e[1] in ("Fc", "Sc", "Nc"))
+                ]
+                mc_frames.append(junction)
+
+    offsets = config.mode == "offset"
+    events = []
+    for (phone, a, b), seg_events in zip(alignment.segments, per_segment):
+        duration = b - a
+        for role, kind in seg_events:
+            if role == "pivot":
+                frame = (a + b - 1) // 2
+            elif role == "start":
+                frame = a
+                if offsets:
+                    frame = a + math.floor(0.33 * duration + 0.5)
+            else:
+                frame = b - 1
+                if offsets:
+                    frame = b - 1 - math.floor(0.20 * duration + 0.5)
+            frame = min(max(frame, a), b - 1)
+            events.append((frame, kind))
+    events.extend((frame, "MC") for frame in mc_frames)
+    return LandmarkSet(alignment.utterance_id, events)
 
 
 def dyadic_uniform_model(rng, n_states):

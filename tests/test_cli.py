@@ -292,6 +292,25 @@ class TestRunAndSweep:
         assert run_cli("run", "--config", str(config), "--jobs", "2", "--out", str(b)) == 0
         assert (a / "checksums.txt").read_bytes() == (b / "checksums.txt").read_bytes()
 
+    def test_run_reads_text_corpus_like_binary(self, tmp_path):
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("n_utterances = 6\nn_speakers = 3\nutterance_length = 5\n")
+        config = tmp_path / "experiment.json"
+        checksums = []
+        for fmt in ("binary", "text"):
+            corpus = tmp_path / fmt
+            assert run_cli("synth", "--config", str(synth), "--format", fmt, "--out", str(corpus)) == 0
+            strategies = ["regular:P=2,D=1", "landmark:keep,r=1,method=fill_const"]
+            config.write_text(json.dumps(
+                {"strategies": strategies, "folds": 3, "data_dir": str(corpus)}
+            ))
+            out = tmp_path / f"run-{fmt}"
+            assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+            checksums.append((out / "checksums.txt").read_bytes())
+        assert (tmp_path / "text" / "utt0000.llm.txt").exists()
+        assert not (tmp_path / "text" / "utt0000.llm").exists()
+        assert checksums[0] == checksums[1]
+
     def test_run_partial_failure_still_exits_0(self, tmp_path, capsys):
         config = experiment_config(tmp_path, ["random:n=100000,seed=0"])
         out = tmp_path / "partial"

@@ -41,6 +41,7 @@ from landmark_frames import (
 )
 import landmark_frames.experiment as experiment
 from landmark_frames.experiment import load_corpus_dir
+from landmark_frames.strategy import protected_map
 
 FAST_SYNTH = dict(n_utterances=10, n_speakers=5, utterance_length=6)
 
@@ -405,10 +406,22 @@ class TestSweep:
         alignment = small_corpus.utterances[0].alignment
         landmarks = annotate(alignment, small_corpus.manner_table)
         T = alignment.num_frames
+
+        def protected_frames(raw):
+            return np.flatnonzero(protected_map(parse_strategy(raw), T, landmarks, 0))
+
         for raw in ("landmark:keep", "overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"):
-            assert len(experiment._protection_frames(parse_strategy(raw), landmarks, T, 0)) > 0
+            assert len(protected_frames(raw)) > 0
         for raw in ("random:match=keep", "random:match=drop,r=1"):
-            assert len(experiment._protection_frames(parse_strategy(raw), landmarks, T, 0)) == 0
+            assert len(protected_frames(raw)) == 0
+
+    def test_sweep_builds_no_folds(self):
+        # 4 speakers cannot make 10 folds; no sweep row reads a fold, while run still refuses.
+        config = fast_config(["landmark:keep"], folds=10, n_utterances=8, n_speakers=4)
+        rows = sweep(config, "drop_rate", [0.5], repeats=1)
+        assert [r.error for r in rows] == [None, None]
+        with pytest.raises(InvalidConfig, match="cannot split 4 speakers into 10 folds"):
+            compute_outcomes(config)
 
     def test_sweep_writes_artifacts(self, tmp_path):
         config = fast_config(["overweight:factor=2.0"])
@@ -471,9 +484,10 @@ def baseline_fields(outcome):
 
 
 def as_sweep_baseline(outcome):
-    """A run's baseline as a sweep keeps it: per-utterance counts, no reports, decodes or checksums."""
+    """A run's baseline as a sweep keeps it: per-utterance counts, no reports, decodes,
+    checksums or fold increments."""
     assert outcome.counts == [(r.n_ref, r.errors) for r in outcome.reports]
-    return replace(outcome, reports=None, decodes=None, checksums=None)
+    return replace(outcome, reports=None, decodes=None, checksums=None, fold_increments=None)
 
 
 class TestSharedPreparation:

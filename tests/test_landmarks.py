@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landmark_frames import (
+    ANNOTATION_MODES,
     DEFAULT_TIMIT_MANNERS,
     LANDMARK_TYPES,
     AnnotationConfig,
     EmptyInput,
+    ExperimentConfig,
     FormatError,
     InvalidConfig,
     LandmarkSet,
@@ -20,7 +22,9 @@ from landmark_frames import (
     read_landmarks,
     write_landmarks,
 )
-from oracles import reference_frame_map, reference_landmark_frames
+from landmark_frames.cli import main
+from landmark_frames.corpus_io import MANNERS as MANNER_INVENTORY
+from oracles import reference_annotate, reference_frame_map, reference_landmark_frames
 
 MANNERS = {
     "iy": "vowel",
@@ -30,6 +34,7 @@ MANNERS = {
     "m": "nasal",
     "ch": "affricate",
     "sil": "silence",
+    "x": "other",
 }
 
 
@@ -119,9 +124,54 @@ class TestOffsetMode:
         with pytest.raises(InvalidConfig):
             AnnotationConfig(mode="midpoint")
 
-    def test_negative_radius(self):
-        with pytest.raises(InvalidConfig):
-            AnnotationConfig(widen_radius=-1)
+    def test_negative_experiment_radius_refused(self):
+        with pytest.raises(InvalidConfig, match="widen_radius must be >= 0, got -1"):
+            ExperimentConfig(widen_radius=-1)
+
+    def test_annotate_cli_negative_radius_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        align = tmp_path / "u.align"
+        align.write_text("0 10 m\n10 20 p\n")
+        out = tmp_path / "lms"
+        assert main(["annotate", "--align", str(align), "--radius", "-1", "--out", str(out)]) == 1
+        assert "radius must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _alignment(segments):
+    """PhoneAlignment of (phone, frames) pairs laid end to end from frame 0."""
+    spans, start = [], 0
+    for phone, frames in segments:
+        spans.append((phone, start, start + frames))
+        start += frames
+    return PhoneAlignment("u", spans)
+
+
+# Affricates next to every other consonant manner, on both sides, some a frame long.
+AFFRICATE_RUN = [("ch", 1), ("s", 1), ("ch", 2), ("p", 3), ("ch", 1), ("m", 2), ("ch", 4)]
+
+
+class TestMannerEventsTable:
+    """annotate places the events of the if-chain it replaced, in the same order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(MANNERS)), st.integers(1, 25)), min_size=1, max_size=12
+        ),
+        st.sampled_from(ANNOTATION_MODES),
+        st.booleans(),
+    )
+    @example(AFFRICATE_RUN, "boundary", True)
+    @example(AFFRICATE_RUN, "offset", True)
+    @example([("m", 25), ("ch", 25), ("ch", 1), ("x", 3), ("iy", 2), ("w", 1)], "offset", False)
+    def test_annotate_equals_if_chain(self, segments, mode, merge_mc):
+        alignment = _alignment(segments)
+        config = AnnotationConfig(mode=mode, merge_mc=merge_mc)
+        want = reference_annotate(alignment, MANNERS, config).events
+        assert annotate(alignment, MANNERS, config).events == want
+
+    def test_every_manner_is_drawn(self):
+        assert sorted(set(MANNERS.values())) == sorted(MANNER_INVENTORY)
 
 
 class TestEventCounts:

@@ -186,6 +186,13 @@ class TestPerIncrement:
         with pytest.raises(DegenerateBaseline):
             per_increment(0.0, 10.0)
 
+    def test_equal_zero_pers_are_no_change(self):
+        assert per_increment(0.0, 0.0) == 0.0
+
+    def test_equal_infinite_pers_are_no_change(self):
+        inf = float("inf")
+        assert per_increment(inf, inf) == 0.0
+
 
 class TestCSV:
     def test_report_round_trip(self):
