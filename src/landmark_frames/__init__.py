@@ -75,9 +75,8 @@ from .landmarks import (
     AnnotationConfig,
     LandmarkSet,
     annotate,
-    frame_map,
     landmark_fraction,
-    landmark_frames,
+    landmark_map,
     read_landmarks,
     write_landmarks,
 )

@@ -13,9 +13,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain, islice
 from math import ceil
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -82,14 +84,13 @@ class ExperimentConfig:
     """
 
     seed: int = 0
-    strategies: list = field(default_factory=list)
+    strategies: list[str] = field(default_factory=list)
     comparison: str | None = None
     folds: int = 10
     beam: float | None = None
     annotation: str = "boundary"
-    widen_radius: int = 0
     merge_mc: bool = True
-    formats: list = field(default_factory=lambda: list(REPORT_FORMATS))
+    formats: list[str] = field(default_factory=lambda: list(REPORT_FORMATS))
     tag: str | None = None
     synth: SynthConfig = field(default_factory=SynthConfig)
     data_dir: str | None = None
@@ -102,8 +103,6 @@ class ExperimentConfig:
         if self.beam is not None and not self.beam > 0:
             raise InvalidConfig("beam must be positive")
         AnnotationConfig(self.annotation, self.merge_mc)  # validates the mode
-        if self.widen_radius < 0:
-            raise InvalidConfig(f"widen_radius must be >= 0, got {self.widen_radius}")
         if not self.formats:
             raise InvalidConfig("formats must not be empty")
         for fmt in self.formats:
@@ -117,34 +116,51 @@ class ExperimentConfig:
                 raise InvalidConfig(f"comparison {self.comparison!r} is not a configured strategy")
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has the declared field type kind; an int is no bool, but is a float."""
+    if get_origin(kind) is UnionType:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, *get_args(kind)) for v in value)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_keys(cls, raw: dict, where: str) -> None:
+    """Refuse a key of raw that is no field of cls, or whose value does not fit the field's type."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = kinds[key]
+        if is_dataclass(kind):
+            kind = dict  # a nested block, checked on its own
+        if not _fits(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise InvalidConfig(f"{where} key {key!r} must be {name}, got {value!r}")
+
+
 def load_experiment_config(text: str) -> ExperimentConfig:
-    """Parse the JSON experiment description."""
+    """Parse the JSON experiment description; each value must have its field's type."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise InvalidConfig("config must be a JSON object")
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in raw.items() if k != "synth"}
+    _check_keys(ExperimentConfig, raw, "config")
+    kwargs = dict(raw)
     if "synth" in raw:
-        if not isinstance(raw["synth"], dict):
-            raise InvalidConfig("synth must be a JSON object")
         # Both would be ignored: the corpus comes from data_dir, or from gen_corpus on seed.
         if raw.get("data_dir") is not None:
             raise InvalidConfig("synth is ignored when data_dir is set")
         if "seed" in raw["synth"]:
             raise InvalidConfig("synth.seed is ignored: the top-level seed seeds the corpus")
-        try:
-            kwargs["synth"] = SynthConfig(**raw["synth"])
-        except TypeError as e:
-            raise InvalidConfig(f"bad synth options: {e}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as e:
-        raise InvalidConfig(f"bad config: {e}") from None
+        _check_keys(SynthConfig, raw["synth"], "synth")
+        kwargs["synth"] = SynthConfig(**raw["synth"])
+    return ExperimentConfig(**kwargs)
 
 
 def load_corpus_dir(path: str) -> Corpus:
@@ -297,6 +313,7 @@ class _Prepared:
     full says whether outcomes carry what `run` writes (reports, decodes
     and the sha256 of every modified matrix) or, for a sweep,
     per-utterance counts only. jobs is the executor's worker count.
+    folds are the CV folds of a run; a sweep reads none and builds none.
     """
 
     corpus: Corpus
@@ -304,6 +321,7 @@ class _Prepared:
     executor: ProcessPoolExecutor | None
     full: bool
     jobs: int
+    folds: list | None
     baseline: StrategyOutcome | None = None
 
 
@@ -345,17 +363,14 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
             rng = None
             if spec.needs_rng():
                 rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
-            mask, weights = realize_strategy(
-                spec, utt.matrix.T, landmarks=landmarks, rng=rng,
-                default_radius=config.widen_radius,
-            )
+            mask, weights = realize_strategy(spec, utt.matrix.T, landmarks=landmarks, rng=rng)
             if (weights == 1.0).all():
                 return mask, None
             weights.flags.writeable = False
             return mask, weights
 
         def protect():
-            marked = protected_map(spec, utt.matrix.T, landmarks, config.widen_radius)
+            marked = protected_map(spec, utt.matrix.T, landmarks)
             marked.flags.writeable = False
             return marked
 
@@ -401,19 +416,14 @@ def _collect_strategy(raw, masks, results, prep):
 
 def _utterance_folds(corpus, config):
     """Speaker-disjoint groups of utterance indices from a gender-stratified split."""
-    speakers = []
-    gender = {}
+    gender = {}  # speaker -> gender, in order of first appearance
     for utt in corpus.utterances:
         sid, g = utt.alignment.speaker_id, utt.alignment.gender
-        if sid in gender:
-            if gender[sid] != g:
-                raise InvalidConfig(f"speaker {sid!r} has inconsistent gender labels")
-        else:
-            gender[sid] = g
-            speakers.append((sid, g))
+        if gender.setdefault(sid, g) != g:
+            raise InvalidConfig(f"speaker {sid!r} has inconsistent gender labels")
     folds = []
     seed = _derive_seed(config.seed, _STREAM_FOLDS)
-    for fold in cv_folds(speakers, k=config.folds, seed=seed):
+    for fold in cv_folds(list(gender.items()), k=config.folds, seed=seed):
         members = set(fold)
         folds.append([
             ui
@@ -427,16 +437,18 @@ def _utterance_folds(corpus, config):
 def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool):
     """Build what one command's points share, with its worker pool.
 
-    Loads or synthesizes the corpus, annotates landmarks when a strategy
-    or a rate adjustment reads them, starts one pool of jobs workers
-    (none for jobs 1), and decodes and scores the baseline once. The
-    pool shuts down when the block exits. A failing baseline is fatal.
-    full says whether outcomes carry what `run` writes (see _Prepared).
+    Loads or synthesizes the corpus, builds a run's folds, annotates
+    landmarks when a strategy or a rate adjustment reads them, starts one
+    pool of jobs workers (none for jobs 1), and decodes and scores the
+    baseline once. The pool shuts down when the block exits. Bad folds
+    and a failing baseline are fatal. full says whether outcomes carry
+    what `run` writes (see _Prepared).
     """
     if config.data_dir is not None:
         corpus = load_corpus_dir(config.data_dir)
     else:
         corpus = gen_corpus(config.synth, config.seed)
+    folds = _utterance_folds(corpus, config) if full else None
 
     need_landmarks = adjusts_rate or any(
         parse_strategy(s).needs_landmarks() for s in config.strategies
@@ -454,7 +466,7 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
             max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
         )
     try:
-        prep = _Prepared(corpus, landmark_sets, executor, full, jobs)
+        prep = _Prepared(corpus, landmark_sets, executor, full, jobs, folds)
         # The baseline has no drops and no rng, so one decode serves every point.
         baseline = _collect_strategy(BASELINE, *_submit_strategy(BASELINE, prep, config, 0), prep)
         baseline.delta_per = 0.0
@@ -572,9 +584,8 @@ def compute_outcomes(
     given, renormalizes every strategy mask to that drop rate.
     """
     with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, full=True) as prep:
-        folds = _utterance_folds(prep.corpus, config)
         [outcomes] = _evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
-    _attach_stats(outcomes, folds, config.comparison)
+    _attach_stats(outcomes, prep.folds, config.comparison)
     return outcomes, prep.corpus
 
 

@@ -62,7 +62,7 @@ END_OFFSET_FRAC = 0.20
 
 ANNOTATION_MODES = ("boundary", "offset")
 
-# Frames past this are refused, so that landmark_frames can cap its radius and work in int64.
+# Frames past this are refused, so that landmark_map can cap its radius and work in int64.
 _MAX_FRAME = 2**60
 
 
@@ -153,10 +153,10 @@ def annotate(alignment, manner_table: dict, config: AnnotationConfig | None = No
     return LandmarkSet(alignment.utterance_id, events)
 
 
-def landmark_frames(landmarks: LandmarkSet, num_frames: int, radius: int = 0) -> np.ndarray:
-    """Sorted unique frame indices within +/- radius of any landmark event.
+def landmark_map(landmarks: LandmarkSet, num_frames: int, radius: int = 0) -> np.ndarray:
+    """Boolean map of the frames within +/- radius of any landmark event.
 
-    Events outside [0, num_frames) contribute only their in-range widened
+    Events outside [0, num_frames) mark only their in-range widened
     frames.
     """
     if radius < 0:
@@ -170,31 +170,14 @@ def landmark_frames(landmarks: LandmarkSet, num_frames: int, radius: int = 0) ->
     lo = np.maximum(frames - radius, 0)
     hi = np.minimum(frames + (radius + 1), num_frames)
     depth = np.bincount(lo, minlength=num_frames + 1) - np.bincount(hi, minlength=num_frames + 1)
-    return np.flatnonzero(depth[:num_frames].cumsum() > 0)
-
-
-def frame_map(frames, num_frames: int) -> np.ndarray:
-    """Boolean frame map from a collection of frame indices.
-
-    A frame outside [0, num_frames) is an InvalidConfig naming the first
-    such frame in input order.
-    """
-    if not isinstance(frames, np.ndarray):
-        frames = np.array(list(frames))
-    marked = np.zeros(num_frames, dtype=bool)
-    if frames.size:
-        outside = ~((frames >= 0) & (frames < num_frames))
-        if outside.any():
-            raise InvalidConfig(f"frame {frames[outside.argmax()]} outside [0, {num_frames})")
-        marked[frames.astype(np.intp)] = True
-    return marked
+    return depth[:num_frames].cumsum() > 0
 
 
 def landmark_fraction(landmarks: LandmarkSet, num_frames: int, radius: int = 0) -> float:
     """Fraction of this utterance's frames within radius of a landmark."""
     if num_frames < 1:
         raise EmptyInput("utterance has no frames")
-    return len(landmark_frames(landmarks, num_frames, radius)) / num_frames
+    return int(landmark_map(landmarks, num_frames, radius).sum()) / num_frames
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:

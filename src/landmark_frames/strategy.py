@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus_io import NEG_INF, FrameMask, ScoreMatrix
 from .errors import InvalidConfig, InvalidPattern, ScoreOverflow, ShapeError
-from .landmarks import frame_map, landmark_frames
+from .landmarks import landmark_map
 
 REPLACEMENT_METHODS = ("copy", "fill_0", "fill_const", "upsample")
 
@@ -43,42 +43,37 @@ def mask_regular(num_frames: int, period: int, drop: int) -> FrameMask:
     return FrameMask((t % period) < drop)
 
 
-def mask_random(num_frames: int, n_drop: int, seed: int, protected=()) -> FrameMask:
+def mask_random(num_frames: int, n_drop: int, seed: int) -> FrameMask:
     """Drop n_drop frames sampled uniformly without replacement.
 
-    Protected frames are never dropped; asking for more drops than the
-    unprotected pool holds is an InvalidPattern.
+    Asking for more drops than there are frames is an InvalidPattern.
     """
-    pool = np.flatnonzero(~frame_map(protected, num_frames))
-    if not 0 <= n_drop <= pool.size:
-        raise InvalidPattern(
-            f"cannot drop {n_drop} of {pool.size} unprotected frames (T={num_frames})"
-        )
+    if not 0 <= n_drop <= num_frames:
+        raise InvalidPattern(f"cannot drop {n_drop} of {num_frames} frames")
     dropped = np.zeros(num_frames, dtype=bool)
     if n_drop:
         rng = np.random.default_rng(seed)
-        dropped[rng.choice(pool, size=n_drop, replace=False)] = True
+        dropped[rng.choice(num_frames, size=n_drop, replace=False)] = True
     return FrameMask(dropped)
 
 
-def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=(), seed: int = 0) -> FrameMask:
+def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=None, seed: int = 0) -> FrameMask:
     """Randomly add or remove drops until the mask hits an exact count.
 
     Only unprotected frames change: the result is a superset of the
     input drops when the count grows and a subset when it shrinks, so
     matched-rate comparisons perturb the mask as little as possible.
-    protected lists frame indices, or is a boolean map of the mask's
-    frames. Unreachable targets raise InvalidPattern.
+    protected, if given, is a boolean map of the mask's frames; anything
+    else, frame indices included, is a ShapeError. Unreachable targets
+    raise InvalidPattern.
     """
+    prot = np.zeros(mask.T, dtype=bool) if protected is None else np.asarray(protected)
+    if prot.dtype != bool or prot.shape != (mask.T,):
+        raise ShapeError(
+            f"protected must be a boolean map of shape ({mask.T},), got {prot.dtype} {prot.shape}"
+        )
     if not 0 <= target_n <= mask.T:
         raise InvalidPattern(f"cannot drop {target_n} of {mask.T} frames")
-    if isinstance(protected, np.ndarray) and protected.dtype == bool:
-        # frame_map would read a boolean map as the indices 0 and 1.
-        if protected.shape != (mask.T,):
-            raise ShapeError(f"protected map shape {protected.shape} != ({mask.T},)")
-        prot = protected
-    else:
-        prot = frame_map(protected, mask.T)
     delta = target_n - mask.n_dropped
     if delta == 0:
         return FrameMask(mask.dropped)
@@ -247,20 +242,20 @@ def reads_landmarks(kind: str, params: dict) -> bool:
     return kind in ("landmark", "hybrid", "overweight") or (kind == "random" and "match" in params)
 
 
-def protected_map(spec, num_frames: int, landmarks, default_radius: int = 0) -> np.ndarray:
+def protected_map(spec, num_frames: int, landmarks) -> np.ndarray:
     """Boolean map of the landmark frames a rate adjustment must not start dropping.
 
     A random part reads landmarks only to count its drops, so it protects
     none: a matched control gives back landmark and other drops alike.
     """
     radii = [
-        params.get("r", default_radius)
+        params.get("r", 0)
         for kind, params in spec.parts
         if kind != "random" and reads_landmarks(kind, params)
     ]
     if not radii:
         return np.zeros(num_frames, dtype=bool)
-    return frame_map(landmark_frames(landmarks, num_frames, max(radii)), num_frames)
+    return landmark_map(landmarks, num_frames, max(radii))
 
 
 @dataclass
@@ -365,7 +360,6 @@ def realize_strategy(
     num_frames: int,
     landmarks=None,
     rng: np.random.Generator | None = None,
-    default_radius: int = 0,
 ):
     """Materialize a strategy for one utterance.
 
@@ -382,8 +376,7 @@ def realize_strategy(
     weights = np.ones(num_frames, dtype=np.float64)
     for kind, params in spec.parts:
         if reads_landmarks(kind, params):
-            radius = params.get("r", default_radius)
-            marked = frame_map(landmark_frames(landmarks, num_frames, radius), num_frames)
+            marked = landmark_map(landmarks, num_frames, params.get("r", 0))
             # landmark's mode and random's match: the regime drops marked or ~marked.
             regime = params.get("mode", params.get("match"))
             if regime == "keep" and not marked.any():

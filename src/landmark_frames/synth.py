@@ -15,7 +15,7 @@ import numpy as np
 from .corpus_io import Corpus, PhoneAlignment, ScoreMatrix, Utterance
 from .decoder import TransitionModel
 from .errors import InvalidConfig
-from .landmarks import AnnotationConfig, annotate, frame_map, landmark_frames
+from .landmarks import AnnotationConfig, annotate, landmark_map
 
 # Manners cycle over the phone inventory so every manner class appears.
 MANNER_CYCLE = ("vowel", "fricative", "stop", "nasal", "glide")
@@ -190,14 +190,8 @@ def gen_corpus(config: SynthConfig, seed: int | None = None) -> Corpus:
         )
         noise = rng.normal(size=(len(state_path), config.feature_dim))
         if config.offpeak_noise != 1.0:
-            marked = frame_map(
-                landmark_frames(
-                    annotate(alignment, manner_table, AnnotationConfig()),
-                    len(state_path),
-                    config.cue_radius,
-                ),
-                len(state_path),
-            )
+            landmarks = annotate(alignment, manner_table, AnnotationConfig())
+            marked = landmark_map(landmarks, len(state_path), config.cue_radius)
             noise = noise * np.where(marked, 1.0, config.offpeak_noise)[:, None]
         obs = true_means[state_path] + noise
         matrix = ScoreMatrix(alignment.utterance_id, _log_gauss_rows(obs, scoring_means))

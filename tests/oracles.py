@@ -2,9 +2,10 @@
 must agree with.
 
 Nothing here reuses package internals beyond public data types, errors,
-frame weighting and the mask and landmark primitives, so a bug in the
-decoder, the scorer or the strategy composition cannot hide in its own
-oracle.
+frame weighting and the regular and random mask primitives; landmark
+frames and frame maps come from the reference loops below. A bug in the
+decoder, the scorer, the landmark map or the strategy composition
+cannot hide in its own oracle.
 """
 
 import itertools
@@ -27,8 +28,6 @@ from landmark_frames import (
     UnknownPhone,
     UnknownSenone,
     apply_weights,
-    frame_map,
-    landmark_frames,
     mask_random,
     mask_regular,
 )
@@ -154,7 +153,7 @@ def reference_adjust_mask_to_rate(mask, target_n, protected=(), seed=0):
     """
     if not 0 <= target_n <= mask.T:
         raise InvalidPattern(f"cannot drop {target_n} of {mask.T} frames")
-    prot = frame_map(protected, mask.T)
+    prot = reference_frame_map(protected, mask.T)
     delta = target_n - mask.n_dropped
     if delta == 0:
         return FrameMask(mask.dropped)
@@ -175,7 +174,7 @@ def reference_adjust_mask_to_rate(mask, target_n, protected=(), seed=0):
 
 def _reference_landmark_mask(frames, num_frames, regime):
     """keep: drop every frame outside frames; drop: drop exactly frames."""
-    marked = frame_map(frames, num_frames)
+    marked = reference_frame_map(frames, num_frames)
     if regime == "keep" and not marked.any():
         warnings.warn("landmark keep with no landmark frames drops every frame")
     return FrameMask(marked if regime == "drop" else ~marked)
@@ -185,7 +184,7 @@ def _reference_or(a, b):
     return FrameMask(a.dropped | b.dropped)
 
 
-def reference_realize(spec, num_frames, landmarks=None, rng=None, default_radius=0):
+def reference_realize(spec, num_frames, landmarks=None, rng=None):
     """The per-part composition `realize_strategy` had before its single pass.
 
     Every part builds its own FrameMask from landmark frame indices, and
@@ -199,7 +198,7 @@ def reference_realize(spec, num_frames, landmarks=None, rng=None, default_radius
     for kind, params in spec.parts:
         frames = None
         if kind in ("landmark", "hybrid", "overweight") or "match" in params:
-            frames = landmark_frames(landmarks, num_frames, params.get("r", default_radius))
+            frames = reference_landmark_frames(landmarks, num_frames, params.get("r", 0))
         if kind == "regular":
             mask = _reference_or(mask, mask_regular(num_frames, params["P"], params["D"]))
         elif kind == "random":
@@ -217,11 +216,11 @@ def reference_realize(spec, num_frames, landmarks=None, rng=None, default_radius
             mask = _reference_or(mask, _reference_landmark_mask(frames, num_frames, params["mode"]))
         elif kind == "hybrid":
             regular = mask_regular(num_frames, params["P"], params["D"])
-            protected = frame_map(frames, num_frames)
+            protected = reference_frame_map(frames, num_frames)
             mask = _reference_or(mask, FrameMask(regular.dropped & ~protected))
         if kind in ("hybrid", "overweight"):
             part = np.ones(num_frames, dtype=np.float64)
-            part[frame_map(frames, num_frames)] = params["overweight" if kind == "hybrid" else "factor"]
+            part[reference_frame_map(frames, num_frames)] = params["overweight" if kind == "hybrid" else "factor"]
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = weights * part
     return mask, weights
@@ -245,7 +244,7 @@ def reference_copy(values, dropped):
 
 
 def reference_landmark_frames(landmarks, num_frames, radius=0):
-    """The event loop `landmark_frames` had before it was vectorized."""
+    """Sorted indices of the frames within radius of an event, by a loop over the events."""
     if radius < 0:
         raise InvalidConfig(f"radius must be >= 0, got {radius}")
     marked = np.zeros(num_frames, dtype=bool)
@@ -258,7 +257,7 @@ def reference_landmark_frames(landmarks, num_frames, radius=0):
 
 
 def reference_frame_map(frames, num_frames):
-    """The frame loop `frame_map` had before it was vectorized."""
+    """Boolean map of frame indices; a frame outside [0, num_frames) is an InvalidConfig."""
     marked = np.zeros(num_frames, dtype=bool)
     for frame in frames:
         if not 0 <= frame < num_frames:

@@ -126,7 +126,9 @@ def test_criterion_04_replacement_semantics(capsys):
         # copy: every dropped row repeats the most recent kept row
         T, S = int(rng.integers(2, 13)), int(rng.integers(1, 7))
         matrix = lf.ScoreMatrix("u", rng.normal(size=(T, S)))
-        mask = lf.mask_random(T, int(rng.integers(1, T)), rng, protected=(0,))
+        # Frame 0 stays kept, so every dropped row has a kept row before it.
+        n_drop = int(rng.integers(1, T))
+        mask = lf.FrameMask(np.r_[False, lf.mask_random(T - 1, n_drop, rng).dropped])
         out = lf.apply_replacement(matrix, mask, "copy").values
         dropped = set(mask.dropped_frames().tolist())
         last = matrix.values[0]
@@ -305,7 +307,7 @@ def test_criterion_09_timit_landmark_fraction(capsys):
         alignment = lf.parse_alignment(path.read_text(), unit=unit, utterance_id=path.stem)
         lms = lf.annotate(alignment, lf.DEFAULT_TIMIT_MANNERS)
         total_frames += alignment.num_frames
-        total_marked += lf.landmark_frames(lms, alignment.num_frames, radius=0).size
+        total_marked += int(lf.landmark_map(lms, alignment.num_frames, radius=0).sum())
     fraction = total_marked / total_frames
     ok = 0.185 <= fraction <= 0.205
     _verdict(

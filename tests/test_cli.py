@@ -346,6 +346,22 @@ class TestRunAndSweep:
         config.write_text("{not json")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"folds": 2.5}, "config key 'folds' must be int, got 2.5"),
+        ({"seed": 1.5}, "config key 'seed' must be int, got 1.5"),
+        ({"seed": True}, "config key 'seed' must be int, got True"),
+        ({"synth": {"n_phones": 2.5}}, "synth key 'n_phones' must be int, got 2.5"),
+        ({"strategies": "landmark:keep"}, "config key 'strategies' must be list[str]"),
+        ({"formats": "csv"}, "config key 'formats' must be list[str], got 'csv'"),
+        ({"merge_mc": "no"}, "config key 'merge_mc' must be bool, got 'no'"),
+    ])
+    def test_run_refuses_wrong_typed_config_values(self, tmp_path, capsys, extra, message):
+        config = experiment_config(tmp_path, **{"strategies": ["regular:P=2,D=1"], **extra})
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_config_exits_2(self, tmp_path):
         missing = tmp_path / "absent.json"
         assert run_cli("run", "--config", str(missing), "--out", str(tmp_path / "x")) == 2

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -28,7 +29,7 @@ from landmark_frames import (
     format_plot_svg,
     format_report_csv,
     format_sweep_svg,
-    landmark_frames,
+    landmark_map,
     load_experiment_config,
     parse_strategy,
     run_experiment,
@@ -408,7 +409,7 @@ class TestSweep:
         T = alignment.num_frames
 
         def protected_frames(raw):
-            return np.flatnonzero(protected_map(parse_strategy(raw), T, landmarks, 0))
+            return np.flatnonzero(protected_map(parse_strategy(raw), T, landmarks))
 
         for raw in ("landmark:keep", "overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"):
             assert len(protected_frames(raw)) > 0
@@ -422,6 +423,24 @@ class TestSweep:
         assert [r.error for r in rows] == [None, None]
         with pytest.raises(InvalidConfig, match="cannot split 4 speakers into 10 folds"):
             compute_outcomes(config)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_refuses_bad_folds_before_any_decode(self, jobs, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # No pool starts, so no worker decodes either.
+        for name in ("viterbi", "annotate", "ProcessPoolExecutor"):
+            monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+        config = fast_config(["landmark:keep"], folds=10, n_utterances=40, n_speakers=4)
+        with pytest.raises(InvalidConfig, match="cannot split 4 speakers into 10 folds"):
+            compute_outcomes(config, jobs=jobs)
+        assert calls == {}
 
     def test_sweep_writes_artifacts(self, tmp_path):
         config = fast_config(["overweight:factor=2.0"])
@@ -670,11 +689,11 @@ class TestPipeline:
         utt = corpus.utterances[0]
         uid, T = utt.alignment.utterance_id, utt.matrix.T
         assert outcomes[1].error == (
-            f"{uid}: realize: cannot drop 10000 of {T} unprotected frames (T={T})"
+            f"{uid}: realize: cannot drop 10000 of {T} frames"
         )
         # At rate 1.0 every kept frame of landmark:keep is a protected landmark frame.
         rows = sweep(fast_config(["landmark:keep"]), "drop_rate", [1.0], repeats=1, jobs=jobs)
-        kept = len(landmark_frames(annotate(utt.alignment, corpus.manner_table), T))
+        kept = int(landmark_map(annotate(utt.alignment, corpus.manner_table), T).sum())
         assert rows[1].error == (
             f"1 of 1 repeats; rep 0: {uid}: adjust: "
             f"need {kept} more drops but only 0 unprotected kept frames"
@@ -883,6 +902,16 @@ class TestConfigIO:
             load_experiment_config(text)
         assert load_experiment_config(json.dumps({"data_dir": str(tmp_path)})).data_dir
 
+    def test_float_fields_take_ints(self):
+        config = load_experiment_config(json.dumps({"beam": 5, "synth": {"noise_sigma": 2}}))
+        assert config.beam == 5 and config.synth.noise_sigma == 2
+
+    def test_readme_config_loads(self):
+        # The README's example config must name only keys the loader takes, with their types.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert load_experiment_config(block).strategies
+
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config(json.dumps({"folds": 1}))
@@ -911,6 +940,12 @@ class TestLoadCorpusDir:
         speakers = {u.alignment.speaker_id for u in corpus.utterances}
         assert len(speakers) == 3
         assert all(u.alignment.gender == "F" for u in corpus.utterances)
+
+    def test_speaker_with_two_genders_fails_a_run(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "speakers.tsv").write_text("utt0000 spk00 F\nutt0001 spk01 M\nutt0002 spk00 M\n")
+        with pytest.raises(InvalidConfig, match="speaker 'spk00' has inconsistent gender labels"):
+            compute_outcomes(ExperimentConfig(folds=2, data_dir=str(tmp_path)))
 
     def test_missing_align_files(self, tmp_path, small_corpus):
         write_corpus_dir(tmp_path, small_corpus, n_utterances=0)

@@ -76,17 +76,11 @@ class TestRandomMask:
         c = mask_random(50, 20, seed=8)
         assert (a.dropped != c.dropped).any()
 
-    def test_protected_never_dropped(self):
-        protected = np.array([0, 1, 2, 3, 4])
-        mask = mask_random(10, 5, seed=0, protected=protected)
-        assert not mask.dropped[protected].any()
-        assert mask.n_dropped == 5
-
     def test_infeasible(self):
-        with pytest.raises(InvalidPattern):
-            mask_random(10, 6, seed=0, protected=np.arange(5))
-        with pytest.raises(InvalidPattern):
+        with pytest.raises(InvalidPattern, match="^cannot drop 11 of 10 frames$"):
             mask_random(10, 11, seed=0)
+        with pytest.raises(InvalidPattern):
+            mask_random(10, -1, seed=0)
 
     def test_zero_drops(self):
         assert mask_random(10, 0, seed=0).n_dropped == 0
@@ -170,14 +164,14 @@ class TestAdjustMaskToRate:
 
     def test_protected_frames_untouched(self):
         base = keep_all(10)
-        protected = np.array([0, 1, 2])
+        protected = np.arange(10) < 3
         out = adjust_mask_to_rate(base, 7, protected=protected, seed=1)
         assert out.n_dropped == 7
         assert not out.dropped[protected].any()
 
     def test_infeasible_with_protection(self):
         with pytest.raises(InvalidPattern):
-            adjust_mask_to_rate(keep_all(10), 8, protected=np.arange(3), seed=0)
+            adjust_mask_to_rate(keep_all(10), 8, protected=np.arange(10) < 3, seed=0)
 
     def test_target_out_of_range(self):
         with pytest.raises(InvalidPattern):
@@ -212,7 +206,9 @@ class TestAdjustMaskToRate:
 
         want = outcome(reference_adjust_mask_to_rate, np.flatnonzero(protected))
         assert outcome(adjust_mask_to_rate, protected) == want
-        assert outcome(adjust_mask_to_rate, np.flatnonzero(protected)) == want
+        # Frame indices are refused rather than read as a map.
+        with pytest.raises(ShapeError, match="must be a boolean map"):
+            adjust_mask_to_rate(mask, target_n, np.flatnonzero(protected), seed=seed)
 
 
 class TestInterpFilter:
@@ -639,14 +635,22 @@ _EVENTS = st.lists(st.tuples(st.integers(0, 40), st.sampled_from(LANDMARK_TYPES)
 
 
 def _realize_outcome(realize, parts, num_frames, events, seed, radius):
-    """Mask bytes, weight bytes and warnings of one realization, or its error."""
+    """Mask bytes, weight bytes and warnings of one realization, or its error.
+
+    radius is the r= of every landmark-reading part that sets none.
+    """
+    parts = [
+        (kind, {"r": radius, **params}
+         if kind in ("landmark", "hybrid", "overweight") or "match" in params else params)
+        for kind, params in parts
+    ]
     spec = StrategySpec("", parts)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             mask, weights = realize(
                 spec, num_frames, landmarks=LandmarkSet("u", events),
-                rng=np.random.default_rng(seed), default_radius=radius,
+                rng=np.random.default_rng(seed),
             )
             result = (mask.dropped.tobytes(), weights.tobytes(), np.isfinite(weights).all())
         except (InvalidPattern, InvalidConfig) as e:

@@ -6,9 +6,8 @@ from landmark_frames import (
     InvalidConfig,
     SynthConfig,
     annotate,
-    frame_map,
     gen_corpus,
-    landmark_frames,
+    landmark_map,
     parse_synth_config,
 )
 from helpers import corpus_per
@@ -149,10 +148,7 @@ class TestCueConcentration:
         for uf, ub in zip(flat.utterances, bumpy.utterances):
             assert uf.alignment.segments == ub.alignment.segments
             lms = annotate(uf.alignment, flat.manner_table, AnnotationConfig())
-            marked = frame_map(
-                landmark_frames(lms, uf.alignment.num_frames, flat_config.cue_radius),
-                uf.alignment.num_frames,
-            )
+            marked = landmark_map(lms, uf.alignment.num_frames, flat_config.cue_radius)
             assert (uf.matrix.values[marked] == ub.matrix.values[marked]).all()
             changed += int(
                 (uf.matrix.values[~marked] != ub.matrix.values[~marked]).any()
