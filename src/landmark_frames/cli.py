@@ -7,6 +7,7 @@ command lines, 2 when processing fails at runtime.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -94,7 +95,7 @@ def _write_out(path: str | None, text: str) -> None:
 
 def cmd_synth(args) -> int:
     config = parse_synth_config(_read_text(args.config)) if args.config else SynthConfig()
-    corpus = gen_corpus(config, args.seed)  # None falls back to config.seed
+    corpus = gen_corpus(config, args.seed)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "model.tm"), write_transition_model(corpus.model))
     atomic_write_text(
@@ -165,6 +166,8 @@ def _realize_from_args(args, num_frames: int):
 
 
 def cmd_mask(args) -> int:
+    if args.frames < 1:
+        raise InvalidConfig(f"--frames must be >= 1, got {args.frames}")
     _, mask, _ = _realize_from_args(args, args.frames)
     _write_out(args.out, write_mask(mask) + "\n")
     return 0
@@ -221,9 +224,12 @@ def cmd_stats(args) -> int:
         if len(fields) != 2:
             raise InvalidConfig(f"line {lineno}: expected two values per line")
         try:
-            pairs.append((float(fields[0]), float(fields[1])))
+            pair = (float(fields[0]), float(fields[1]))
         except ValueError:
             raise InvalidConfig(f"line {lineno}: unparseable value") from None
+        if not all(map(math.isfinite, pair)):
+            raise InvalidConfig(f"line {lineno}: non-finite value")
+        pairs.append(pair)
     results = [wilcoxon_signed_rank(pairs, method=args.method)]
     try:
         results.append(welch_t([a for a, _ in pairs], [b for _, b in pairs]))
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus directory")
     p.add_argument("--config", help="synth config file (key = value lines)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("binary", "text"), default="binary")
     p.set_defaults(func=cmd_synth)

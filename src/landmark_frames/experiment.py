@@ -85,7 +85,7 @@ class ExperimentConfig:
 
     seed: int = 0
     strategies: list[str] = field(default_factory=list)
-    comparison: str | None = None
+    comparison: str = BASELINE
     folds: int = 10
     beam: float | None = None
     annotation: str = "boundary"
@@ -111,9 +111,8 @@ class ExperimentConfig:
         # Validate strategy strings eagerly so config errors fail fast.
         for s in self.strategies:
             parse_strategy(s)
-        if self.comparison is not None and self.comparison != BASELINE:
-            if self.comparison not in self.strategies:
-                raise InvalidConfig(f"comparison {self.comparison!r} is not a configured strategy")
+        if self.comparison != BASELINE and self.comparison not in self.strategies:
+            raise InvalidConfig(f"comparison {self.comparison!r} is not a configured strategy")
 
 
 def _fits(value, kind) -> bool:
@@ -153,11 +152,8 @@ def load_experiment_config(text: str) -> ExperimentConfig:
     _check_keys(ExperimentConfig, raw, "config")
     kwargs = dict(raw)
     if "synth" in raw:
-        # Both would be ignored: the corpus comes from data_dir, or from gen_corpus on seed.
         if raw.get("data_dir") is not None:
             raise InvalidConfig("synth is ignored when data_dir is set")
-        if "seed" in raw["synth"]:
-            raise InvalidConfig("synth.seed is ignored: the top-level seed seeds the corpus")
         _check_keys(SynthConfig, raw["synth"], "synth")
         kwargs["synth"] = SynthConfig(**raw["synth"])
     return ExperimentConfig(**kwargs)
@@ -551,7 +547,6 @@ def _attach_stats(outcomes, folds, comparison):
         ]
         if live:
             outcome.mean, outcome.stdev = summarize_cv(outcome.fold_increments)
-    comparison = comparison if comparison is not None else BASELINE
     comp = next(o for o in outcomes if o.strategy == comparison)
     for outcome in outcomes[1:]:
         if outcome.error is not None or outcome is comp or comp.error is not None:
@@ -570,21 +565,15 @@ def _attach_stats(outcomes, folds, comparison):
                 outcome.p_t = None
 
 
-def compute_outcomes(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    rep: int = 0,
-    adjust_rate: float | None = None,
-):
+def compute_outcomes(config: ExperimentConfig, jobs: int = 1):
     """Run the baseline and every strategy, attaching comparison stats.
 
     Returns (outcomes, corpus); outcomes[0] is the untouched baseline.
     A failing strategy yields a row with its error message instead of
-    aborting the run; a failing baseline is fatal. adjust_rate, if
-    given, renormalizes every strategy mask to that drop rate.
+    aborting the run; a failing baseline is fatal.
     """
-    with _prepare(config, jobs, adjusts_rate=adjust_rate is not None, full=True) as prep:
-        [outcomes] = _evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
+    with _prepare(config, jobs, adjusts_rate=False, full=True) as prep:
+        [outcomes] = _evaluate(prep, config, [(config.strategies, 0, None)])
     _attach_stats(outcomes, prep.folds, config.comparison)
     return outcomes, prep.corpus
 
@@ -830,21 +819,20 @@ def sweep(
         for v in values:
             if not 0.0 <= v < np.inf:
                 raise InvalidConfig(f"overweight factor must be finite and >= 0, got {v}")
-        # Fail fast if any strategy has nothing to sweep.
-        for raw in config.strategies:
-            _overweight_variant(raw, values[0])
+
+    # Built before the corpus loads, so a strategy with nothing to sweep fails fast.
+    points = []
+    for value in values:
+        if parameter == "overweight":
+            strategies = [_overweight_variant(raw, value) for raw in config.strategies]
+            adjust_rate = None
+        else:
+            strategies, adjust_rate = config.strategies, value
+        points += [(strategies, rep, adjust_rate) for rep in range(repeats)]
 
     rows = []
     # Sweep rows read only per-utterance counts: no reports, decodes or checksums.
     with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", full=False) as prep:
-        points = []
-        for value in values:
-            if parameter == "overweight":
-                strategies = [_overweight_variant(raw, value) for raw in config.strategies]
-                adjust_rate = None
-            else:
-                strategies, adjust_rate = config.strategies, value
-            points += [(strategies, rep, adjust_rate) for rep in range(repeats)]
         # One stream over every (value, repeat) point keeps the pool busy.
         evaluated = _evaluate(prep, config, points)
         for value, (strategies, _, _) in zip(values, points[::repeats]):

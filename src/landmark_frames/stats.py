@@ -42,19 +42,6 @@ class StatResult:
         return "ns"
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    return ranks
-
-
 def _exact_signed_rank_p(doubled_ranks: np.ndarray, w_doubled: int) -> float:
     """P(min(W+, W-) <= w) under random signs, by subset-sum counting."""
     total = int(doubled_ranks.sum())
@@ -74,11 +61,11 @@ def _exact_signed_rank_p(doubled_ranks: np.ndarray, w_doubled: int) -> float:
 def wilcoxon_signed_rank(pairs, method: str = "auto") -> StatResult:
     """Two-sided paired Wilcoxon signed-rank test over (a, b) pairs.
 
-    Zero differences are discarded; ties get midranks. Under "auto",
-    25 or fewer informative pairs get an exact p-value over all sign
-    assignments and larger samples the tie-corrected normal
-    approximation with continuity correction; "exact" and "approx"
-    force one route. All-zero differences yield a degenerate result.
+    A non-finite value is refused before ranking. Zero differences are
+    discarded; ties get midranks. Under "auto", 25 or fewer informative
+    pairs get an exact p-value over all sign assignments and larger
+    samples the tie-corrected normal approximation with continuity
+    correction; "exact" and "approx" force one route. All-zero differences yield a degenerate result.
     """
     if method not in ("auto", "exact", "approx"):
         raise InvalidConfig(f"method must be auto, exact, or approx, got {method!r}")
@@ -87,12 +74,17 @@ def wilcoxon_signed_rank(pairs, method: str = "auto") -> StatResult:
         raise EmptyInput("no pairs")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ShapeError(f"pairs must be (n, 2), got {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise InvalidConfig("pairs must be finite")
     diffs = pairs[:, 0] - pairs[:, 1]
     diffs = diffs[diffs != 0]
     n = diffs.size
     if n == 0:
         return StatResult("wilcoxon", 0.0, 1.0, n=0, degenerate=True)
-    ranks = _midranks(np.abs(diffs))
+    # One grouping of |d| gives each tie group's midrank and its size.
+    _, group, tie_counts = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
+    ends = np.cumsum(tie_counts)
+    ranks = ((ends - tie_counts + 1 + ends) / 2.0)[group]
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     w = min(w_plus, w_minus)
@@ -101,7 +93,6 @@ def wilcoxon_signed_rank(pairs, method: str = "auto") -> StatResult:
         p = _exact_signed_rank_p(doubled, int(round(2 * w)))
         return StatResult("wilcoxon", w, min(p, 1.0), n=n)
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts)).sum()) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var <= 0:
@@ -176,6 +167,8 @@ def welch_t(a, b) -> StatResult:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ShapeError("samples must be 1-d")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidConfig("samples must be finite")
     if a.size < 2 or b.size < 2:
         raise EmptyInput("need at least two observations per group")
     va, vb = a.var(ddof=1), b.var(ddof=1)

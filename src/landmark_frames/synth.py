@@ -35,7 +35,6 @@ class SynthConfig:
     frame equally informative.
     """
 
-    seed: int = 0
     n_utterances: int = 50
     n_phones: int = 8
     states_per_phone: int = 3
@@ -49,8 +48,9 @@ class SynthConfig:
     cue_radius: int = 1
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
+        for key in ("mean_separation", "noise_sigma", "offpeak_noise"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidConfig(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.n_utterances < 1:
             raise InvalidConfig("n_utterances must be >= 1")
         if self.n_phones < 2:
@@ -126,17 +126,14 @@ def _log_gauss_rows(obs: np.ndarray, means: np.ndarray) -> np.ndarray:
     return -0.5 * (sq + d * math.log(2.0 * math.pi))
 
 
-def gen_corpus(config: SynthConfig, seed: int | None = None) -> Corpus:
+def gen_corpus(config: SynthConfig, seed: int) -> Corpus:
     """Generate a corpus; identical (config, seed) gives identical output.
 
-    The master stream (PCG64 on the seed, defaulting to config.seed)
-    draws the global structure: phone bigram, senone means, and the
-    scoring-mean perturbation. Utterance u then uses its own stream
-    seeded with seed XOR u, so corpora stay reproducible when only
-    n_utterances changes.
+    The master stream (PCG64 on the seed) draws the global structure:
+    phone bigram, senone means, and the scoring-mean perturbation.
+    Utterance u then uses its own stream seeded with seed XOR u, so
+    corpora stay reproducible when only n_utterances changes.
     """
-    if seed is None:
-        seed = config.seed
     if seed < 0:
         raise InvalidConfig("seed must be >= 0")
     master = np.random.default_rng(seed)

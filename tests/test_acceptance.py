@@ -37,7 +37,7 @@ def _verdict(capsys, n, ok, detail):
 
 def test_criterion_01_identity_pipeline(capsys):
     start = time.perf_counter()
-    corpus = lf.gen_corpus(lf.SynthConfig(n_utterances=100))
+    corpus = lf.gen_corpus(lf.SynthConfig(n_utterances=100), seed=0)
     silence = _silence_phones(corpus.manner_table)
     spec = lf.parse_strategy("overweight:factor=1.0")
     bit_identical = True
@@ -256,7 +256,7 @@ def test_criterion_07_wilcoxon_exactness(capsys):
 
 def test_criterion_08_synthetic_direction_gates(capsys):
     start_a = time.perf_counter()
-    corpora = [lf.gen_corpus(lf.SynthConfig(seed=seed)) for seed in range(10)]
+    corpora = [lf.gen_corpus(lf.SynthConfig(), seed) for seed in range(10)]
     bases = [corpus_per(c) for c in corpora]
     inc_copy = []
     inc_fill = []

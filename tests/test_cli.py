@@ -62,6 +62,35 @@ class TestSynth:
         config.write_text("volume = 11\n")
         assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "x")) == 1
 
+    def test_seed_is_no_config_option(self, tmp_path, capsys):
+        # --seed is the one corpus seed of the synth command.
+        config = tmp_path / "seeded.cfg"
+        config.write_text("seed = 3\n")
+        assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "x")) == 1
+        assert "line 1: unknown option 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["mean_separation", "noise_sigma", "offpeak_noise"])
+    @pytest.mark.parametrize("route, value", [
+        ("config", "nan"), ("config", "inf"), ("config", "-inf"),
+        ("json", "NaN"), ("json", "Infinity"), ("json", "-Infinity"),
+    ])
+    def test_non_finite_float_refused(self, tmp_path, capsys, key, route, value):
+        out = tmp_path / "out"
+        if route == "config":
+            config = tmp_path / "synth.cfg"
+            config.write_text(f"n_utterances = 2\n{key} = {value}\n")
+            args = ("synth", "--config", str(config), "--out", str(out))
+        else:
+            config = tmp_path / "experiment.json"
+            config.write_text(f'{{"synth": {{"n_utterances": 2, "{key}": {value}}}}}')
+            args = ("run", "--config", str(config), "--out", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(*args) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnnotate:
     def test_single_file_prints_fraction(self, corpus_dir, tmp_path, capsys):
@@ -131,6 +160,11 @@ class TestMask:
 
     def test_bad_strategy_string(self):
         assert run_cli("mask", "--strategy", "rotate:P=2", "--frames", "10") == 1
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_refused(self, capsys, frames):
+        assert run_cli("mask", "--strategy", "regular:P=2,D=1", "--frames", frames) == 1
+        assert f"--frames must be >= 1, got {frames}" in capsys.readouterr().err
 
 
 class TestTransformDecodeScore:
@@ -255,6 +289,18 @@ class TestStats:
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("1 2 3\n")
         assert run_cli("stats", "--pairs", str(pairs)) == 1
+
+    @pytest.mark.parametrize("line", ["nan 3", "2 inf", "-inf 1"])
+    def test_non_finite_pair_refused(self, tmp_path, capsys, line):
+        # A nan once hung the Wilcoxon ranking; an inf printed a nan verdict.
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"1 2\n{line}\n4 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("stats", "--pairs", str(pairs)) == 1
+        captured = capsys.readouterr()
+        assert "line 2: non-finite value" in captured.err
+        assert captured.out == ""
 
 
 class TestRunAndSweep:

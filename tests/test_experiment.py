@@ -47,15 +47,22 @@ from landmark_frames.strategy import protected_map
 FAST_SYNTH = dict(n_utterances=10, n_speakers=5, utterance_length=6)
 
 
-def fast_config(strategies, folds=5, seed=0, comparison=None, **synth_overrides):
-    synth = SynthConfig(seed=seed, **{**FAST_SYNTH, **synth_overrides})
+def fast_config(strategies, folds=5, seed=0, comparison=BASELINE, **synth_overrides):
     return ExperimentConfig(
         seed=seed,
         strategies=list(strategies),
         comparison=comparison,
         folds=folds,
-        synth=synth,
+        synth=SynthConfig(**{**FAST_SYNTH, **synth_overrides}),
     )
+
+
+def point_outcomes(config, rep=0, adjust_rate=None):
+    """compute_outcomes at one sweep point: repeat rep, masks renormalized to adjust_rate."""
+    with experiment._prepare(config, 1, adjusts_rate=adjust_rate is not None, full=True) as prep:
+        [outcomes] = experiment._evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
+    experiment._attach_stats(outcomes, prep.folds, config.comparison)
+    return outcomes
 
 
 class TestComputeOutcomes:
@@ -129,8 +136,8 @@ class TestComputeOutcomes:
 
     def test_rep_varies_unseeded_masks(self):
         config = fast_config(["random:rate=0.4"])
-        first, _ = compute_outcomes(config, rep=0)
-        second, _ = compute_outcomes(config, rep=1)
+        first = point_outcomes(config, rep=0)
+        second = point_outcomes(config, rep=1)
         a = dict(first[1].masks)
         b = dict(second[1].masks)
         assert any((a[uid].dropped != b[uid].dropped).any() for uid in a)
@@ -308,6 +315,7 @@ class TestComparison:
         assert other.p_wilcoxon is not None
 
     def test_default_comparison_is_baseline(self):
+        assert ExperimentConfig().comparison == BASELINE
         outcomes, _ = compute_outcomes(fast_config(["regular:P=2,D=1"]))
         by_name = {o.strategy: o for o in outcomes}
         assert by_name[BASELINE].p_wilcoxon is None
@@ -316,6 +324,11 @@ class TestComparison:
     def test_unknown_comparison_rejected(self):
         with pytest.raises(InvalidConfig):
             fast_config(["regular:P=2,D=1"], comparison="landmark:keep")
+
+    def test_null_comparison_refused(self):
+        # The baseline has one spelling, its name.
+        with pytest.raises(InvalidConfig, match="key 'comparison' must be str, got None"):
+            load_experiment_config(json.dumps({"comparison": None}))
 
 
 class TestSweep:
@@ -331,9 +344,15 @@ class TestSweep:
         with pytest.raises(InvalidConfig):
             sweep(fast_config([]), "overweight", [1.0], repeats=1)
 
-    def test_overweight_needs_sweepable_strategy(self):
-        with pytest.raises(InvalidConfig):
-            sweep(fast_config(["regular:P=2,D=1"]), "overweight", [1.0], repeats=1)
+    def test_overweight_needs_sweepable_strategy(self, monkeypatch):
+        # Refused before the corpus is built.
+        def refuse(*args):
+            raise AssertionError("the corpus was built")
+
+        monkeypatch.setattr(experiment, "gen_corpus", refuse)
+        config = fast_config(["overweight:factor=2.0", "regular:P=2,D=1"])
+        with pytest.raises(InvalidConfig, match="'regular:P=2,D=1' has no overweight factor"):
+            sweep(config, "overweight", [1.0], repeats=1)
 
     def test_drop_rate_bounds(self):
         with pytest.raises(InvalidConfig):
@@ -459,7 +478,7 @@ class TestSweep:
 
 
 def per_point_rows(config, values, repeats, variants=None):
-    """Sweep rows rebuilt from one compute_outcomes call per (value, repeat).
+    """Sweep rows rebuilt from one point_outcomes call per (value, repeat).
 
     variants maps a swept overweight value to its strategy strings; without
     it, each value is a drop rate. Returns (baseline outcome, row tuples).
@@ -473,7 +492,7 @@ def per_point_rows(config, values, repeats, variants=None):
             comparison = renamed.get(config.comparison, config.comparison)
             point = replace(config, strategies=variants[value], comparison=comparison)
             rate = None
-        runs = [compute_outcomes(point, rep=r, adjust_rate=rate)[0] for r in range(repeats)]
+        runs = [point_outcomes(point, rep=r, adjust_rate=rate) for r in range(repeats)]
         baseline = baseline or runs[0][0]
         for i, raw in enumerate(point.strategies, start=1):
             outcomes = [run[i] for run in runs]
@@ -510,7 +529,7 @@ def as_sweep_baseline(outcome):
 
 
 class TestSharedPreparation:
-    """A sweep prepares once; its rows equal the per-point compute_outcomes path."""
+    """A sweep prepares once; its rows equal the per-point path."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_drop_rate_rows_match_per_point_path(self, jobs):
@@ -890,10 +909,10 @@ class TestConfigIO:
             load_experiment_config(json.dumps({"synth": {"volume": 11}}))
 
     def test_synth_seed_refused(self):
-        # gen_corpus draws on the top-level seed, so synth.seed would be ignored.
-        with pytest.raises(InvalidConfig, match=r"synth\.seed is ignored"):
+        # The top-level seed is the corpus seed; synth has no seed of its own.
+        with pytest.raises(InvalidConfig, match=r"unknown synth keys: \['seed'\]"):
             load_experiment_config(json.dumps({"synth": {"seed": 7}}))
-        with pytest.raises(InvalidConfig, match=r"synth\.seed is ignored"):
+        with pytest.raises(InvalidConfig, match=r"unknown synth keys: \['seed'\]"):
             load_experiment_config(json.dumps({"seed": 7, "synth": {"seed": 7}}))
 
     def test_synth_next_to_data_dir_refused(self, tmp_path):
@@ -906,11 +925,15 @@ class TestConfigIO:
         config = load_experiment_config(json.dumps({"beam": 5, "synth": {"noise_sigma": 2}}))
         assert config.beam == 5 and config.synth.noise_sigma == 2
 
-    def test_readme_config_loads(self):
-        # The README's example config must name only keys the loader takes, with their types.
+    def test_readme_config_loads(self, capsys):
+        # The README's example config must name only keys the loader takes, with their
+        # types, and its Python example must run as written.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
         assert load_experiment_config(block).strategies
+        [example] = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(example, {})
+        assert capsys.readouterr().out == "66.66666666666667\n"
 
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):

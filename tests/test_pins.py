@@ -1,0 +1,82 @@
+"""Pinned output digests of small fixed commands at seed 0.
+
+A refactor that claims byte-identical outputs must keep these digests.
+If a pin moves on purpose, the new digest and the reason belong in the
+change log.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from landmark_frames.cli import main
+
+SYNTH = {"n_utterances": 12, "n_speakers": 4, "utterance_length": 6}
+
+# All four replacement methods, hybrid, an rng control and a comparison,
+# so every strategy but the comparison writes stats.csv.
+RUN = {
+    "strategies": [
+        "regular:P=2,D=1",
+        "regular:P=3,D=1,method=upsample",
+        "landmark:keep,r=1,method=fill_const",
+        "random:match=keep,r=1,method=fill_0",
+        "hybrid:P=2,D=1,overweight=1.5",
+    ],
+    "comparison": "landmark:keep,r=1,method=fill_const",
+    "folds": 3,
+    "synth": SYNTH,
+}
+
+SWEEPS = {
+    "drop_rate": (
+        {"strategies": ["landmark:keep", "random:match=keep"], "synth": SYNTH},
+        "0.1,0.5",
+    ),
+    "overweight": (
+        {
+            "strategies": ["overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"],
+            "comparison": "overweight:factor=2.0",
+            "synth": SYNTH,
+        },
+        "1.0,3.0",
+    ),
+}
+
+RUN_CHECKSUMS_SHA256 = "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f"
+SWEEP_CSV_SHA256 = {
+    "drop_rate": "9d50d1501acecacde100b6a756f3f07ca999a427087961b404c373829a43e3f6",
+    "overweight": "8a46f7affef3caf63dca46cea776725246c30e25243c84ebc8170e51fedce604",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_config(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 0, **payload}))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_checksums_pinned(tmp_path, jobs):
+    out = tmp_path / "run"
+    config = write_config(tmp_path, RUN)
+    assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+    assert (out / "strategy_01" / "stats.csv").exists()
+    assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256
+
+
+@pytest.mark.parametrize("parameter", sorted(SWEEPS))
+def test_sweep_csv_pinned(tmp_path, parameter):
+    payload, values = SWEEPS[parameter]
+    out = tmp_path / "sweep"
+    config = write_config(tmp_path, payload)
+    assert main([
+        "sweep", "--config", config, "--out", str(out), "--parameter", parameter,
+        "--values", values, "--repeats", "2",
+    ]) == 0
+    assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256[parameter]

@@ -61,6 +61,12 @@ class TestWilcoxon:
         with pytest.raises(InvalidConfig):
             wilcoxon_signed_rank([(1.0, 0.0)], method="bootstrap")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_ranking(self, bad):
+        # A nan once sent the tie grouping into an endless loop.
+        with pytest.raises(InvalidConfig, match="pairs must be finite"):
+            wilcoxon_signed_rank([(1.0, 2.0), (bad, 3.0), (4.0, 1.0)])
+
     def test_exact_matches_enumeration_no_ties(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
@@ -173,6 +179,13 @@ class TestWelch:
     def test_too_small_samples(self):
         with pytest.raises(EmptyInput):
             welch_t([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(InvalidConfig, match="samples must be finite"):
+            welch_t([1.0, bad, 4.0], [2.0, 3.0, 1.0])
+        with pytest.raises(InvalidConfig, match="samples must be finite"):
+            welch_t([1.0, 2.0, 4.0], [bad, 3.0, 1.0])
 
 
 class TestCvFolds:

@@ -45,9 +45,8 @@ class TestConfig:
             SynthConfig(**kwargs)
 
     def test_parse_round_trip(self):
-        text = "seed = 3\nn_utterances = 5\nnoise_sigma = 0.5\n"
+        text = "n_utterances = 5\nnoise_sigma = 0.5\n"
         config = parse_synth_config(text)
-        assert config.seed == 3
         assert config.n_utterances == 5
         assert config.noise_sigma == 0.5
 
@@ -59,17 +58,22 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             parse_synth_config("n_utterances = lots\n")
 
+    def test_negative_seed_refused(self):
+        # The seed is gen_corpus's argument, and gen_corpus checks it.
+        with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+            gen_corpus(SynthConfig(n_utterances=1), seed=-1)
+
 
 class TestCorpusShape:
     def test_deterministic_and_seed_sensitive(self):
-        config = SynthConfig(seed=5, n_utterances=6, n_speakers=3)
-        a = gen_corpus(config)
-        b = gen_corpus(config)
+        config = SynthConfig(n_utterances=6, n_speakers=3)
+        a = gen_corpus(config, seed=5)
+        b = gen_corpus(config, seed=5)
         assert len(a.utterances) == 6
         for ua, ub in zip(a.utterances, b.utterances):
             assert ua.alignment.segments == ub.alignment.segments
             assert ua.matrix.values.tobytes() == ub.matrix.values.tobytes()
-        c = gen_corpus(SynthConfig(seed=6, n_utterances=6, n_speakers=3))
+        c = gen_corpus(config, seed=6)
         assert any(
             ua.matrix.values.tobytes() != uc.matrix.values.tobytes()
             for ua, uc in zip(a.utterances, c.utterances)
@@ -97,7 +101,7 @@ class TestCorpusShape:
             assert table[f"ph{i:02d}"] == cycle[i % len(cycle)]
 
     def test_speakers_alternate_gender(self):
-        corpus = gen_corpus(SynthConfig(seed=0, n_utterances=8, n_speakers=4))
+        corpus = gen_corpus(SynthConfig(n_utterances=8, n_speakers=4), seed=0)
         genders = {}
         for u in corpus.utterances:
             genders[u.alignment.speaker_id] = u.alignment.gender
@@ -114,24 +118,23 @@ class TestCorpusShape:
 class TestDifficulty:
     def test_noiseless_separated_corpus_decodes_perfectly(self):
         config = SynthConfig(
-            seed=2,
             n_utterances=10,
             noise_sigma=0.0,
             mean_separation=10.0,
             feature_dim=4,
         )
-        corpus = gen_corpus(config)
+        corpus = gen_corpus(config, seed=2)
         assert corpus_per(corpus) == 0.0
 
     def test_per_grows_with_noise(self):
         pers = []
         for sigma in (0.3, 1.7, 4.0):
-            config = SynthConfig(seed=3, n_utterances=12, noise_sigma=sigma)
-            pers.append(corpus_per(gen_corpus(config)))
+            config = SynthConfig(n_utterances=12, noise_sigma=sigma)
+            pers.append(corpus_per(gen_corpus(config, seed=3)))
         assert pers[0] < pers[1] < pers[2]
 
     def test_default_baseline_is_moderate(self):
-        corpus = gen_corpus(SynthConfig(seed=0))
+        corpus = gen_corpus(SynthConfig(), seed=0)
         per = corpus_per(corpus)
         assert 5.0 < per < 40.0
 
@@ -141,9 +144,9 @@ class TestCueConcentration:
         # offpeak_noise=1.0 skips the modulation entirely, so both runs
         # draw identical noise; rows at landmark frames stay bit-equal
         # even when the off-peak scale changes.
-        flat_config = SynthConfig(seed=4, n_utterances=5, offpeak_noise=1.0)
-        flat = gen_corpus(flat_config)
-        bumpy = gen_corpus(SynthConfig(seed=4, n_utterances=5, offpeak_noise=2.5))
+        flat_config = SynthConfig(n_utterances=5, offpeak_noise=1.0)
+        flat = gen_corpus(flat_config, seed=4)
+        bumpy = gen_corpus(SynthConfig(n_utterances=5, offpeak_noise=2.5), seed=4)
         changed = 0
         for uf, ub in zip(flat.utterances, bumpy.utterances):
             assert uf.alignment.segments == ub.alignment.segments
@@ -156,6 +159,6 @@ class TestCueConcentration:
         assert changed == 5
 
     def test_offpeak_noise_hurts_offpeak_frames(self):
-        flat = corpus_per(gen_corpus(SynthConfig(seed=7, n_utterances=15, offpeak_noise=1.0)))
-        bumpy = corpus_per(gen_corpus(SynthConfig(seed=7, n_utterances=15, offpeak_noise=3.5)))
+        flat = corpus_per(gen_corpus(SynthConfig(n_utterances=15, offpeak_noise=1.0), seed=7))
+        bumpy = corpus_per(gen_corpus(SynthConfig(n_utterances=15, offpeak_noise=3.5), seed=7))
         assert bumpy > flat
