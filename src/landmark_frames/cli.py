@@ -29,7 +29,7 @@ from .corpus_io import (
 )
 from .decoder import read_transition_model, viterbi, write_transition_model
 from .errors import InvalidConfig, InvalidPattern, LandmarkFramesError, ParseError
-from .experiment import load_experiment_config, run_experiment, sweep
+from .experiment import SWEEP_PARAMETERS, load_experiment_config, run_experiment, sweep
 from .landmarks import (
     DEFAULT_TIMIT_MANNERS,
     AnnotationConfig,
@@ -230,6 +230,8 @@ def cmd_stats(args) -> int:
         if not all(map(math.isfinite, pair)):
             raise InvalidConfig(f"line {lineno}: non-finite value")
         pairs.append(pair)
+    if not pairs:
+        raise InvalidConfig(f"no pairs in {args.pairs}")
     results = [wilcoxon_signed_rank(pairs, method=args.method)]
     try:
         results.append(welch_t([a for a, _ in pairs], [b for _, b in pairs]))
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one knob across values")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--parameter", choices=("overweight", "drop_rate"), required=True)
+    p.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--repeats", type=int, default=10)

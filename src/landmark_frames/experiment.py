@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import ceil
 from types import UnionType
 from typing import get_args, get_origin
@@ -22,6 +22,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .corpus_io import (
+    GENDERS,
     Corpus,
     Utterance,
     atomic_write_text,
@@ -191,6 +192,8 @@ def load_corpus_dir(path: str) -> Corpus:
                 raise FormatError(
                     f"speakers.tsv line {lineno}: expected 'stem speaker gender', got {line!r}"
                 )
+            if cells[2] not in GENDERS:
+                raise FormatError(f"speakers.tsv line {lineno}: bad gender {cells[2]!r}")
             speakers[cells[0]] = (cells[1], cells[2])
     stems = sorted(
         os.path.splitext(name)[0]
@@ -286,16 +289,13 @@ def _score_one(corpus, task):
         raise type(e)(f"{utt.alignment.utterance_id}: replace: {e}") from None
     if weights is not None:
         modified = apply_weights(modified, weights)
-    digest = None
-    if full:
-        digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
     result = viterbi(modified, corpus.model, beam=beam)
     hyp = [p for p in result.phones if p not in silence]
     ref = [p for p in utt.alignment.phones() if p not in silence]
     if not full:
         return len(ref), edit_distance(ref, hyp)
-    report = align_edit(ref, hyp, utt.alignment.utterance_id)
-    return report, hyp, digest
+    digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
+    return align_edit(ref, hyp, utt.alignment.utterance_id), hyp, digest
 
 
 def _silence_phones(manner_table: dict) -> frozenset:
@@ -310,6 +310,8 @@ class _Prepared:
     and the sha256 of every modified matrix) or, for a sweep,
     per-utterance counts only. jobs is the executor's worker count.
     folds are the CV folds of a run; a sweep reads none and builds none.
+    memo keeps, for the whole command, what does not depend on the point
+    (see _submit_strategy).
     """
 
     corpus: Corpus
@@ -319,18 +321,17 @@ class _Prepared:
     jobs: int
     folds: list | None
     baseline: StrategyOutcome | None = None
+    memo: dict = field(default_factory=dict)
 
 
 def _memoized(memo, key, compute):
-    """compute(), kept in memo under key; memo None keeps nothing. Errors are never kept."""
-    if memo is None:
-        return compute()
+    """compute(), kept in memo under key. Errors are never kept."""
     if key not in memo:
         memo[key] = compute()
     return memo[key]
 
 
-def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, memo=None):
+def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     """Realize raw's masks in this process and queue its decodes.
 
     Returns (masks, results). With a pool, results is the
@@ -340,15 +341,15 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
     when _collect_strategy reads results.
 
     A task carries weights only when some weight is not 1, read-only;
-    otherwise None. memo, a dict shared by the points of one stream,
-    keeps what does not depend on the point: each utterance's
-    realization, keyed by raw, stream_index and, for a strategy that
-    draws from an rng, rep; its read-only map of protected frames, keyed
-    by raw; and its adjust seed, keyed by rep and stream_index. The rate
-    adjustment itself runs at every point.
+    otherwise None. prep.memo keeps what does not depend on the point:
+    each utterance's realization, keyed by raw, stream_index and, for a
+    strategy that draws from an rng, rep; its read-only map of protected
+    frames, keyed by raw; and its adjust seed, keyed by rep and
+    stream_index. The rate adjustment itself runs at every point.
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
+    memo = prep.memo
     tasks = []
     masks = []
     for ui, utt in enumerate(prep.corpus.utterances):
@@ -396,17 +397,24 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None, m
 
 
 def _collect_strategy(raw, masks, results, prep):
-    """The outcome of a submitted strategy, once every decode is back."""
+    """The outcome of a submitted strategy, once every decode is back.
+
+    Its delta_per compares its PER with the baseline's; the baseline
+    itself, collected before prep.baseline is set, compares with itself.
+    """
     results = list(results)
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
     outcome = StrategyOutcome(raw, drop_rate=drop_rate, masks=masks)
     if not prep.full:
         outcome.counts = results
-        return outcome
-    outcome.reports = [r for r, _, _ in results]
-    outcome.counts = [(r.n_ref, r.errors) for r in outcome.reports]
-    outcome.decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
-    outcome.checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
+    else:
+        outcome.reports = [r for r, _, _ in results]
+        outcome.counts = [(r.n_ref, r.errors) for r in outcome.reports]
+        outcome.decodes = [(uid, phones) for (uid, _), (_, phones, _) in zip(masks, results)]
+        outcome.checksums = [(uid, digest) for (uid, _), (_, _, digest) in zip(masks, results)]
+    outcome.per = pooled_per(outcome.counts)
+    base = outcome if prep.baseline is None else prep.baseline
+    outcome.delta_per = per_increment(base.per, outcome.per)
     return outcome
 
 
@@ -417,28 +425,23 @@ def _utterance_folds(corpus, config):
         sid, g = utt.alignment.speaker_id, utt.alignment.gender
         if gender.setdefault(sid, g) != g:
             raise InvalidConfig(f"speaker {sid!r} has inconsistent gender labels")
-    folds = []
     seed = _derive_seed(config.seed, _STREAM_FOLDS)
-    for fold in cv_folds(list(gender.items()), k=config.folds, seed=seed):
-        members = set(fold)
-        folds.append([
-            ui
-            for ui, utt in enumerate(corpus.utterances)
-            if utt.alignment.speaker_id in members
-        ])
-    return [f for f in folds if f]
+    return [
+        [ui for ui, utt in enumerate(corpus.utterances) if utt.alignment.speaker_id in members]
+        for members in map(set, cv_folds(list(gender.items()), k=config.folds, seed=seed))
+    ]
 
 
 @contextmanager
-def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool):
+def _prepare(config: ExperimentConfig, jobs: int, full: bool):
     """Build what one command's points share, with its worker pool.
 
     Loads or synthesizes the corpus, builds a run's folds, annotates
-    landmarks when a strategy or a rate adjustment reads them, starts one
-    pool of jobs workers (none for jobs 1), and decodes and scores the
-    baseline once. The pool shuts down when the block exits. Bad folds
-    and a failing baseline are fatal. full says whether outcomes carry
-    what `run` writes (see _Prepared).
+    landmarks when a strategy reads them, starts one pool of jobs
+    workers (none for jobs 1), and decodes and scores the baseline once.
+    The pool shuts down when the block exits. Bad folds and a failing
+    baseline are fatal. full says whether outcomes carry what `run`
+    writes (see _Prepared).
     """
     if config.data_dir is not None:
         corpus = load_corpus_dir(config.data_dir)
@@ -446,11 +449,8 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
         corpus = gen_corpus(config.synth, config.seed)
     folds = _utterance_folds(corpus, config) if full else None
 
-    need_landmarks = adjusts_rate or any(
-        parse_strategy(s).needs_landmarks() for s in config.strategies
-    )
     landmark_sets = [None] * len(corpus.utterances)
-    if need_landmarks:
+    if any(parse_strategy(s).needs_landmarks() for s in config.strategies):
         ann = AnnotationConfig(config.annotation, config.merge_mc)
         landmark_sets = [
             annotate(utt.alignment, corpus.manner_table, ann) for utt in corpus.utterances
@@ -465,10 +465,8 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
         prep = _Prepared(corpus, landmark_sets, executor, full, jobs, folds)
         # The baseline has no drops and no rng, so one decode serves every point.
         baseline = _collect_strategy(BASELINE, *_submit_strategy(BASELINE, prep, config, 0), prep)
-        baseline.delta_per = 0.0
         baseline.mean = 0.0
         baseline.stdev = 0.0
-        baseline.per = pooled_per(baseline.counts)
         prep.baseline = baseline
         yield prep
     finally:
@@ -477,55 +475,39 @@ def _prepare(config: ExperimentConfig, jobs: int, adjusts_rate: bool, full: bool
 
 
 def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
-    """Yield each point's outcomes: the shared baseline, then one per strategy.
+    """Yield one outcome per strategy of each point, in order.
 
     points is a list of (strategies, rep, adjust_rate); adjust_rate, if
     given, renormalizes every strategy mask to that drop rate. A failing
-    strategy yields a row with its error message. The shared baseline
-    outcome is never modified.
+    strategy yields a row with its error message.
 
     The strategies of all points form one stream, and strategy k+1 is
     submitted before strategy k is collected: with a pool, the parent
     realizes masks while the workers decode, and the pool does not drain
     between strategies or points. One strategy is queued ahead, no more.
-    A stream of more than one point shares a memo (see _submit_strategy),
-    so the work that does not depend on the point is done once.
     """
-    memo = {} if len(points) > 1 else None
+    pending = None
+    for strategies, rep, adjust_rate in points:
+        for si, raw in enumerate(strategies, start=1):
+            try:
+                submitted = raw, _submit_strategy(raw, prep, config, si, rep, adjust_rate)
+            except LandmarkFramesError as e:
+                submitted = raw, e
+            if pending is not None:
+                yield _outcome(*pending, prep)
+            pending = submitted
+    if pending is not None:
+        yield _outcome(*pending, prep)
 
-    def submit(si, raw, rep, adjust_rate):
-        try:
-            return raw, _submit_strategy(
-                raw, prep, config, si, rep=rep, adjust_rate=adjust_rate, memo=memo
-            )
-        except LandmarkFramesError as e:
-            return raw, e
 
-    def collect(raw, submitted):
-        if isinstance(submitted, LandmarkFramesError):
-            return StrategyOutcome(raw, error=str(submitted))
-        try:
-            outcome = _collect_strategy(raw, *submitted, prep)
-            outcome.per = pooled_per(outcome.counts)
-            outcome.delta_per = per_increment(prep.baseline.per, outcome.per)
-        except LandmarkFramesError as e:
-            outcome = StrategyOutcome(raw, error=str(e))
-        return outcome
-
-    def stream():
-        pending = None
-        for strategies, rep, adjust_rate in points:
-            for si, raw in enumerate(strategies, start=1):
-                submitted = submit(si, raw, rep, adjust_rate)
-                if pending is not None:
-                    yield collect(*pending)
-                pending = submitted
-        if pending is not None:
-            yield collect(*pending)
-
-    outcomes = stream()
-    for strategies, _, _ in points:
-        yield [prep.baseline, *islice(outcomes, len(strategies))]
+def _outcome(raw, submitted, prep):
+    """The row of a submitted strategy; an error at submit or collect becomes its message."""
+    if isinstance(submitted, LandmarkFramesError):
+        return StrategyOutcome(raw, error=str(submitted))
+    try:
+        return _collect_strategy(raw, *submitted, prep)
+    except LandmarkFramesError as e:
+        return StrategyOutcome(raw, error=str(e))
 
 
 def _attach_stats(outcomes, folds, comparison):
@@ -572,8 +554,8 @@ def compute_outcomes(config: ExperimentConfig, jobs: int = 1):
     A failing strategy yields a row with its error message instead of
     aborting the run; a failing baseline is fatal.
     """
-    with _prepare(config, jobs, adjusts_rate=False, full=True) as prep:
-        [outcomes] = _evaluate(prep, config, [(config.strategies, 0, None)])
+    with _prepare(config, jobs, full=True) as prep:
+        outcomes = [prep.baseline, *_evaluate(prep, config, [(config.strategies, 0, None)])]
     _attach_stats(outcomes, prep.folds, config.comparison)
     return outcomes, prep.corpus
 
@@ -832,7 +814,7 @@ def sweep(
 
     rows = []
     # Sweep rows read only per-utterance counts: no reports, decodes or checksums.
-    with _prepare(config, jobs, adjusts_rate=parameter == "drop_rate", full=False) as prep:
+    with _prepare(config, jobs, full=False) as prep:
         # One stream over every (value, repeat) point keeps the pool busy.
         evaluated = _evaluate(prep, config, points)
         for value, (strategies, _, _) in zip(values, points[::repeats]):
@@ -840,8 +822,8 @@ def sweep(
             collected = [[] for _ in strategies]
             errors = [None] * len(strategies)
             for rep in range(repeats):
-                outcomes = next(evaluated)
-                for i, outcome in enumerate(outcomes[1:]):
+                for i in range(len(strategies)):
+                    outcome = next(evaluated)
                     if outcome.error is not None:
                         errors[i] = f"rep {rep}: {outcome.error}"
                     else:

@@ -5,9 +5,12 @@ Nothing here reuses package internals beyond public data types, errors,
 frame weighting and the regular and random mask primitives; landmark
 frames and frame maps come from the reference loops below. A bug in the
 decoder, the scorer, the landmark map or the strategy composition
-cannot hide in its own oracle.
+cannot hide in its own oracle. The end-to-end reference
+(reference_outcomes) also takes the corpus, the strategy grammar,
+upsample replacement, matrix serialization and edit_ops from the package.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -15,21 +18,30 @@ import warnings
 import numpy as np
 
 from landmark_frames import (
+    BASELINE,
     NEG_INF,
+    AnnotationConfig,
     BeamCollapse,
     DecodeResult,
     EmptyInput,
     FrameMask,
     InvalidConfig,
     InvalidPattern,
+    LandmarkFramesError,
     LandmarkSet,
+    ScoreMatrix,
     ScoreOverflow,
     ShapeError,
     UnknownPhone,
     UnknownSenone,
+    apply_replacement,
     apply_weights,
+    edit_ops,
+    gen_corpus,
     mask_random,
     mask_regular,
+    parse_strategy,
+    write_score_matrix,
 )
 
 
@@ -419,3 +431,96 @@ def wilcoxon_enumeration_p(diffs):
         if wp >= total - w:
             count_ge += 1
     return (count_le + count_ge) / 2.0**n
+
+
+# The stream labels of the experiment driver's rng derivations.
+_STREAM_STRATEGY = 2
+_STREAM_ADJUST = 3
+
+
+def _reference_replace(matrix, mask, method):
+    """Dropped rows rewritten by the reference loops; upsample goes through the package."""
+    dropped = mask.dropped
+    if method == "upsample" or not dropped.any():
+        return apply_replacement(matrix, mask, method).values
+    if method == "copy":
+        return reference_copy(matrix.values, dropped)
+    values = matrix.values.copy()
+    values[dropped] = 0.0 if method == "fill_0" else matrix.values.mean(axis=0)
+    return values
+
+
+def _reference_masks(config, corpus, spec, index, rep, adjust_rate):
+    """Every utterance's (mask, weights) under spec, strategy index of the stream.
+
+    An unseeded random part draws from the rng of (seed, strategy stream,
+    rep, index, utterance); the rate adjustment seeds from (seed, adjust
+    stream, rep, index, utterance) and protects the landmark frames of
+    every non-random part that reads them, at their widest radius.
+    """
+    ann = AnnotationConfig(config.annotation, config.merge_mc)
+    radii = [
+        params.get("r", 0)
+        for kind, params in spec.parts
+        if kind in ("landmark", "hybrid", "overweight")
+    ]
+    realized = []
+    for ui, utt in enumerate(corpus.utterances):
+        T = utt.matrix.T
+        landmarks = None
+        if spec.needs_landmarks():
+            landmarks = reference_annotate(utt.alignment, corpus.manner_table, ann)
+        rng = None
+        if spec.needs_rng():
+            rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, index, ui))
+        mask, weights = reference_realize(spec, T, landmarks, rng)
+        if adjust_rate is not None:
+            protected = reference_landmark_frames(landmarks, T, max(radii)) if radii else ()
+            seed = np.random.SeedSequence((config.seed, _STREAM_ADJUST, rep, index, ui))
+            mask = reference_adjust_mask_to_rate(
+                mask, int(np.floor(adjust_rate * T + 0.5)), protected,
+                seed=int(seed.generate_state(1, np.uint64)[0]),
+            )
+        realized.append((mask, weights))
+    return realized
+
+
+def reference_outcomes(config, rep=0, adjust_rate=None):
+    """One point of an experiment on its synthetic corpus, composed from the reference loops.
+
+    Returns one dict per row, the baseline first: the baseline is the
+    identity strategy at index 0, rep 0, never adjusted; strategy i of
+    config.strategies has index i + 1, draws for repeat rep and is
+    adjusted to adjust_rate when that is given. A row holds what a
+    StrategyOutcome carries, each list in corpus order: counts (n_ref,
+    errors), decodes (id, phones without silence), masks (id, FrameMask)
+    and checksums (id, sha256 of the replaced and weighted matrix). A row
+    whose realization or adjustment fails for some utterance, or whose
+    replacement, weighting or decode fails once every mask is built,
+    holds {"error": the first such exception} instead.
+    """
+    corpus = gen_corpus(config.synth, config.seed)
+    silence = {p for p, m in corpus.manner_table.items() if m == "silence"}
+    rows = []
+    points = [(BASELINE, 0, None)] + [(raw, rep, adjust_rate) for raw in config.strategies]
+    for index, (raw, row_rep, row_rate) in enumerate(points):
+        spec = parse_strategy(raw)
+        row = {"counts": [], "decodes": [], "masks": [], "checksums": []}
+        try:
+            realized = _reference_masks(config, corpus, spec, index, row_rep, row_rate)
+            for utt, (mask, weights) in zip(corpus.utterances, realized):
+                uid = utt.alignment.utterance_id
+                replaced = _reference_replace(utt.matrix, mask, spec.method)
+                modified = apply_weights(ScoreMatrix(uid, replaced), weights)
+                decoded = reference_viterbi(modified, corpus.model, beam=config.beam)
+                hyp = [p for p in decoded.phones if p not in silence]
+                ref = [p for p in utt.alignment.phones() if p not in silence]
+                row["counts"].append((len(ref), edit_ops(ref, hyp)[0]))
+                row["decodes"].append((uid, hyp))
+                row["masks"].append((uid, mask))
+                digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
+                row["checksums"].append((uid, digest))
+        except LandmarkFramesError as e:
+            row = {"error": e}
+        rows.append(row)
+    return rows

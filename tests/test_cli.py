@@ -302,6 +302,16 @@ class TestStats:
         assert "line 2: non-finite value" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    def test_no_pairs_refused(self, tmp_path, capsys, text):
+        # An empty pair list is an unusable --pairs file, like a malformed one.
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(text)
+        assert run_cli("stats", "--pairs", str(pairs)) == 1
+        captured = capsys.readouterr()
+        assert f"error: no pairs in {pairs}" in captured.err
+        assert captured.out == ""
+
 
 class TestRunAndSweep:
     def test_run_writes_report(self, tmp_path, capsys):
@@ -442,6 +452,29 @@ class TestRunAndSweep:
             ) == 0
         for name in ("sweep.csv", "sweep.svg"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_drop_rate_sweep_annotates_only_for_landmark_strategies(self, corpus_dir, tmp_path,
+                                                                     capsys):
+        # Drop one manner the alignments use: only a strategy that reads landmarks needs it.
+        phone = (corpus_dir / "utt0000.align").read_text().split()[2]
+        manners = (corpus_dir / "manners.txt").read_text().splitlines()
+        assert f"{phone} silence" not in manners
+        kept = [line for line in manners if line.split()[0] != phone]
+        (corpus_dir / "manners.txt").write_text("\n".join(kept) + "\n")
+        sweep_args = ["--parameter", "drop_rate", "--values", "0.3,0.6", "--repeats", "2"]
+        config = tmp_path / "config.json"
+        for strategy, command, extra, status in (
+            ("regular:P=2,D=1", "run", [], 0),
+            ("regular:P=2,D=1", "sweep", sweep_args, 0),
+            ("landmark:keep", "sweep", sweep_args, 2),
+        ):
+            config.write_text(json.dumps({
+                "strategies": [strategy], "folds": 3, "data_dir": str(corpus_dir),
+            }))
+            out = tmp_path / f"{command}-{strategy}"
+            assert run_cli(command, "--config", str(config), "--out", str(out), *extra) == status
+        assert (tmp_path / "sweep-regular:P=2,D=1" / "sweep.csv").exists()
+        assert f"no manner for phone {phone!r}" in capsys.readouterr().err
 
     def test_sweep_bad_values(self, tmp_path):
         config = experiment_config(tmp_path, ["overweight:factor=2.0"])

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landmark_frames import (
     BASELINE,
@@ -32,6 +34,7 @@ from landmark_frames import (
     landmark_map,
     load_experiment_config,
     parse_strategy,
+    per_increment,
     run_experiment,
     summarize_cv,
     sweep,
@@ -42,7 +45,9 @@ from landmark_frames import (
 )
 import landmark_frames.experiment as experiment
 from landmark_frames.experiment import load_corpus_dir
+from landmark_frames.scoring import pooled_per
 from landmark_frames.strategy import protected_map
+from oracles import reference_outcomes
 
 FAST_SYNTH = dict(n_utterances=10, n_speakers=5, utterance_length=6)
 
@@ -57,10 +62,11 @@ def fast_config(strategies, folds=5, seed=0, comparison=BASELINE, **synth_overri
     )
 
 
-def point_outcomes(config, rep=0, adjust_rate=None):
+def point_outcomes(config, rep=0, adjust_rate=None, jobs=1):
     """compute_outcomes at one sweep point: repeat rep, masks renormalized to adjust_rate."""
-    with experiment._prepare(config, 1, adjusts_rate=adjust_rate is not None, full=True) as prep:
-        [outcomes] = experiment._evaluate(prep, config, [(config.strategies, rep, adjust_rate)])
+    with experiment._prepare(config, jobs, full=True) as prep:
+        point = [(config.strategies, rep, adjust_rate)]
+        outcomes = [prep.baseline, *experiment._evaluate(prep, config, point)]
     experiment._attach_stats(outcomes, prep.folds, config.comparison)
     return outcomes
 
@@ -611,6 +617,92 @@ class TestSharedPreparation:
         assert not any(isinstance(item, heavy) for task in shipped for item in task)
 
 
+# Every replacement method, seeded and unseeded random parts, landmark
+# parts with radii, both weighted kinds, and a combination.
+REFERENCE_STRATEGIES = [
+    "regular:P=2,D=1",
+    "regular:P=3,D=1,method=upsample",
+    "regular:P=3,D=2,method=fill_0",
+    "random:rate=0.3",
+    "random:n=2,seed=5,method=fill_const",
+    "random:match=keep,r=1",
+    "landmark:keep,r=1,method=fill_const",
+    "landmark:drop",
+    "hybrid:P=2,D=1,overweight=1.5",
+    "overweight:factor=2.5,r=1",
+    "random:rate=0.2+overweight:factor=0.5",
+]
+
+
+@st.composite
+def reference_configs(draw):
+    synth = SynthConfig(
+        n_utterances=draw(st.integers(2, 5)),
+        n_speakers=2,
+        utterance_length=draw(st.integers(2, 5)),
+    )
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 3)),
+        strategies=draw(st.lists(st.sampled_from(REFERENCE_STRATEGIES), min_size=1, max_size=3)),
+        folds=2,
+        beam=draw(st.none() | st.sampled_from([3.0, 10.0, 40.0])),
+        synth=synth,
+    )
+
+
+def mask_lists(masks):
+    return [(uid, mask.dropped.tolist()) for uid, mask in masks]
+
+
+class TestReferencePipeline:
+    """Every row of one point equals the reference loops composed utterance by utterance."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        config=reference_configs(),
+        rep=st.integers(0, 3),
+        adjust_rate=st.none() | st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+        jobs=st.just(1),
+    )
+    @example(
+        config=fast_config(["random:rate=0.3", "hybrid:P=2,D=1,overweight=1.5",
+                            "random:match=keep,r=1"]),
+        rep=2, adjust_rate=0.5, jobs=2,
+    )
+    @example(
+        config=replace(fast_config(["regular:P=3,D=1,method=upsample", "overweight:factor=2.5,r=1",
+                                    "random:rate=0.2+overweight:factor=0.5"]), beam=10.0),
+        rep=3, adjust_rate=None, jobs=2,
+    )
+    def test_point_matches_reference(self, config, rep, adjust_rate, jobs):
+        expected = reference_outcomes(config, rep, adjust_rate)
+        if "error" in expected[0]:
+            # A failing baseline is fatal.
+            with pytest.raises(type(expected[0]["error"])):
+                point_outcomes(config, rep, adjust_rate, jobs)
+            return
+        outcomes = point_outcomes(config, rep, adjust_rate, jobs)
+        assert [o.strategy for o in outcomes] == [BASELINE, *config.strategies]
+        base_per = pooled_per(expected[0]["counts"])
+        for outcome, want in zip(outcomes, expected):
+            if "error" in want:
+                assert outcome.error is not None
+                assert outcome.error.endswith(str(want["error"]))
+                continue
+            per = pooled_per(want["counts"])
+            if base_per == 0.0 and per != 0.0:
+                assert outcome.error == "baseline PER is zero; relative increment undefined"
+                continue
+            assert outcome.error is None
+            assert outcome.counts == want["counts"]
+            assert outcome.decodes == want["decodes"]
+            assert mask_lists(outcome.masks) == mask_lists(want["masks"])
+            assert outcome.checksums == want["checksums"]
+            assert outcome.per == per
+            assert outcome.delta_per == per_increment(base_per, per)
+            assert outcome.drop_rate == float(np.mean([m.drop_rate for _, m in want["masks"]]))
+
+
 class EagerPool(ProcessPoolExecutor):
     """An executor whose map returns a list, as a tracing wrapper's may."""
 
@@ -731,7 +823,7 @@ class TestPipeline:
 
 
 class TestPointMemo:
-    """A sweep does the work that does not depend on its point once; run keeps no memo."""
+    """A command does the work that does not depend on its point once, in one memo."""
 
     def record(self, monkeypatch, fail=None):
         """Count realize_strategy calls by strategy and collect each submit's memo."""
@@ -744,9 +836,9 @@ class TestPointMemo:
                 raise InvalidPattern("refused")
             return realize(spec, *args, **kwargs)
 
-        def recorded(*args, memo=None, **kwargs):
-            memos.append(memo)
-            return submit(*args, memo=memo, **kwargs)
+        def recorded(raw, prep, *args, **kwargs):
+            memos.append(prep.memo)
+            return submit(raw, prep, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "realize_strategy", counted)
         monkeypatch.setattr(experiment, "_submit_strategy", recorded)
@@ -764,18 +856,21 @@ class TestPointMemo:
         # The baseline and landmark:keep once per utterance; the rng control once per repeat.
         assert calls == {BASELINE: U, "landmark:keep": U, "random:match=keep": U * repeats}
         assert sum(calls.values()) == U * (1 + 1 + repeats)
-        # The baseline is submitted without a memo; every point shares one.
-        memo = memos[1]
-        assert memos[0] is None and all(m is memo for m in memos[1:])
+        # The baseline and every point share the command's memo.
+        memo = memos[0]
+        assert len(memos) == 1 + len(values) * repeats * 2
+        assert all(m is memo for m in memos)
         realized = [value for key, value in memo.items() if key[0] == "realize"]
-        assert len(realized) == U * (1 + repeats)
+        assert len(realized) == U * (2 + repeats)
         assert all(weights is None or not weights.flags.writeable for _, weights in realized)
 
         calls.clear()
         memos.clear()
         run_experiment(config, str(tmp_path / "run"), jobs=jobs)
         assert calls == {BASELINE: U, "landmark:keep": U, "random:match=keep": U}
-        assert memos == [None] * 3
+        # A run's baseline and strategies share one memo too, its own.
+        assert len(memos) == 3 and all(m is memos[0] for m in memos) and memos[0] is not memo
+        assert len([key for key in memos[0] if key[0] == "realize"]) == 3 * U
 
     def test_realize_failure_repeats_at_every_point(self, monkeypatch):
         config = fast_config(["landmark:keep", "random:match=keep"])
@@ -995,6 +1090,12 @@ class TestLoadCorpusDir:
         write_corpus_dir(tmp_path, small_corpus)
         (tmp_path / "speakers.tsv").write_text("utt0000 spk00 F\nutt0001 spk01\n")
         with pytest.raises(FormatError, match=r"speakers\.tsv line 2.*utt0001"):
+            load_corpus_dir(str(tmp_path))
+
+    def test_bad_gender_names_speakers_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "speakers.tsv").write_text("utt0000 spk00 X\n")
+        with pytest.raises(FormatError, match=r"^speakers\.tsv line 1: bad gender 'X'$"):
             load_corpus_dir(str(tmp_path))
 
     def test_alignment_needs_its_matrix(self, tmp_path, small_corpus):
