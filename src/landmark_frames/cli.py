@@ -161,7 +161,7 @@ def _realize_from_args(args, num_frames: int):
     spec = parse_strategy(args.strategy)
     landmarks = read_landmarks(_read_text(args.landmarks)) if args.landmarks else None
     rng = np.random.default_rng(args.seed) if spec.needs_rng() else None
-    mask, weights = realize_strategy(spec, num_frames, landmarks=landmarks, rng=rng)
+    mask, weights, _ = realize_strategy(spec, num_frames, landmarks=landmarks, rng=rng)
     return spec, mask, weights
 
 
@@ -272,7 +272,7 @@ def cmd_sweep(args) -> int:
         config, args.parameter, values, args.out,
         repeats=args.repeats, jobs=_resolve_jobs(args),
     )
-    failed = [r.strategy for r in rows if r.error]
+    failed = list(dict.fromkeys(r.strategy for r in rows if r.error))  # each once, in order
     print(f"wrote {args.parameter} sweep over {len(values)} values to {args.out}")
     if failed:
         print("strategies with failures: " + "; ".join(failed), file=sys.stderr)

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import ceil
 from types import UnionType
 from typing import get_args, get_origin
@@ -53,7 +53,6 @@ from .strategy import (
     apply_replacement,
     apply_weights,
     parse_strategy,
-    protected_map,
     realize_strategy,
 )
 from .synth import SynthConfig, gen_corpus
@@ -165,10 +164,11 @@ def load_corpus_dir(path: str) -> Corpus:
 
     Expects model.tm, manners.txt, and per-utterance <stem>.align plus
     <stem>.llm (else text <stem>.llm.txt) pairs; speakers.tsv ("stem
-    speaker gender") is optional and defaults every utterance to its own
-    F speaker. A malformed speakers.tsv line, an .align without its
-    matrix, or a matrix whose frame or senone count disagrees with its
-    alignment or the model fails here, naming the file and utterance.
+    speaker gender") is optional, and an utterance it does not list is
+    its own F speaker. A malformed speakers.tsv line, one that repeats a
+    stem or names a stem with no .align, an .align without its matrix,
+    or a matrix whose frame or senone count disagrees with its alignment
+    or the model fails here, naming the file and utterance.
     """
     def read(name, parse, *args, utterance=None):
         """parse(contents of name, *args); its errors name the file and utterance."""
@@ -182,6 +182,9 @@ def load_corpus_dir(path: str) -> Corpus:
 
     model = read("model.tm", read_transition_model)
     manner_table = read("manners.txt", read_manner_table)
+    aligns = {name for name in os.listdir(path) if name.endswith(".align")}
+    if not aligns:
+        raise InvalidConfig(f"no .align files in {path}")
     speakers = {}
     if os.path.exists(os.path.join(path, "speakers.tsv")):
         for lineno, line in enumerate(read("speakers.tsv", str).splitlines(), start=1):
@@ -192,18 +195,16 @@ def load_corpus_dir(path: str) -> Corpus:
                 raise FormatError(
                     f"speakers.tsv line {lineno}: expected 'stem speaker gender', got {line!r}"
                 )
-            if cells[2] not in GENDERS:
-                raise FormatError(f"speakers.tsv line {lineno}: bad gender {cells[2]!r}")
-            speakers[cells[0]] = (cells[1], cells[2])
-    stems = sorted(
-        os.path.splitext(name)[0]
-        for name in os.listdir(path)
-        if name.endswith(".align")
-    )
-    if not stems:
-        raise InvalidConfig(f"no .align files in {path}")
+            stem, speaker, gender = cells
+            if gender not in GENDERS:
+                raise FormatError(f"speakers.tsv line {lineno}: bad gender {gender!r}")
+            if stem in speakers:
+                raise FormatError(f"speakers.tsv line {lineno}: utterance {stem!r} listed twice")
+            if f"{stem}.align" not in aligns:
+                raise FormatError(f"speakers.tsv line {lineno}: utterance {stem!r} has no .align")
+            speakers[stem] = (speaker, gender)
     utterances = []
-    for stem in stems:
+    for stem in sorted(os.path.splitext(name)[0] for name in aligns):
         speaker, gender = speakers.get(stem, (stem, "F"))
         alignment = read(
             f"{stem}.align", parse_alignment, "frames", stem, speaker, gender, utterance=stem
@@ -343,13 +344,13 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     A task carries weights only when some weight is not 1, read-only;
     otherwise None. prep.memo keeps what does not depend on the point:
     each utterance's realization, keyed by raw, stream_index and, for a
-    strategy that draws from an rng, rep; its read-only map of protected
-    frames, keyed by raw; and its adjust seed, keyed by rep and
-    stream_index. The rate adjustment itself runs at every point.
+    strategy that draws from an rng, rep, with its read-only map of
+    protected frames (None when it protects none); and its adjust seed,
+    keyed by rep and stream_index. The rate adjustment itself runs at
+    every point.
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
-    memo = prep.memo
     tasks = []
     masks = []
     for ui, utt in enumerate(prep.corpus.utterances):
@@ -360,26 +361,23 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
             rng = None
             if spec.needs_rng():
                 rng = np.random.default_rng((config.seed, _STREAM_STRATEGY, rep, stream_index, ui))
-            mask, weights = realize_strategy(spec, utt.matrix.T, landmarks=landmarks, rng=rng)
-            if (weights == 1.0).all():
-                return mask, None
-            weights.flags.writeable = False
-            return mask, weights
-
-        def protect():
-            marked = protected_map(spec, utt.matrix.T, landmarks)
-            marked.flags.writeable = False
-            return marked
+            mask, weights, protected = realize_strategy(
+                spec, utt.matrix.T, landmarks=landmarks, rng=rng
+            )
+            weights.flags.writeable = protected.flags.writeable = False
+            unit = (weights == 1.0).all()
+            return mask, None if unit else weights, protected if protected.any() else None
 
         stage = "realize"
         try:
-            mask, weights = _memoized(memo, ("realize", raw, stream_index, rng_rep, ui), realize)
+            mask, weights, protected = _memoized(
+                prep.memo, ("realize", raw, stream_index, rng_rep, ui), realize
+            )
             if adjust_rate is not None:
                 stage = "adjust"
                 target_n = int(np.floor(adjust_rate * mask.T + 0.5))
-                protected = _memoized(memo, ("protect", raw, ui), protect)
                 seed = _memoized(
-                    memo, ("seed", rep, stream_index, ui),
+                    prep.memo, ("seed", rep, stream_index, ui),
                     lambda: _derive_seed(config.seed, _STREAM_ADJUST, rep, stream_index, ui),
                 )
                 mask = adjust_mask_to_rate(mask, target_n, protected, seed=seed)
@@ -765,6 +763,25 @@ def _overweight_variant(raw: str, value: float) -> str:
     return spec.render()
 
 
+def _sweep_row(raw, value, runs):
+    """raw's row at value: the mean over runs, its outcome per repeat, or its error cell."""
+    failed = [(rep, o.error) for rep, o in enumerate(runs) if o.error is not None]
+    if failed:
+        rep, error = failed[-1]  # the cell counts the failed repeats and names the last
+        cell = f"{len(failed)} of {len(runs)} repeats; rep {rep}: {error}"
+        return StrategyOutcome(raw, error=cell, value=value)
+    mean, stdev = summarize_cv([o.delta_per for o in runs])
+    return StrategyOutcome(
+        raw,
+        drop_rate=float(np.mean([o.drop_rate for o in runs])),
+        per=float(np.mean([o.per for o in runs])),
+        delta_per=mean,
+        mean=mean,
+        stdev=stdev,
+        value=value,
+    )
+
+
 def sweep(
     config: ExperimentConfig,
     parameter: str,
@@ -818,32 +835,12 @@ def sweep(
         # One stream over every (value, repeat) point keeps the pool busy.
         evaluated = _evaluate(prep, config, points)
         for value, (strategies, _, _) in zip(values, points[::repeats]):
+            block = list(islice(evaluated, repeats * len(strategies)))
             # By position: a strategy listed twice is two rows with their own rng streams.
-            collected = [[] for _ in strategies]
-            errors = [None] * len(strategies)
-            for rep in range(repeats):
-                for i in range(len(strategies)):
-                    outcome = next(evaluated)
-                    if outcome.error is not None:
-                        errors[i] = f"rep {rep}: {outcome.error}"
-                    else:
-                        collected[i].append(outcome)
-            for raw, error, runs in zip(strategies, errors, collected):
-                if error is not None:
-                    cell = f"{repeats - len(runs)} of {repeats} repeats; {error}"
-                    rows.append(StrategyOutcome(raw, error=cell, value=value))
-                    continue
-                deltas = [o.delta_per for o in runs]
-                mean, stdev = summarize_cv(deltas)
-                rows.append(StrategyOutcome(
-                    raw,
-                    drop_rate=float(np.mean([o.drop_rate for o in runs])),
-                    per=float(np.mean([o.per for o in runs])),
-                    delta_per=mean,
-                    mean=mean,
-                    stdev=stdev,
-                    value=value,
-                ))
+            rows += [
+                _sweep_row(raw, value, block[i::len(strategies)])
+                for i, raw in enumerate(strategies)
+            ]
 
     all_rows = [prep.baseline] + rows
     if out_dir is not None:

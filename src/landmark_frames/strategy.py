@@ -242,22 +242,6 @@ def reads_landmarks(kind: str, params: dict) -> bool:
     return kind in ("landmark", "hybrid", "overweight") or (kind == "random" and "match" in params)
 
 
-def protected_map(spec, num_frames: int, landmarks) -> np.ndarray:
-    """Boolean map of the landmark frames a rate adjustment must not start dropping.
-
-    A random part reads landmarks only to count its drops, so it protects
-    none: a matched control gives back landmark and other drops alike.
-    """
-    radii = [
-        params.get("r", 0)
-        for kind, params in spec.parts
-        if kind != "random" and reads_landmarks(kind, params)
-    ]
-    if not radii:
-        return np.zeros(num_frames, dtype=bool)
-    return landmark_map(landmarks, num_frames, max(radii))
-
-
 @dataclass
 class StrategySpec:
     """Parsed strategy string: OR-combined parts plus a replacement method."""
@@ -363,10 +347,14 @@ def realize_strategy(
 ):
     """Materialize a strategy for one utterance.
 
-    Returns (FrameMask, weights). Drops from all parts are OR-combined;
-    weight factors multiply, and a product past the float range is an
-    InvalidPattern. Random parts without an explicit seed draw one from
-    rng.
+    Returns (FrameMask, weights, protected). Drops from all parts are
+    OR-combined; weight factors multiply, and a product past the float
+    range is an InvalidPattern. Random parts without an explicit seed draw
+    one from rng. protected is the boolean map of the landmark frames a
+    rate adjustment must not start dropping: the OR of the landmark maps
+    of every non-random part that reads landmarks. A random part reads
+    landmarks only to count its drops, so it protects none: a matched
+    control gives back landmark and other drops alike.
     """
     if spec.needs_landmarks() and landmarks is None:
         raise InvalidConfig(f"strategy {spec.raw!r} needs landmark annotations")
@@ -374,9 +362,12 @@ def realize_strategy(
         raise InvalidConfig(f"strategy {spec.raw!r} needs an rng")
     dropped = np.zeros(num_frames, dtype=bool)
     weights = np.ones(num_frames, dtype=np.float64)
+    protected = np.zeros(num_frames, dtype=bool)
     for kind, params in spec.parts:
         if reads_landmarks(kind, params):
             marked = landmark_map(landmarks, num_frames, params.get("r", 0))
+            if kind != "random":
+                protected |= marked
             # landmark's mode and random's match: the regime drops marked or ~marked.
             regime = params.get("mode", params.get("match"))
             if regime == "keep" and not marked.any():
@@ -404,4 +395,4 @@ def realize_strategy(
                 weights[marked] *= params[WEIGHT_KEYS[kind]]
     if not np.isfinite(weights).all():
         raise InvalidPattern(f"weight factors of {spec.raw!r} multiply past the float range")
-    return FrameMask(dropped), weights
+    return FrameMask(dropped), weights, protected

@@ -13,7 +13,7 @@ def corpus_reports(corpus, strategy="identity", landmarks=None, rng=None):
     spec = lf.parse_strategy(strategy)
     reports = []
     for ui, utt in enumerate(corpus.utterances):
-        mask, weights = lf.realize_strategy(
+        mask, weights, _ = lf.realize_strategy(
             spec, utt.matrix.T, landmarks=None if landmarks is None else landmarks[ui], rng=rng
         )
         report, _, _ = _score_one(corpus, (ui, mask, weights, spec.method, None, True))

@@ -45,7 +45,7 @@ def test_criterion_01_identity_pipeline(capsys):
     mod_reports = []
     for utt in corpus.utterances:
         lms = lf.annotate(utt.alignment, corpus.manner_table)
-        mask, weights = lf.realize_strategy(spec, utt.matrix.T, landmarks=lms)
+        mask, weights, _ = lf.realize_strategy(spec, utt.matrix.T, landmarks=lms)
         assert mask.n_dropped == 0
         replaced = lf.apply_replacement(utt.matrix, mask, spec.method)
         base = lf.viterbi(utt.matrix, corpus.model)
@@ -102,8 +102,8 @@ def test_criterion_03_drop_rate_accounting(capsys, small_corpus):
     matched = True
     for utt in small_corpus.utterances:
         lms = lf.annotate(utt.alignment, small_corpus.manner_table)
-        mask_k, _ = lf.realize_strategy(keep, utt.matrix.T, landmarks=lms)
-        mask_r, _ = lf.realize_strategy(match, utt.matrix.T, landmarks=lms, rng=rng)
+        mask_k, _, _ = lf.realize_strategy(keep, utt.matrix.T, landmarks=lms)
+        mask_r, _, _ = lf.realize_strategy(match, utt.matrix.T, landmarks=lms, rng=rng)
         matched = matched and mask_r.n_dropped == mask_k.n_dropped
     _verdict(
         capsys,

@@ -442,6 +442,18 @@ class TestRunAndSweep:
         assert (out / "sweep.csv").exists()
         assert (out / "sweep.svg").exists()
 
+    def test_sweep_lists_each_failing_strategy_once(self, tmp_path, capsys):
+        # The first strategy fails at both rates; landmark:keep keeps its landmark frames,
+        # so it fails only at rate 1.0.
+        strategies = ["random:n=100000,seed=0", "regular:P=2,D=1", "landmark:keep"]
+        config = experiment_config(tmp_path, strategies)
+        assert run_cli(
+            "sweep", "--config", str(config), "--out", str(tmp_path / "sweep"),
+            "--parameter", "drop_rate", "--values", "0.3,1.0", "--repeats", "1",
+        ) == 0
+        err = capsys.readouterr().err
+        assert err == "strategies with failures: random:n=100000,seed=0; landmark:keep\n"
+
     def test_sweep_byte_identical_across_jobs(self, tmp_path):
         config = experiment_config(tmp_path, ["landmark:keep", "random:match=keep"])
         outs = [tmp_path / "serial", tmp_path / "parallel"]

@@ -19,6 +19,7 @@ from landmark_frames import (
     FormatError,
     InvalidConfig,
     InvalidPattern,
+    LandmarkFramesError,
     ParseError,
     PERReport,
     ScoreMatrix,
@@ -35,6 +36,7 @@ from landmark_frames import (
     load_experiment_config,
     parse_strategy,
     per_increment,
+    realize_strategy,
     run_experiment,
     summarize_cv,
     sweep,
@@ -44,9 +46,9 @@ from landmark_frames import (
     write_transition_model,
 )
 import landmark_frames.experiment as experiment
+from landmark_frames.cli import main
 from landmark_frames.experiment import load_corpus_dir
 from landmark_frames.scoring import pooled_per
-from landmark_frames.strategy import protected_map
 from oracles import reference_outcomes
 
 FAST_SYNTH = dict(n_utterances=10, n_speakers=5, utterance_length=6)
@@ -434,7 +436,10 @@ class TestSweep:
         T = alignment.num_frames
 
         def protected_frames(raw):
-            return np.flatnonzero(protected_map(parse_strategy(raw), T, landmarks))
+            spec = parse_strategy(raw)
+            rng = np.random.default_rng(0)
+            _, _, protected = realize_strategy(spec, T, landmarks=landmarks, rng=rng)
+            return np.flatnonzero(protected)
 
         for raw in ("landmark:keep", "overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"):
             assert len(protected_frames(raw)) > 0
@@ -703,6 +708,102 @@ class TestReferencePipeline:
             assert outcome.drop_rate == float(np.mean([m.drop_rate for _, m in want["masks"]]))
 
 
+WEIGHTED_REFERENCE_STRATEGIES = [s for s in REFERENCE_STRATEGIES if "overweight" in s]
+
+
+@st.composite
+def reference_sweeps(draw):
+    """(config, parameter, values, repeats) of a small sweep; an overweight sweep's
+    strategies all carry a factor to rewrite."""
+    config = draw(reference_configs())
+    parameter = draw(st.sampled_from(sorted(experiment.SWEEP_PARAMETERS)))
+    if parameter == "overweight":
+        strategies = st.sampled_from(WEIGHTED_REFERENCE_STRATEGIES)
+        config = replace(config, strategies=draw(st.lists(strategies, min_size=1, max_size=3)))
+        values = st.sampled_from([0.0, 1.0, 2.5])
+    else:
+        values = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+    values = draw(st.lists(values, min_size=1, max_size=2))
+    return config, parameter, values, draw(st.integers(1, 3))
+
+
+def reference_point_rows(config, rep, adjust_rate):
+    """(error, per, delta_per, drop_rate) of every strategy row of one reference point.
+
+    error is the text the package's message ends with, or None; a row whose
+    relative increment is undefined fails with DegenerateBaseline's text.
+    """
+    baseline, *rows = reference_outcomes(config, rep, adjust_rate)
+    base_per = pooled_per(baseline["counts"])
+    point = []
+    for row in rows:
+        try:
+            if "error" in row:
+                raise row["error"]
+            per = pooled_per(row["counts"])
+            drop_rate = float(np.mean([m.drop_rate for _, m in row["masks"]]))
+            point.append((None, per, per_increment(base_per, per), drop_rate))
+        except LandmarkFramesError as e:
+            point.append((str(e), None, None, None))
+    return point
+
+
+class TestReferenceSweep:
+    """Every sweep row equals the mean over repeats of the reference points' rows."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=reference_sweeps(), jobs=st.just(1))
+    # The first strategy fails at repeats 0 and 1 of rate 0.0 and at two of rate 0.9, the
+    # second at every repeat of 0.9 only, the third everywhere.
+    @example(
+        case=(fast_config(["random:rate=0.2+overweight:factor=0.5", "landmark:keep,r=1",
+                           "random:n=100000,seed=0", "random:rate=0.3"],
+                          n_utterances=4, n_speakers=2, utterance_length=2),
+              "drop_rate", [0.0, 0.9], 3),
+        jobs=2,
+    )
+    @example(
+        case=(fast_config(["hybrid:P=2,D=1,overweight=1.5", "random:rate=0.2+overweight:factor=0.5",
+                           "hybrid:P=2,D=1,overweight=1.5"], n_utterances=4),
+              "overweight", [0.0, 2.5], 2),
+        jobs=2,
+    )
+    def test_rows_match_reference(self, case, jobs):
+        config, parameter, values, repeats = case
+        baseline = reference_outcomes(replace(config, strategies=[]))[0]
+        if "error" in baseline:
+            # A failing baseline is fatal.
+            with pytest.raises(type(baseline["error"])):
+                sweep(config, parameter, values, repeats=repeats, jobs=jobs)
+            return
+        rows = sweep(config, parameter, values, repeats=repeats, jobs=jobs)
+        assert rows[0].per == pooled_per(baseline["counts"])
+        rows = iter(rows[1:])
+        for value in values:
+            point, rate = config, value
+            if parameter == "overweight":
+                variants = [experiment._overweight_variant(raw, value) for raw in config.strategies]
+                point, rate = replace(config, strategies=variants), None
+            runs = [reference_point_rows(point, rep, rate) for rep in range(repeats)]
+            for i, raw in enumerate(point.strategies):
+                row, want = next(rows), [run[i] for run in runs]
+                assert (row.strategy, row.value) == (raw, value)
+                failed = [(rep, error) for rep, (error, *_) in enumerate(want) if error]
+                if failed:
+                    rep, error = failed[-1]
+                    assert row.error.startswith(f"{len(failed)} of {repeats} repeats; rep {rep}: ")
+                    assert row.error.endswith(error)
+                    assert (row.per, row.delta_per, row.drop_rate) == (None, None, None)
+                    continue
+                _, pers, deltas, drop_rates = zip(*want)
+                mean, stdev = summarize_cv(deltas)
+                assert row.error is None
+                assert row.per == float(np.mean(pers))
+                assert (row.delta_per, row.mean, row.stdev) == (mean, mean, stdev)
+                assert row.drop_rate == float(np.mean(drop_rates))
+        assert next(rows, None) is None
+
+
 class EagerPool(ProcessPoolExecutor):
     """An executor whose map returns a list, as a tracing wrapper's may."""
 
@@ -862,7 +963,14 @@ class TestPointMemo:
         assert all(m is memo for m in memos)
         realized = [value for key, value in memo.items() if key[0] == "realize"]
         assert len(realized) == U * (2 + repeats)
-        assert all(weights is None or not weights.flags.writeable for _, weights in realized)
+        assert all(weights is None or not weights.flags.writeable for _, weights, _ in realized)
+        # Only landmark:keep protects frames; a map that protects none is kept as None.
+        protecting = {
+            key[1] for key, value in memo.items() if key[0] == "realize" and value[2] is not None
+        }
+        assert protecting == {"landmark:keep"}
+        assert all(p is None or (p.any() and not p.flags.writeable) for _, _, p in realized)
+        assert {key[0] for key in memo} == {"realize", "seed"}
 
         calls.clear()
         memos.clear()
@@ -1091,6 +1199,32 @@ class TestLoadCorpusDir:
         (tmp_path / "speakers.tsv").write_text("utt0000 spk00 F\nutt0001 spk01\n")
         with pytest.raises(FormatError, match=r"speakers\.tsv line 2.*utt0001"):
             load_corpus_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("lines, message", [
+        # A stem listed twice used to take its last line.
+        ("utt0000 spk00 F\nutt0000 spk01 M\nutt0001 spk01 M\nutt9999 spk00 F\n",
+         "speakers.tsv line 2: utterance 'utt0000' listed twice"),
+        # A stem with no .align used to be ignored.
+        ("utt0000 spk00 F\nutt0001 spk01 M\nutt9999 spk00 F\n",
+         "speakers.tsv line 3: utterance 'utt9999' has no .align"),
+    ], ids=["listed_twice", "no_align"])
+    def test_speakers_file_must_agree_with_the_corpus(self, tmp_path, small_corpus, lines,
+                                                     message):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "speakers.tsv").write_text(lines)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_corpus_dir(str(tmp_path))
+        # Like the file's other format errors, it exits 2.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"folds": 2, "data_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+    def test_unlisted_stem_is_its_own_f_speaker(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        (tmp_path / "speakers.tsv").write_text("utt0001 spk01 M\n")
+        corpus = load_corpus_dir(str(tmp_path))
+        labels = [(u.alignment.speaker_id, u.alignment.gender) for u in corpus.utterances]
+        assert labels == [("utt0000", "F"), ("spk01", "M"), ("utt0002", "F")]
 
     def test_bad_gender_names_speakers_file(self, tmp_path, small_corpus):
         write_corpus_dir(tmp_path, small_corpus)

@@ -29,12 +29,15 @@ RUN = {
     "synth": SYNTH,
 }
 
+# name -> (parameter, config, values).
 SWEEPS = {
     "drop_rate": (
+        "drop_rate",
         {"strategies": ["landmark:keep", "random:match=keep"], "synth": SYNTH},
         "0.1,0.5",
     ),
     "overweight": (
+        "overweight",
         {
             "strategies": ["overweight:factor=2.0", "hybrid:P=2,D=1,overweight=1.5"],
             "comparison": "overweight:factor=2.0",
@@ -42,12 +45,27 @@ SWEEPS = {
         },
         "1.0,3.0",
     ),
+    # A rate adjustment protects the landmark frames of every non-random part at the
+    # widest radius: here 0 and 2 in one strategy, 1 on its own.
+    "drop_rate_protected": (
+        "drop_rate",
+        {
+            "strategies": [
+                "hybrid:P=2,D=1,overweight=1.5",
+                "landmark:keep,r=0+overweight:factor=2.0,r=2",
+                "landmark:drop,r=1",
+            ],
+            "synth": SYNTH,
+        },
+        "0.1,0.5",
+    ),
 }
 
 RUN_CHECKSUMS_SHA256 = "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f"
 SWEEP_CSV_SHA256 = {
     "drop_rate": "9d50d1501acecacde100b6a756f3f07ca999a427087961b404c373829a43e3f6",
     "overweight": "8a46f7affef3caf63dca46cea776725246c30e25243c84ebc8170e51fedce604",
+    "drop_rate_protected": "f0de54e517be4c3f2ce4f1f7cb00dddf54bade67f2f9c9d4a2dba7c95b9f026a",
 }
 
 
@@ -70,13 +88,13 @@ def test_run_checksums_pinned(tmp_path, jobs):
     assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256
 
 
-@pytest.mark.parametrize("parameter", sorted(SWEEPS))
-def test_sweep_csv_pinned(tmp_path, parameter):
-    payload, values = SWEEPS[parameter]
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_pinned(tmp_path, name):
+    parameter, payload, values = SWEEPS[name]
     out = tmp_path / "sweep"
     config = write_config(tmp_path, payload)
     assert main([
         "sweep", "--config", config, "--out", str(out), "--parameter", parameter,
         "--values", values, "--repeats", "2",
     ]) == 0
-    assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256[parameter]
+    assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256[name]

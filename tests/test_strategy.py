@@ -29,7 +29,13 @@ from landmark_frames import (
     viterbi,
 )
 from landmark_frames.strategy import INTERP_TAPS
-from oracles import reference_adjust_mask_to_rate, reference_copy, reference_realize
+from oracles import (
+    reference_adjust_mask_to_rate,
+    reference_copy,
+    reference_frame_map,
+    reference_landmark_frames,
+    reference_realize,
+)
 
 
 def mat(rows, uid="u"):
@@ -96,17 +102,17 @@ def realized(text, num_frames, *frames):
 
 class TestLandmarkMask:
     def test_keep_regime(self):
-        mask, _ = realized("landmark:keep", 8, 2, 5)
+        mask, _, _ = realized("landmark:keep", 8, 2, 5)
         assert mask.dropped_frames().tolist() == [0, 1, 3, 4, 6, 7]
 
     def test_drop_regime(self):
-        mask, _ = realized("landmark:drop", 8, 2, 5)
+        mask, _, _ = realized("landmark:drop", 8, 2, 5)
         assert mask.dropped_frames().tolist() == [2, 5]
 
     def test_keep_with_no_landmarks_warns(self):
         for text in ("landmark:keep", "random:match=keep,seed=0"):
             with pytest.warns(UserWarning, match="no landmark frames"):
-                mask, _ = realized(text, 4)
+                mask, _, _ = realized(text, 4)
             assert mask.n_dropped == 4
 
     def test_bad_regime(self):
@@ -118,15 +124,15 @@ class TestLandmarkMask:
 
 class TestMaskAlgebra:
     def test_or_union(self):
-        mask, _ = realized("regular:P=2,D=1+landmark:drop", 6, 1)
+        mask, _, _ = realized("regular:P=2,D=1+landmark:drop", 6, 1)
         assert mask.dropped_frames().tolist() == [0, 1, 2, 4]
 
     def test_subtract_clears_protected(self):
-        mask, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 2)
+        mask, _, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 2)
         assert mask.dropped_frames().tolist() == [0, 4]
 
     def test_subtract_noop_for_kept_frames(self):
-        mask, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 1, 3)
+        mask, _, _ = realized("hybrid:P=2,D=1,overweight=1.0", 6, 1, 3)
         assert (mask.dropped == mask_regular(6, 2, 1).dropped).all()
 
 
@@ -342,7 +348,7 @@ class TestReplacement:
 
 class TestWeights:
     def test_landmark_weights(self):
-        _, w = realized("overweight:factor=2.5", 5, 1, 3)
+        _, w, _ = realized("overweight:factor=2.5", 5, 1, 3)
         assert w.tolist() == [1.0, 2.5, 1.0, 2.5, 1.0]
 
     def test_negative_factor(self):
@@ -354,7 +360,7 @@ class TestWeights:
     def test_factor_product_past_float_range_is_refused(self):
         with pytest.raises(InvalidPattern, match="multiply past the float range"):
             realized("overweight:factor=1e200+overweight:factor=1e200", 5, 1)
-        _, w = realized("overweight:factor=1e200+overweight:factor=1e-200", 5, 1)
+        _, w, _ = realized("overweight:factor=1e200+overweight:factor=1e-200", 5, 1)
         assert w[1] == 1e200 * 1e-200
 
     def test_apply_overflow_names_utterance_and_frame(self):
@@ -555,45 +561,45 @@ class TestRealize:
     LMS = LandmarkSet("u", [(2, "V"), (6, "Fc")])
 
     def test_identity(self):
-        mask, weights = realize_strategy(parse_strategy("identity"), 8)
+        mask, weights, _ = realize_strategy(parse_strategy("identity"), 8)
         assert mask.n_dropped == 0
         assert weights.tolist() == [1.0] * 8
 
     def test_regular_part(self):
-        mask, weights = realize_strategy(parse_strategy("regular:P=2,D=1"), 6)
+        mask, weights, _ = realize_strategy(parse_strategy("regular:P=2,D=1"), 6)
         assert mask.dropped_frames().tolist() == [0, 2, 4]
         assert (weights == 1.0).all()
 
     def test_random_rate_rounds_to_nearest(self):
-        mask, _ = realize_strategy(parse_strategy("random:rate=0.5,seed=3"), 9)
+        mask, _, _ = realize_strategy(parse_strategy("random:rate=0.5,seed=3"), 9)
         assert mask.n_dropped == 5
-        mask, _ = realize_strategy(parse_strategy("random:rate=0.25,seed=3"), 8)
+        mask, _, _ = realize_strategy(parse_strategy("random:rate=0.25,seed=3"), 8)
         assert mask.n_dropped == 2
 
     def test_random_match_copies_landmark_count(self):
         spec = parse_strategy("random:match=drop,seed=5")
-        mask, _ = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert mask.n_dropped == 2
         spec = parse_strategy("random:match=keep,seed=5")
-        mask, _ = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert mask.n_dropped == 8
 
     def test_random_match_respects_radius(self):
         spec = parse_strategy("random:match=drop,r=1,seed=5")
-        mask, _ = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert mask.n_dropped == 6
 
     def test_landmark_keep(self):
-        mask, _ = realize_strategy(parse_strategy("landmark:keep"), 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(parse_strategy("landmark:keep"), 10, landmarks=self.LMS)
         assert mask.kept_frames().tolist() == [2, 6]
 
     def test_landmark_widen(self):
-        mask, _ = realize_strategy(parse_strategy("landmark:keep,r=1"), 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(parse_strategy("landmark:keep,r=1"), 10, landmarks=self.LMS)
         assert mask.kept_frames().tolist() == [1, 2, 3, 5, 6, 7]
 
     def test_hybrid_protects_landmarks_and_boosts(self):
         spec = parse_strategy("hybrid:P=2,D=1,overweight=1.5")
-        mask, weights = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, weights, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert 2 not in mask.dropped_frames()
         assert 6 not in mask.dropped_frames()
         assert mask.dropped_frames().tolist() == [0, 4, 8]
@@ -602,14 +608,14 @@ class TestRealize:
 
     def test_overweight_only(self):
         spec = parse_strategy("overweight:factor=3.0")
-        mask, weights = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, weights, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert mask.n_dropped == 0
         assert weights[2] == 3.0 and weights[6] == 3.0
         assert weights.sum() == pytest.approx(8 + 6.0)
 
     def test_parts_or_combine(self):
         spec = parse_strategy("regular:P=3,D=1+landmark:drop")
-        mask, _ = realize_strategy(spec, 10, landmarks=self.LMS)
+        mask, _, _ = realize_strategy(spec, 10, landmarks=self.LMS)
         assert mask.dropped_frames().tolist() == [0, 2, 3, 6, 9]
 
     def test_missing_landmarks(self):
@@ -621,21 +627,33 @@ class TestRealize:
             realize_strategy(parse_strategy("random:n=2"), 10)
 
     def test_seeded_random_without_rng(self):
-        mask, _ = realize_strategy(parse_strategy("random:n=2,seed=4"), 10)
+        mask, _, _ = realize_strategy(parse_strategy("random:n=2,seed=4"), 10)
         assert mask.n_dropped == 2
 
     def test_unseeded_random_draws_from_rng(self):
         spec = parse_strategy("random:n=3")
-        a, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
-        b, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
+        a, _, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
+        b, _, _ = realize_strategy(spec, 12, rng=np.random.default_rng(1))
         assert (a.dropped == b.dropped).all()
 
 
 _EVENTS = st.lists(st.tuples(st.integers(0, 40), st.sampled_from(LANDMARK_TYPES)), max_size=6)
 
 
+def _reference_realize_protecting(spec, num_frames, landmarks=None, rng=None):
+    """reference_realize, plus the map of the landmark frames of every non-random
+    part that reads them, at their widest radius: all False when there are none."""
+    mask, weights = reference_realize(spec, num_frames, landmarks, rng)
+    radii = [
+        params.get("r", 0) for kind, params in spec.parts
+        if kind in ("landmark", "hybrid", "overweight")
+    ]
+    frames = reference_landmark_frames(landmarks, num_frames, max(radii)) if radii else []
+    return mask, weights, reference_frame_map(frames, num_frames)
+
+
 def _realize_outcome(realize, parts, num_frames, events, seed, radius):
-    """Mask bytes, weight bytes and warnings of one realization, or its error.
+    """Mask bytes, weight bytes, protected-map bytes and warnings of one realization, or its error.
 
     radius is the r= of every landmark-reading part that sets none.
     """
@@ -648,18 +666,23 @@ def _realize_outcome(realize, parts, num_frames, events, seed, radius):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            mask, weights = realize(
+            mask, weights, protected = realize(
                 spec, num_frames, landmarks=LandmarkSet("u", events),
                 rng=np.random.default_rng(seed),
             )
-            result = (mask.dropped.tobytes(), weights.tobytes(), np.isfinite(weights).all())
+            assert protected.dtype == bool and protected.shape == (num_frames,)
+            result = (
+                mask.dropped.tobytes(), weights.tobytes(), np.isfinite(weights).all(),
+                protected.tobytes(),
+            )
         except (InvalidPattern, InvalidConfig) as e:
             result = (type(e), str(e))
     return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestRealizeEqualsPerPartComposition:
-    """realize_strategy's one pass gives the bytes the per-part wrappers gave."""
+    """realize_strategy's one pass gives the bytes the per-part wrappers gave, and protects
+    the landmark frames of its non-random landmark-reading parts at their widest radius."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -671,13 +694,22 @@ class TestRealizeEqualsPerPartComposition:
     @example(parse_strategy("overweight:factor=2.0+hybrid:P=2,D=1,overweight=3.0").parts,
              12, [(2, "V"), (6, "Fc"), (11, "Sr")], 0, 1)
     @example(parse_strategy("regular:P=3,D=1+landmark:drop").parts, 10, [(2, "V"), (6, "Fc")], 0, 0)
+    # Radii 0 and 2: the protected map is the wider one's.
+    @example(parse_strategy("landmark:keep,r=0+overweight:factor=2.0,r=2").parts,
+             12, [(2, "V"), (9, "Fc")], 0, 0)
+    # A matched control reads landmarks but protects none.
+    @example(parse_strategy("random:match=keep,r=2+regular:P=2,D=1").parts,
+             12, [(2, "V"), (9, "Fc")], 0, 2)
     def test_equals_reference(self, parts, num_frames, events, seed, radius):
         args = (parts, num_frames, events, seed, radius)
-        want, want_warnings = _realize_outcome(reference_realize, *args)
+        want, want_warnings = _realize_outcome(_reference_realize_protecting, *args)
         got, got_warnings = _realize_outcome(realize_strategy, *args)
         assert got_warnings == want_warnings
-        if len(want) == 3 and not want[2]:
+        if len(want) == 4 and not want[2]:
             # The old composition let a weight product overflow; the one pass refuses it.
             assert got == (InvalidPattern, "weight factors of '' multiply past the float range")
         else:
             assert got == want
+        protects = any(kind in ("landmark", "hybrid", "overweight") for kind, _ in parts)
+        if len(got) == 4 and not protects:
+            assert got[3] == bytes(num_frames)  # all False
