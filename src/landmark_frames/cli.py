@@ -121,8 +121,7 @@ def _iter_alignment_files(args):
         return
     for root, _, names in sorted(os.walk(args.dir)):
         for name in sorted(names):
-            lower = name.lower()
-            if lower.endswith(".align") or lower.endswith(".phn"):
+            if name.lower().endswith((".align", ".phn")):
                 yield os.path.join(root, name)
 
 
@@ -133,9 +132,20 @@ def cmd_annotate(args) -> int:
         read_manner_table(_read_text(args.manners)) if args.manners else dict(DEFAULT_TIMIT_MANNERS)
     )
     config = AnnotationConfig(args.mode, not args.no_merge_mc)
+    paths = list(_iter_alignment_files(args))
+    if not paths:
+        raise InvalidConfig("no alignment files found")
+    # Each input's file under --out; two inputs with one file would overwrite each other.
+    targets, owners = {}, {}
+    for path in paths if args.out else ():
+        rel = os.path.relpath(path, args.dir) if args.dir else os.path.basename(path)
+        target = os.path.join(args.out, os.path.splitext(rel)[0].replace(os.sep, "_") + ".landmarks")
+        if target in owners:
+            raise InvalidConfig(f"{owners[target]} and {path} both map to {target}")
+        targets[path] = target
+        owners[target] = path
     fractions = []
-    count = 0
-    for path in _iter_alignment_files(args):
+    for path in paths:
         unit = "samples" if path.lower().endswith(".phn") else args.unit
         stem = os.path.splitext(os.path.basename(path))[0]
         alignment = parse_alignment(_read_text(path), unit, stem)
@@ -143,16 +153,9 @@ def cmd_annotate(args) -> int:
         fractions.append(landmark_fraction(landmarks, alignment.num_frames, args.radius))
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            rel = os.path.relpath(path, args.dir) if args.dir else os.path.basename(path)
-            safe = os.path.splitext(rel)[0].replace(os.sep, "_")
-            atomic_write_text(
-                os.path.join(args.out, f"{safe}.landmarks"), write_landmarks(landmarks) + "\n"
-            )
-        count += 1
-    if count == 0:
-        raise InvalidConfig("no alignment files found")
+            atomic_write_text(targets[path], write_landmarks(landmarks) + "\n")
     fraction = float(np.mean(fractions))
-    print(f"utterances {count}")
+    print(f"utterances {len(paths)}")
     print(f"landmark_fraction {fraction!r} radius {args.radius}")
     return 0
 

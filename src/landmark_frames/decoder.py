@@ -153,15 +153,14 @@ def viterbi(
     cand = np.empty((S, K))
     cand_flat = cand.reshape(-1)
     row_starts = np.arange(0, S * K, K)
-    peaks = None if beam is None else np.empty(T)
     add = np.add
     # Overflow and inf - inf are reported below as ScoreOverflow.
     with np.errstate(over="ignore", invalid="ignore"):
         add(model.init, values[0], out=scores[0])
-        if beam is not None:
-            peaks[0] = _prune(scores[0], beam)
-        frames = zip(scores, scores[1:], back[1:], values[1:])
-        for t, (prev, cur, slot, emit) in enumerate(frames, 1):
+        for prev, cur, slot, emit in zip(scores, scores[1:], back[1:], values[1:]):
+            if beam is not None:
+                # Keeps the maximum, nan or +inf too, for the check below; the last row needs none.
+                prev[prev < prev.max() - beam] = NEG_INF
             # Every index is in range; "clip" skips the check and the
             # buffered copy of out that the default mode makes.
             prev.take(pred, out=cand, mode="clip")
@@ -170,15 +169,12 @@ def viterbi(
             add(slot, row_starts, out=slot)
             cand_flat.take(slot, out=cur, mode="clip")
             add(cur, emit, out=cur)
-            if beam is not None:
-                peaks[t] = _prune(cur, beam)
 
-    # peaks holds each frame's maximum before pruning. The lattice dies at
-    # the first frame where it is NEG_INF and overflows at the first where
-    # it is +inf or nan; the frames computed after that one change nothing,
-    # so one check here replaces a check per frame.
-    if peaks is None:
-        peaks = scores.max(axis=1)
+    # The lattice dies at the first frame whose maximum is NEG_INF and
+    # overflows at the first where it is +inf or nan; the frames computed
+    # after that one change nothing, so one check here replaces a check
+    # per frame.
+    peaks = scores.max(axis=1)
     bad = np.flatnonzero(~np.isfinite(peaks))
     if bad.size:
         t = bad[0]
@@ -196,17 +192,6 @@ def viterbi(
         matrix.utterance_id, np.array(path, dtype=np.int64), score,
         collapse_states(path, model.senone_phones),
     )
-
-
-def _prune(row: np.ndarray, beam: float) -> float:
-    """Set states more than beam below the row maximum to NEG_INF, in place.
-
-    Returns the maximum before pruning. A nan maximum or beam prunes the
-    whole row, as the comparison is then false everywhere.
-    """
-    peak = row.max()
-    row[~(row >= peak - beam)] = NEG_INF
-    return peak
 
 
 def write_transition_model(model: TransitionModel) -> str:

@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise InvalidConfig("folds must be >= 2")
         if self.beam is not None and not self.beam > 0:
             raise InvalidConfig("beam must be positive")
+        if self.tag is not None and "".join(self.tag.splitlines()) != self.tag:
+            raise InvalidConfig(f"tag {self.tag!r} holds a line break")
         AnnotationConfig(self.annotation, self.merge_mc)  # validates the mode
         if not self.formats:
             raise InvalidConfig("formats must not be empty")
@@ -141,10 +143,20 @@ def _check_keys(cls, raw: dict, where: str) -> None:
             raise InvalidConfig(f"{where} key {key!r} must be {name}, got {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, refusing a key given twice in it (json.loads would keep the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidConfig(f"config key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def load_experiment_config(text: str) -> ExperimentConfig:
     """Parse the JSON experiment description; each value must have its field's type."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):

@@ -164,11 +164,10 @@ def landmark_map(landmarks: LandmarkSet, num_frames: int, radius: int = 0) -> np
     # Past _MAX_FRAME + num_frames every event marks every frame, so the cap changes nothing.
     radius = min(radius, 2 * _MAX_FRAME)
     frames = np.array([frame for frame, _ in landmarks.events], dtype=np.int64)
-    # A frame further out than these bounds marks nothing, and clipped it cannot overflow below.
-    frames = np.minimum(np.maximum(frames, -radius - 1), num_frames + radius)
-    # Each event covers [lo, hi); a frame is marked where more intervals have opened than closed.
-    lo = np.maximum(frames - radius, 0)
-    hi = np.minimum(frames + (radius + 1), num_frames)
+    # Each event covers [lo, hi), clipped to the utterance, so an event outside it opens and
+    # closes at one index; a frame is marked where more intervals have opened than closed.
+    lo = np.clip(frames - radius, 0, num_frames)
+    hi = np.clip(frames + radius + 1, 0, num_frames)
     depth = np.bincount(lo, minlength=num_frames + 1) - np.bincount(hi, minlength=num_frames + 1)
     return depth[:num_frames].cumsum() > 0
 

@@ -77,18 +77,15 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=None, seed: in
     delta = target_n - mask.n_dropped
     if delta == 0:
         return FrameMask(mask.dropped)
+    grow = delta > 0
     dropped = mask.dropped.copy()
+    # Growing draws from kept frames, shrinking from drops; protected frames never change.
+    pool = np.flatnonzero((dropped != grow) & ~prot)
+    if pool.size < abs(delta):
+        want, have = (f"{delta} more", "kept frames") if grow else (f"{-delta} fewer", "drops")
+        raise InvalidPattern(f"need {want} drops but only {pool.size} unprotected {have}")
     rng = np.random.default_rng(seed)
-    if delta > 0:
-        pool = np.flatnonzero(~dropped & ~prot)
-        if pool.size < delta:
-            raise InvalidPattern(f"need {delta} more drops but only {pool.size} unprotected kept frames")
-        dropped[rng.choice(pool, size=delta, replace=False)] = True
-    else:
-        pool = np.flatnonzero(dropped & ~prot)
-        if pool.size < -delta:
-            raise InvalidPattern(f"need {-delta} fewer drops but only {pool.size} unprotected drops")
-        dropped[rng.choice(pool, size=-delta, replace=False)] = False
+    dropped[rng.choice(pool, size=abs(delta), replace=False)] = grow
     dropped.flags.writeable = False  # FrameMask keeps a read-only array without copying it
     return FrameMask(dropped)
 
@@ -279,6 +276,8 @@ class StrategySpec:
 
 def parse_strategy(text: str) -> StrategySpec:
     """Parse a strategy string; see the module docstring for the grammar."""
+    if "".join(text.splitlines()) != text:
+        raise InvalidPattern(f"strategy string {text!r} holds a line break")
     raw = text.strip()
     if not raw:
         raise InvalidPattern("empty strategy string")

@@ -89,6 +89,8 @@ def parse_synth_config(text: str) -> SynthConfig:
             raise InvalidConfig(f"line {lineno}: expected 'key = value', got {line!r}")
         if key not in types:
             raise InvalidConfig(f"line {lineno}: unknown option {key!r}")
+        if key in kwargs:
+            raise InvalidConfig(f"line {lineno}: option {key!r} given twice")
         try:
             kwargs[key] = types[key](value)
         except ValueError:

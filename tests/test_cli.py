@@ -62,6 +62,13 @@ class TestSynth:
         config.write_text("volume = 11\n")
         assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "x")) == 1
 
+    def test_duplicate_config_option_refused(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("n_utterances = 4\nn_utterances = 9\n")
+        assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "x")) == 1
+        assert "line 2: option 'n_utterances' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_seed_is_no_config_option(self, tmp_path, capsys):
         # --seed is the one corpus seed of the synth command.
         config = tmp_path / "seeded.cfg"
@@ -124,6 +131,31 @@ class TestAnnotate:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "utterances 6"
 
+    @pytest.mark.parametrize("names, target", [
+        (["u.align", "u.phn"], "u.landmarks"),
+        (["a/b.align", "a_b.align"], "a_b.landmarks"),
+    ], ids=["align_and_phn", "subdir_and_underscore"])
+    def test_inputs_sharing_an_output_refused(self, corpus_dir, tmp_path, capsys, names, target):
+        source = tmp_path / "src"
+        segments = [line.split() for line in (corpus_dir / "utt0000.align").read_text().splitlines()]
+        for name in names:
+            # A .phn file counts samples, 160 to a frame.
+            scale = 160 if name.endswith(".phn") else 1
+            (source / name).parent.mkdir(parents=True, exist_ok=True)
+            (source / name).write_text(
+                "".join(f"{int(a) * scale} {int(b) * scale} {phone}\n" for a, b, phone in segments)
+            )
+        manners = ("--manners", str(corpus_dir / "manners.txt"))
+        out = tmp_path / "lms"
+        assert run_cli("annotate", "--dir", str(source), *manners, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert all(str(source / name) in err for name in names)
+        assert str(out / target) in err
+        assert not out.exists()
+        # Without --out nothing is written, and each file is an utterance.
+        assert run_cli("annotate", "--dir", str(source), *manners) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "utterances 2"
+
     def test_requires_exactly_one_source(self, corpus_dir):
         assert run_cli("annotate") == 1
         assert (
@@ -160,6 +192,10 @@ class TestMask:
 
     def test_bad_strategy_string(self):
         assert run_cli("mask", "--strategy", "rotate:P=2", "--frames", "10") == 1
+
+    def test_strategy_with_line_break_refused(self, capsys):
+        assert run_cli("mask", "--strategy", "regular:P=2,\nD=1", "--frames", "10") == 1
+        assert "holds a line break" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_frames_below_one_refused(self, capsys, frames):
@@ -413,6 +449,20 @@ class TestRunAndSweep:
     ])
     def test_run_refuses_wrong_typed_config_values(self, tmp_path, capsys, extra, message):
         config = experiment_config(tmp_path, **{"strategies": ["regular:P=2,D=1"], **extra})
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"strategies": ["regular:P=2,D=1"], "tag": "a\\nb"}', "tag 'a\\nb' holds a line break"),
+        ('{"strategies": ["regular:P=2,\\nD=1"]}', "strategy string 'regular:P=2,\\nD=1' holds"),
+        ('{"seed": 0, "seed": 5}', "config key 'seed' given twice"),
+        ('{"synth": {"n_utterances": 4, "n_utterances": 9}}', "config key 'n_utterances' given twice"),
+    ], ids=["tag", "strategy", "seed", "synth"])
+    def test_run_refuses_line_breaks_and_duplicate_keys(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
         assert message in capsys.readouterr().err

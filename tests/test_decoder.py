@@ -407,7 +407,8 @@ class TestReferenceDecoder:
         nan_beam = [decode_outcome(d, m, model, beam=float("nan"))
                     for d in (viterbi, reference_viterbi)]
         assert nan_beam == [(InvalidConfig, "beam must be positive, got nan")] * 2
-        for beam in (None, 1.0):
+        # An infinite beam prunes nothing; at the +inf row its threshold is nan.
+        for beam in (None, 1.0, float("inf")):
             got = quiet_outcome(m, model, beam=beam)
             assert got == (ScoreOverflow, "u: path score is inf at frame 1")
             assert got == reference_outcome(m, model, beam=beam)

@@ -804,6 +804,73 @@ class TestReferenceSweep:
         assert next(rows, None) is None
 
 
+# Strategies whose masks and weights read no rng stream, so no utterance's
+# outcome depends on its position in the corpus.
+ORDER_FREE_STRATEGIES = [
+    "regular:P=2,D=1",
+    "regular:P=3,D=1,method=upsample",
+    "landmark:keep,r=1,method=fill_const",
+    "landmark:drop",
+    "hybrid:P=2,D=1,overweight=1.5",
+    "overweight:factor=2.5,r=1",
+    "random:n=2,seed=5,method=fill_0",
+    "random:match=keep,r=1,seed=7",
+]
+
+
+def per_utterance(outcome):
+    """(uid, counts, decode, checksum, mask) of each utterance of a row, by uid."""
+    return sorted(
+        (uid, counts, phones, digest, mask.dropped.tolist())
+        for (uid, mask), counts, (_, phones), (_, digest)
+        in zip(outcome.masks, outcome.counts, outcome.decodes, outcome.checksums)
+    )
+
+
+class TestUtteranceOrder:
+    """Under rng-free strategies, the order of the corpus's utterances changes nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=reference_configs(),
+        strategies=st.lists(st.sampled_from(ORDER_FREE_STRATEGIES), min_size=1, max_size=3),
+        jobs=st.sampled_from([1, 2]),
+    )
+    @example(
+        config=fast_config([]),
+        strategies=["landmark:keep,r=1,method=fill_const", "random:match=keep,r=1,seed=7",
+                    "hybrid:P=2,D=1,overweight=1.5"],
+        jobs=2,
+    )
+    def test_reversed_corpus_gives_the_same_rows(self, config, strategies, jobs):
+        config = replace(config, strategies=strategies)
+        gen_corpus = experiment.gen_corpus
+
+        def reversed_corpus(*args):
+            corpus = gen_corpus(*args)
+            return replace(corpus, utterances=corpus.utterances[::-1])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "gen_corpus", reversed_corpus)
+            try:
+                backward, corpus = compute_outcomes(config, jobs)
+            except LandmarkFramesError as e:
+                # A failing baseline is fatal either way; its message names the first
+                # failing utterance in corpus order.
+                with pytest.raises(type(e)):
+                    compute_outcomes(config, jobs)
+                return
+        uids = [u.alignment.utterance_id for u in corpus.utterances]
+        assert uids == sorted(uids, reverse=True)
+        forward, _ = compute_outcomes(config, jobs)
+        assert [o.strategy for o in backward] == [o.strategy for o in forward]
+        for a, b in zip(forward, backward):
+            assert (a.error is None) == (b.error is None), (a.error, b.error)
+            if a.error is None:
+                assert per_utterance(a) == per_utterance(b)
+                assert (a.per, a.delta_per) == (b.per, b.delta_per)
+
+
 class EagerPool(ProcessPoolExecutor):
     """An executor whose map returns a list, as a tracing wrapper's may."""
 
@@ -1141,6 +1208,28 @@ class TestConfigIO:
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config(json.dumps({"folds": 1}))
+
+    @pytest.mark.parametrize("text", ["a\nb", "a\r", "a\u2028b"])
+    def test_line_break_in_tag_or_strategy_refused(self, text):
+        # Either would split a row of report.csv.
+        with pytest.raises(InvalidConfig, match="^tag .* holds a line break$"):
+            ExperimentConfig(tag=text)
+        with pytest.raises(InvalidConfig, match="^tag .* holds a line break$"):
+            load_experiment_config(json.dumps({"tag": text}))
+        strategy = f"regular:P=2,{text}D=1"
+        with pytest.raises(InvalidPattern, match="^strategy string .* holds a line break$"):
+            ExperimentConfig(strategies=[strategy])
+        with pytest.raises(InvalidPattern, match="^strategy string .* holds a line break$"):
+            load_experiment_config(json.dumps({"strategies": [strategy]}))
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 0, "seed": 5}', "seed"),
+        ('{"seed": 0, "synth": {"n_utterances": 4, "n_utterances": 9}}', "n_utterances"),
+        ('{"strategies": ["landmark:keep"], "strategies": ["landmark:drop"]}', "strategies"),
+    ], ids=["top", "synth", "list"])
+    def test_duplicate_key_refused(self, text, key):
+        with pytest.raises(InvalidConfig, match=f"^config key '{key}' given twice$"):
+            load_experiment_config(text)
 
     def test_nan_beam_rejected(self):
         with pytest.raises(InvalidConfig, match="beam must be positive"):

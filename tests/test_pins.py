@@ -29,6 +29,9 @@ RUN = {
     "synth": SYNTH,
 }
 
+# The same run under a beam that changes every row's PER.
+RUN_BEAM = {**RUN, "beam": 4.0}
+
 # name -> (parameter, config, values).
 SWEEPS = {
     "drop_rate": (
@@ -61,7 +64,10 @@ SWEEPS = {
     ),
 }
 
-RUN_CHECKSUMS_SHA256 = "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f"
+RUN_CHECKSUMS_SHA256 = {
+    "run": "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f",
+    "run_beam": "e8115b7e4c49ceb9d48346903c87c5b3acd406e8f0a72baa8d52a4606bb74fbe",
+}
 SWEEP_CSV_SHA256 = {
     "drop_rate": "9d50d1501acecacde100b6a756f3f07ca999a427087961b404c373829a43e3f6",
     "overweight": "8a46f7affef3caf63dca46cea776725246c30e25243c84ebc8170e51fedce604",
@@ -81,20 +87,22 @@ def write_config(tmp_path, payload):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_checksums_pinned(tmp_path, jobs):
-    out = tmp_path / "run"
-    config = write_config(tmp_path, RUN)
-    assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
-    assert (out / "strategy_01" / "stats.csv").exists()
-    assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256
+    for name, payload in (("run", RUN), ("run_beam", RUN_BEAM)):
+        out = tmp_path / name
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+        assert (out / "strategy_01" / "stats.csv").exists()
+        assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256[name], name
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_csv_pinned(tmp_path, name):
     parameter, payload, values = SWEEPS[name]
-    out = tmp_path / "sweep"
     config = write_config(tmp_path, payload)
-    assert main([
-        "sweep", "--config", config, "--out", str(out), "--parameter", parameter,
-        "--values", values, "--repeats", "2",
-    ]) == 0
-    assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256[name]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep{jobs}"
+        assert main([
+            "sweep", "--config", config, "--out", str(out), "--parameter", parameter,
+            "--values", values, "--repeats", "2", "--jobs", jobs,
+        ]) == 0
+        assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256[name], f"--jobs {jobs}"

@@ -461,6 +461,11 @@ class TestGrammar:
         "overweight:factor=1e16",
     ]
 
+    @pytest.mark.parametrize("text", ["regular:P=2,\nD=1", "landmark:keep\n", "identity\r"])
+    def test_line_break_refused(self, text):
+        with pytest.raises(InvalidPattern, match="holds a line break"):
+            parse_strategy(text)
+
     @pytest.mark.parametrize("text", ROUND_TRIPS)
     def test_render_round_trip(self, text):
         spec = parse_strategy(text)

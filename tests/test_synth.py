@@ -54,6 +54,10 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             parse_synth_config("volume = 11\n")
 
+    def test_parse_duplicate_key(self):
+        with pytest.raises(InvalidConfig, match="^line 3: option 'n_utterances' given twice$"):
+            parse_synth_config("n_utterances = 4\nnoise_sigma = 0.5\nn_utterances = 9\n")
+
     def test_parse_bad_value(self):
         with pytest.raises(InvalidConfig):
             parse_synth_config("n_utterances = lots\n")
