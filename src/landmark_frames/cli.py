@@ -22,6 +22,7 @@ from .corpus_io import (
     read_manner_table,
     read_score_matrix,
     read_score_matrix_text,
+    records,
     write_manner_table,
     write_mask,
     write_score_matrix,
@@ -220,14 +221,9 @@ def cmd_score(args) -> int:
 
 def cmd_stats(args) -> int:
     pairs = []
-    for lineno, line in enumerate(_read_text(args.pairs).splitlines(), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 2:
-            raise InvalidConfig(f"line {lineno}: expected two values per line")
+    for lineno, (a, b) in records(_read_text(args.pairs), "a b", InvalidConfig):
         try:
-            pair = (float(fields[0]), float(fields[1]))
+            pair = (float(a), float(b))
         except ValueError:
             raise InvalidConfig(f"line {lineno}: unparseable value") from None
         if not all(map(math.isfinite, pair)):

@@ -150,6 +150,22 @@ class Corpus:
     utterances: list  # of Utterance
 
 
+def records(text: str, layout: str, error=FormatError):
+    """Yield (line number, fields) for each non-blank line of text.
+
+    The one record rule of every tabular text input: fields are split on
+    whitespace, blank lines are skipped, and a line whose field count is
+    not that of layout raises error naming the line.
+    """
+    width = len(layout.split())
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if len(fields) == width:
+            yield lineno, fields
+        elif fields:
+            raise error(f"line {lineno}: expected {layout!r}, got {line.strip()!r}")
+
+
 def parse_alignment(
     text: str,
     unit: str = "frames",
@@ -165,20 +181,14 @@ def parse_alignment(
     if unit not in ("frames", "samples"):
         raise ParseError(f"unknown unit {unit!r}")
     segments = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 'start end phone', got {line!r}")
+    for lineno, (start, end, phone) in records(text, "start end phone", ParseError):
         try:
-            start, end = int(fields[0]), int(fields[1])
+            start, end = int(start), int(end)
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer boundary in {line!r}") from None
+            raise ParseError(f"line {lineno}: non-integer boundary in '{start} {end}'") from None
         if unit == "samples":
             start, end = start // FRAME_SHIFT, end // FRAME_SHIFT
-        segments.append((fields[2], start, end))
+        segments.append((phone, start, end))
     return PhoneAlignment(utterance_id, segments, speaker_id=speaker_id, gender=gender)
 
 
@@ -257,14 +267,7 @@ def read_manner_table(text: str) -> dict:
     """Parse "phone manner" lines; manner names outside the inventory are a
     load-time error."""
     table = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected 'phone manner', got {line!r}")
-        phone, manner = fields
+    for lineno, (phone, manner) in records(text, "phone manner"):
         if manner not in MANNERS:
             raise FormatError(f"line {lineno}: unknown manner {manner!r}")
         if phone in table:

@@ -31,6 +31,7 @@ from .corpus_io import (
     read_manner_table,
     read_score_matrix,
     read_score_matrix_text,
+    records,
     write_mask,
     write_score_matrix,
 )
@@ -171,6 +172,20 @@ def load_experiment_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _read_speakers(text: str, aligns) -> dict:
+    """stem -> (speaker, gender) from "stem speaker gender" lines; aligns are the .align names."""
+    speakers = {}
+    for lineno, (stem, speaker, gender) in records(text, "stem speaker gender"):
+        if gender not in GENDERS:
+            raise FormatError(f"line {lineno}: bad gender {gender!r}")
+        if stem in speakers:
+            raise FormatError(f"line {lineno}: utterance {stem!r} listed twice")
+        if f"{stem}.align" not in aligns:
+            raise FormatError(f"line {lineno}: utterance {stem!r} has no .align")
+        speakers[stem] = (speaker, gender)
+    return speakers
+
+
 def load_corpus_dir(path: str) -> Corpus:
     """Load a decoding corpus from a directory.
 
@@ -197,24 +212,8 @@ def load_corpus_dir(path: str) -> Corpus:
     aligns = {name for name in os.listdir(path) if name.endswith(".align")}
     if not aligns:
         raise InvalidConfig(f"no .align files in {path}")
-    speakers = {}
-    if os.path.exists(os.path.join(path, "speakers.tsv")):
-        for lineno, line in enumerate(read("speakers.tsv", str).splitlines(), start=1):
-            cells = line.split()
-            if not cells:
-                continue
-            if len(cells) != 3:
-                raise FormatError(
-                    f"speakers.tsv line {lineno}: expected 'stem speaker gender', got {line!r}"
-                )
-            stem, speaker, gender = cells
-            if gender not in GENDERS:
-                raise FormatError(f"speakers.tsv line {lineno}: bad gender {gender!r}")
-            if stem in speakers:
-                raise FormatError(f"speakers.tsv line {lineno}: utterance {stem!r} listed twice")
-            if f"{stem}.align" not in aligns:
-                raise FormatError(f"speakers.tsv line {lineno}: utterance {stem!r} has no .align")
-            speakers[stem] = (speaker, gender)
+    listed = os.path.exists(os.path.join(path, "speakers.tsv"))
+    speakers = read("speakers.tsv", _read_speakers, aligns) if listed else {}
     utterances = []
     for stem in sorted(os.path.splitext(name)[0] for name in aligns):
         speaker, gender = speakers.get(stem, (stem, "F"))
@@ -357,9 +356,10 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     otherwise None. prep.memo keeps what does not depend on the point:
     each utterance's realization, keyed by raw, stream_index and, for a
     strategy that draws from an rng, rep, with its read-only map of
-    protected frames (None when it protects none); and its adjust seed,
-    keyed by rep and stream_index. The rate adjustment itself runs at
-    every point.
+    protected frames (None when it protects none or, as in a run or an
+    overweight sweep, no point of the command adjusts rates); and its
+    adjust seed, keyed by rep and stream_index. The rate adjustment
+    itself runs at every point.
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
@@ -378,7 +378,8 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
             )
             weights.flags.writeable = protected.flags.writeable = False
             unit = (weights == 1.0).all()
-            return mask, None if unit else weights, protected if protected.any() else None
+            keep = adjust_rate is not None and protected.any()
+            return mask, None if unit else weights, protected if keep else None
 
         stage = "realize"
         try:
@@ -615,6 +616,14 @@ def _svg_chart(title: str, body: list) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _svg_zero_line(y: float) -> str:
+    """The dashed line across the plot area at the height of delta PER 0."""
+    return (
+        f'<line x1="{_LEFT}" y1="{y:.1f}" x2="{_RIGHT}" y2="{y:.1f}" '
+        f'stroke="gray" stroke-dasharray="4"/>'
+    )
+
+
 def format_plot_svg(outcomes) -> str:
     """Minimal deterministic bar chart of delta PER per strategy."""
     rows = [(o.strategy, o.delta_per, o.stdev or 0.0) for o in outcomes if o.delta_per is not None]
@@ -624,10 +633,7 @@ def format_plot_svg(outcomes) -> str:
         scale = 120.0 / peak
         zero_y = (_BOTTOM + _TOP) / 2
         slot = (_RIGHT - _LEFT - 20) / len(rows)
-        body.append(
-            f'<line x1="{_LEFT}" y1="{zero_y:.1f}" x2="{_RIGHT}" y2="{zero_y:.1f}" '
-            f'stroke="gray" stroke-dasharray="4"/>'
-        )
+        body.append(_svg_zero_line(zero_y))
         for i, (label, value, stdev) in enumerate(rows):
             x = _LEFT + 10 + i * slot
             bar_w = max(slot * 0.6, 4.0)
@@ -682,11 +688,7 @@ def format_sweep_svg(rows, parameter: str) -> str:
         def sy(v):
             return _BOTTOM - (v - y_lo) / y_span * (_BOTTOM - _TOP)
 
-        zero_y = sy(0.0)
-        body.append(
-            f'<line x1="{_LEFT}" y1="{zero_y:.1f}" x2="{_RIGHT}" y2="{zero_y:.1f}" '
-            f'stroke="gray" stroke-dasharray="4"/>'
-        )
+        body.append(_svg_zero_line(sy(0.0)))
         for si, (label, pts) in enumerate(sorted(series.items())):
             color = _SWEEP_COLORS[si % len(_SWEEP_COLORS)]
             pts = sorted(pts)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import records
 from .errors import EmptyInput, FormatError, InvalidConfig, UnknownPhone
 
 LANDMARK_TYPES = ("V", "G", "Fc", "Fr", "Sc", "Sr", "Nc", "Nr", "MC")
@@ -185,16 +186,9 @@ def write_landmarks(landmarks: LandmarkSet) -> str:
 
 def read_landmarks(text: str, utterance_id: str = "") -> LandmarkSet:
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected 'frame TYPE', got {line!r}")
+    for lineno, (frame, kind) in records(text, "frame TYPE"):
         try:
-            frame = int(fields[0])
+            events.append((int(frame), kind))
         except ValueError:
-            raise FormatError(f"line {lineno}: bad frame index in {line!r}") from None
-        events.append((frame, fields[1]))
+            raise FormatError(f"line {lineno}: bad frame index in '{frame} {kind}'") from None
     return LandmarkSet(utterance_id, events)

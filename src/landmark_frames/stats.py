@@ -108,36 +108,25 @@ def _normal_cdf(z: float) -> float:
 
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta function (modified
-    # Lentz iteration).
+    # Lentz iteration): every partial numerator aa goes through one step,
+    # and c = inf makes the leading step's c exactly 1, so h starts at its d.
     max_iter = 300
     eps = 3e-16
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+
+    def step(aa, c, d):
+        """(c, d) updated by aa and kept off zero, with d returned inverted."""
+        c, d = 1.0 + aa / c, 1.0 + aa * d
+        return (tiny if abs(c) < tiny else c), 1.0 / (tiny if abs(d) < tiny else d)
+
+    c, d = step(-qab * x / qap, math.inf, 1.0)
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < eps:
@@ -189,11 +178,12 @@ def cv_folds(speakers, k: int = 10, seed: int = 0) -> list:
     """Gender-stratified speaker folds from (speaker_id, gender) pairs.
 
     Returns k disjoint lists of speaker ids covering every speaker. Each
-    gender group is shuffled and dealt round-robin; the dealing position
-    carries over between groups so fold sizes stay balanced and every
-    fold's gender mix is within one speaker of the global ratio.
+    gender group is sorted by id, shuffled and dealt round-robin, so the
+    order of the pairs does not matter; the dealing position carries over
+    between groups so fold sizes stay balanced and every fold's gender
+    mix is within one speaker of the global ratio.
     """
-    speakers = list(speakers)
+    speakers = sorted(speakers)
     if not speakers:
         raise EmptyInput("no speakers to split")
     seen = set()

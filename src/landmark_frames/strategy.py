@@ -62,10 +62,10 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=None, seed: in
 
     Only unprotected frames change: the result is a superset of the
     input drops when the count grows and a subset when it shrinks, so
-    matched-rate comparisons perturb the mask as little as possible.
-    protected, if given, is a boolean map of the mask's frames; anything
-    else, frame indices included, is a ShapeError. Unreachable targets
-    raise InvalidPattern.
+    matched-rate comparisons perturb the mask as little as possible; a
+    protected drop is never given back. protected, if given, is a boolean
+    map of the mask's frames; anything else, frame indices included, is a
+    ShapeError. Unreachable targets raise InvalidPattern.
     """
     prot = np.zeros(mask.T, dtype=bool) if protected is None else np.asarray(protected)
     if prot.dtype != bool or prot.shape != (mask.T,):
@@ -350,10 +350,10 @@ def realize_strategy(
     OR-combined; weight factors multiply, and a product past the float
     range is an InvalidPattern. Random parts without an explicit seed draw
     one from rng. protected is the boolean map of the landmark frames a
-    rate adjustment must not start dropping: the OR of the landmark maps
-    of every non-random part that reads landmarks. A random part reads
-    landmarks only to count its drops, so it protects none: a matched
-    control gives back landmark and other drops alike.
+    rate adjustment neither drops nor gives back: the OR of the landmark
+    maps of every non-random part that reads landmarks. A random part
+    reads landmarks only to count its drops, so it protects none: a
+    matched control gives back landmark and other drops alike.
     """
     if spec.needs_landmarks() and landmarks is None:
         raise InvalidConfig(f"strategy {spec.raw!r} needs landmark annotations")

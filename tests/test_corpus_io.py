@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import struct
 
 import numpy as np
@@ -7,12 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landmark_frames import (
+    LANDMARK_TYPES,
     MANNERS,
     NEG_INF,
     FormatError,
     FrameMask,
+    InvalidConfig,
     LandmarkFramesError,
+    LandmarkSet,
     MalformedAlignment,
+    ParseError,
     PhoneAlignment,
     ScoreMatrix,
     parse_alignment,
@@ -21,17 +27,21 @@ from landmark_frames import (
     read_score_matrix,
     read_score_matrix_text,
     read_transition_model,
+    write_landmarks,
     write_manner_table,
     write_mask,
     write_score_matrix,
     write_score_matrix_text,
 )
+from landmark_frames.cli import cmd_stats
 from landmark_frames.corpus_io import (
     MATRIX_MAGIC,
     atomic_write_bytes,
     atomic_write_text,
     format_alignment,
 )
+from landmark_frames.decoder import TransitionModel, write_transition_model
+from landmark_frames.experiment import load_corpus_dir
 
 
 class TestAlignment:
@@ -217,6 +227,126 @@ class TestReadersOnArbitraryInput:
             read_score_matrix(data)
         except LandmarkFramesError:
             pass
+
+
+def read_pairs(text, tmp_path):
+    """The stats.csv that `stats --pairs` writes for text."""
+    (tmp_path / "pairs.txt").write_text(text)
+    out = tmp_path / "stats.csv"
+    cmd_stats(argparse.Namespace(pairs=str(tmp_path / "pairs.txt"), method="auto", out=str(out)))
+    return out.read_text()
+
+
+def read_speakers(text, tmp_path):
+    """(speaker, gender) of each utterance of a three-utterance corpus with text as speakers.tsv."""
+    model = TransitionModel(np.log([1.0]), np.log([[1.0]]), ["aa"])
+    (tmp_path / "model.tm").write_text(write_transition_model(model))
+    (tmp_path / "manners.txt").write_text("aa vowel")
+    for u in range(3):
+        (tmp_path / f"utt{u:04d}.align").write_text("0 2 aa")
+        (tmp_path / f"utt{u:04d}.llm.txt").write_text("2 1\n0.0\n0.0\n")
+    (tmp_path / "speakers.tsv").write_text(text)
+    corpus = load_corpus_dir(str(tmp_path))
+    return [(u.alignment.speaker_id, u.alignment.gender) for u in corpus.utterances]
+
+
+# name -> (reader(text, tmp_path), well-formed lines, layout, error class, a line of wrong width).
+RECORD_READERS = {
+    "alignment": (
+        lambda text, _: parse_alignment(text).segments,
+        ["0 3 aa", "3 5 h#"], "start end phone", ParseError, "3 5",
+    ),
+    "manner_table": (
+        lambda text, _: read_manner_table(text),
+        ["aa vowel", "s fricative"], "phone manner", FormatError, "s fricative stop",
+    ),
+    "landmarks": (
+        lambda text, _: read_landmarks(text).events,
+        ["0 V", "4 Fc"], "frame TYPE", FormatError, "4",
+    ),
+    "stats_pairs": (
+        read_pairs,
+        ["1 0", "2 0.5", "3 0", "4 1", "5 0"], "a b", InvalidConfig, "1 2 3",
+    ),
+    "speakers_tsv": (
+        read_speakers,
+        ["utt0000 spk00 F", "utt0002 spk01 M"], "stem speaker gender", FormatError,
+        "utt0001 spk00",
+    ),
+}
+
+
+class TestRecords:
+    """Every tabular text reader follows one record rule, through corpus_io.records."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_READERS))
+    def test_blank_and_whitespace_only_lines_are_skipped(self, name, tmp_path):
+        reader, lines, _, _, _ = RECORD_READERS[name]
+        padded = "\n".join(["", "  ", *(f"\t{line.replace(' ', '  ')} " for line in lines), "\t"])
+        assert reader(padded, tmp_path) == reader("\n".join(lines), tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_READERS))
+    def test_wrong_width_names_line_and_layout(self, name, tmp_path):
+        reader, lines, layout, error, bad = RECORD_READERS[name]
+        # The bad line is line 3, after a blank line; its own whitespace is stripped.
+        text = "\n".join([lines[0], " ", f"  {bad} ", *lines[1:]])
+        with pytest.raises(LandmarkFramesError) as caught:
+            reader(text, tmp_path)
+        assert type(caught.value) is error
+        message = re.escape(f"line 3: expected '{layout}', got '{bad}'")
+        assert re.search(f"(^|: ){message}$", str(caught.value))
+
+
+# A field separator, and the whitespace at either end of a line or on a blank line.
+_SEP = st.text(" \t", min_size=1, max_size=3)
+_PAD = st.text(" \t", max_size=3)
+
+
+def loosen(data, text):
+    """text with blank lines inserted and extra whitespace around every field."""
+    lines = []
+    for line in text.splitlines():
+        lines += data.draw(st.lists(_PAD, max_size=2))
+        lines.append(data.draw(_PAD) + data.draw(_SEP).join(line.split()) + data.draw(_PAD))
+    return "\n".join(lines + data.draw(st.lists(_PAD, max_size=2)))
+
+
+_PHONES = st.sampled_from(["aa", "s", "h#", "ax-h", "pcl"])
+
+
+class TestRecordRoundTrip:
+    """Reading back what a writer wrote gives the value, whatever blank lines and
+    whitespace are added."""
+
+    @settings(max_examples=100)
+    @given(
+        segments=st.lists(st.tuples(_PHONES, st.integers(1, 9)), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_alignment(self, segments, data):
+        bounds = np.cumsum([0] + [n for _, n in segments]).tolist()
+        alignment = PhoneAlignment(
+            "u", [(p, a, b) for (p, _), a, b in zip(segments, bounds, bounds[1:])]
+        )
+        back = parse_alignment(loosen(data, format_alignment(alignment)), utterance_id="u")
+        assert back == alignment
+
+    @settings(max_examples=100)
+    @given(table=st.dictionaries(_PHONES, st.sampled_from(MANNERS)), data=st.data())
+    def test_manner_table(self, table, data):
+        assert read_manner_table(loosen(data, write_manner_table(table))) == table
+
+    @settings(max_examples=100)
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 2**60), st.sampled_from(LANDMARK_TYPES)), max_size=8
+        ),
+        data=st.data(),
+    )
+    def test_landmarks(self, events, data):
+        landmarks = LandmarkSet("u", events)
+        back = read_landmarks(loosen(data, write_landmarks(landmarks)), "u")
+        assert back.events == landmarks.events
 
 
 class TestAtomicWrites:

@@ -412,6 +412,17 @@ class TestSweep:
         ]
         assert rows[2].drop_rate == pytest.approx(rows[1].drop_rate)
 
+    def test_adjustment_never_gives_back_a_protected_drop(self):
+        # The random part drops frames that the overweight part protects; a shrink to
+        # rate 0 may give back only unprotected drops, so two of three repeats fail.
+        config = fast_config(["random:rate=0.2+overweight:factor=0.5"],
+                             n_utterances=4, n_speakers=2, utterance_length=2)
+        rows = sweep(config, "drop_rate", [0.0], repeats=3)
+        assert rows[1].error == (
+            "2 of 3 repeats; rep 1: utt0000: adjust: "
+            "need 6 fewer drops but only 5 unprotected drops"
+        )
+
     def test_strategy_listed_twice_keeps_its_own_rows(self):
         # Each position draws from its own rng stream, as in run; the rows are not pooled.
         config = fast_config(["random:rate=0.3", "random:rate=0.3"])
@@ -828,7 +839,8 @@ def per_utterance(outcome):
 
 
 class TestUtteranceOrder:
-    """Under rng-free strategies, the order of the corpus's utterances changes nothing."""
+    """Under rng-free strategies, the order of the corpus's utterances changes nothing,
+    the cross-validation folds and the statistics over them included."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -841,6 +853,12 @@ class TestUtteranceOrder:
         strategies=["landmark:keep,r=1,method=fill_const", "random:match=keep,r=1,seed=7",
                     "hybrid:P=2,D=1,overweight=1.5"],
         jobs=2,
+    )
+    # Six speakers in three folds: each gender group has three speakers to shuffle.
+    @example(
+        config=fast_config([], folds=3, n_utterances=12, n_speakers=6),
+        strategies=["regular:P=2,D=1", "landmark:keep,r=1,method=fill_const"],
+        jobs=1,
     )
     def test_reversed_corpus_gives_the_same_rows(self, config, strategies, jobs):
         config = replace(config, strategies=strategies)
@@ -869,6 +887,9 @@ class TestUtteranceOrder:
             if a.error is None:
                 assert per_utterance(a) == per_utterance(b)
                 assert (a.per, a.delta_per) == (b.per, b.delta_per)
+                # The folds are the same speakers either way, so every statistic is too.
+                assert (a.mean, a.stdev, a.fold_increments) == (b.mean, b.stdev, b.fold_increments)
+                assert (a.p_wilcoxon, a.p_t) == (b.p_wilcoxon, b.p_t)
 
 
 class EagerPool(ProcessPoolExecutor):
@@ -1046,6 +1067,8 @@ class TestPointMemo:
         # A run's baseline and strategies share one memo too, its own.
         assert len(memos) == 3 and all(m is memos[0] for m in memos) and memos[0] is not memo
         assert len([key for key in memos[0] if key[0] == "realize"]) == 3 * U
+        # A run adjusts no rate, so no realization keeps a protected map, not even landmark:keep's.
+        assert all(value[2] is None for key, value in memos[0].items() if key[0] == "realize")
 
     def test_realize_failure_repeats_at_every_point(self, monkeypatch):
         config = fast_config(["landmark:keep", "random:match=keep"])
@@ -1286,16 +1309,16 @@ class TestLoadCorpusDir:
     def test_speakers_line_needs_three_fields(self, tmp_path, small_corpus):
         write_corpus_dir(tmp_path, small_corpus)
         (tmp_path / "speakers.tsv").write_text("utt0000 spk00 F\nutt0001 spk01\n")
-        with pytest.raises(FormatError, match=r"speakers\.tsv line 2.*utt0001"):
+        with pytest.raises(FormatError, match=r"speakers\.tsv: line 2.*utt0001"):
             load_corpus_dir(str(tmp_path))
 
     @pytest.mark.parametrize("lines, message", [
         # A stem listed twice used to take its last line.
         ("utt0000 spk00 F\nutt0000 spk01 M\nutt0001 spk01 M\nutt9999 spk00 F\n",
-         "speakers.tsv line 2: utterance 'utt0000' listed twice"),
+         "speakers.tsv: line 2: utterance 'utt0000' listed twice"),
         # A stem with no .align used to be ignored.
         ("utt0000 spk00 F\nutt0001 spk01 M\nutt9999 spk00 F\n",
-         "speakers.tsv line 3: utterance 'utt9999' has no .align"),
+         "speakers.tsv: line 3: utterance 'utt9999' has no .align"),
     ], ids=["listed_twice", "no_align"])
     def test_speakers_file_must_agree_with_the_corpus(self, tmp_path, small_corpus, lines,
                                                      message):
@@ -1318,7 +1341,7 @@ class TestLoadCorpusDir:
     def test_bad_gender_names_speakers_file(self, tmp_path, small_corpus):
         write_corpus_dir(tmp_path, small_corpus)
         (tmp_path / "speakers.tsv").write_text("utt0000 spk00 X\n")
-        with pytest.raises(FormatError, match=r"^speakers\.tsv line 1: bad gender 'X'$"):
+        with pytest.raises(FormatError, match=r"^speakers\.tsv: line 1: bad gender 'X'$"):
             load_corpus_dir(str(tmp_path))
 
     def test_alignment_needs_its_matrix(self, tmp_path, small_corpus):

@@ -32,6 +32,10 @@ RUN = {
 # The same run under a beam that changes every row's PER.
 RUN_BEAM = {**RUN, "beam": 4.0}
 
+# RUN on a corpus directory that `synth` writes from SYNTH at seed 0, in either
+# matrix format. Both read back the corpus RUN generates, so they pin RUN's digest.
+RUN_DISK = {key: value for key, value in RUN.items() if key != "synth"}
+
 # name -> (parameter, config, values).
 SWEEPS = {
     "drop_rate": (
@@ -93,6 +97,19 @@ def test_run_checksums_pinned(tmp_path, jobs):
         assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
         assert (out / "strategy_01" / "stats.csv").exists()
         assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256[name], name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_run_on_corpus_dir_pinned(tmp_path, fmt, jobs):
+    synth = tmp_path / "synth.txt"
+    synth.write_text("".join(f"{key} = {value}\n" for key, value in SYNTH.items()))
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--config", str(synth), "--out", str(corpus), "--format", fmt]) == 0
+    config = write_config(tmp_path, {**RUN_DISK, "data_dir": str(corpus)})
+    out = tmp_path / "run"
+    assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+    assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256["run"]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import landmark_frames.stats as stats
 from landmark_frames import (
     DegenerateTest,
     EmptyInput,
@@ -14,7 +17,7 @@ from landmark_frames import (
     write_stats_csv,
 )
 from landmark_frames.stats import EXACT_WILCOXON_MAX_N
-from oracles import wilcoxon_enumeration_p
+from oracles import reference_betacf, wilcoxon_enumeration_p
 
 
 def random_pairs(rng, n, no_ties=False):
@@ -188,6 +191,25 @@ class TestWelch:
             welch_t([1.0, 2.0, 4.0], [bad, 3.0, 1.0])
 
 
+class TestBetaContinuedFraction:
+    """_betacf's shared Lentz step gives the two-term reference loop's bits."""
+
+    @settings(max_examples=500)
+    @given(
+        a=st.floats(1e-3, 1e5),
+        b=st.floats(1e-3, 1e5),
+        x=st.floats(0.0, 1.0),
+    )
+    def test_betainc_equals_the_reference_bit_for_bit(self, a, b, x):
+        got = stats._betainc(a, b, x)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "_betacf", reference_betacf)
+            want = stats._betainc(a, b, x)
+        assert got.hex() == want.hex()
+        if 0.0 < x < 1.0:
+            assert stats._betacf(a, b, x).hex() == reference_betacf(a, b, x).hex()
+
+
 class TestCvFolds:
     SPEAKERS = [(f"s{i:02d}", "F" if i < 10 else "M") for i in range(20)]
 
@@ -219,6 +241,11 @@ class TestCvFolds:
         a = cv_folds(self.SPEAKERS, k=10, seed=3)
         assert a == cv_folds(self.SPEAKERS, k=10, seed=3)
         assert a != cv_folds(self.SPEAKERS, k=10, seed=4)
+
+    def test_order_of_pairs_does_not_matter(self):
+        for seed in range(3):
+            folds = cv_folds(self.SPEAKERS, k=7, seed=seed)
+            assert cv_folds(self.SPEAKERS[::-1], k=7, seed=seed) == folds
 
     def test_duplicate_speaker(self):
         with pytest.raises(InvalidConfig):
