@@ -200,7 +200,7 @@ def format_alignment(alignment: PhoneAlignment) -> str:
 def write_score_matrix(matrix: ScoreMatrix) -> bytes:
     """Binary layout: magic "LLM1", u32-LE T, u32-LE S, T*S f64-LE row-major."""
     header = MATRIX_MAGIC + struct.pack("<II", matrix.T, matrix.S)
-    return header + matrix.values.astype("<f8").tobytes(order="C")
+    return header + matrix.values.astype("<f8", copy=False).tobytes(order="C")
 
 
 def read_score_matrix(data: bytes, utterance_id: str = "") -> ScoreMatrix:

@@ -11,7 +11,7 @@ returned path is deterministic.
 """
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -37,17 +37,23 @@ class TransitionModel:
     probabilities, trans[i, j] = log p(j | i). senone_phones maps each
     senone index to the phone it belongs to.
 
-    pred and pred_logp are the predecessor table built from trans: row j
-    of pred lists the K senones that can move into j, live ones first
-    in ascending index order, and pred_logp[j, k] = trans[pred[j, k], j].
-    K is the largest number of live predecessors of any senone; shorter
-    rows are padded with dead predecessors, whose log probability is
-    NEG_INF.
+    The rest is the predecessor table, grouped by degree (a senone's
+    number of live predecessors) rounded up to a power of two and capped
+    at the largest degree. order lists the senones by that width, then by
+    index; pos is its inverse; groups holds a (width, rows) pair per
+    width. Row i, for senone order[i], starts at row_starts[i] of pred,
+    which holds each predecessor's position in order: live ones in
+    ascending senone order, then dead ones. pred_logp holds their trans
+    entries.
     """
 
     init: np.ndarray
     trans: np.ndarray
     senone_phones: list
+    order: np.ndarray = field(init=False, repr=False)
+    pos: np.ndarray = field(init=False, repr=False)
+    groups: tuple = field(init=False, repr=False)
+    row_starts: np.ndarray = field(init=False, repr=False)
     pred: np.ndarray = field(init=False, repr=False)
     pred_logp: np.ndarray = field(init=False, repr=False)
 
@@ -78,18 +84,24 @@ class TransitionModel:
             raise FormatError(f"transition row {i} sums to {row_sums[i]!r}, not 1")
         init = init.copy() if init.flags.writeable else init
         trans = trans.copy() if trans.flags.writeable else trans
+        live = trans > NEG_INF
+        degrees = live.sum(axis=0).tolist()
+        k = max(degrees)
+        # Python ints: numpy's unique and log2 would cost memory at import.
+        width = [min(k, 1 << max(d - 1, 0).bit_length()) for d in degrees]
+        order = np.array(sorted(range(s), key=width.__getitem__))
+        widths = [width[j] for j in order]
         # A stable sort of each column's dead flags puts its live
         # predecessors first, in ascending index order.
-        live = trans > NEG_INF
-        k = int(live.sum(axis=0).max())
-        pred = np.ascontiguousarray(np.argsort(~live, axis=0, kind="stable")[:k].T)
-        pred_logp = trans[pred, np.arange(s)[:, None]]
-        for arr in (init, trans, pred, pred_logp):
+        ranked = np.argsort(~live, axis=0, kind="stable").T
+        cells = np.concatenate([ranked[j, :w] for j, w in zip(order, widths)])
+        self.init, self.trans, self.order, self.pos = init, trans, order, np.argsort(order)
+        self.groups = tuple((w, len(list(run))) for w, run in groupby(widths))
+        self.row_starts = np.array([0, *accumulate(widths[:-1])])
+        self.pred = self.pos[cells]
+        self.pred_logp = trans[cells, np.repeat(order, widths)]
+        for arr in (init, trans, order, self.pos, self.row_starts, self.pred, self.pred_logp):
             arr.setflags(write=False)
-        self.init = init
-        self.trans = trans
-        self.pred = pred
-        self.pred_logp = pred_logp
         self.senone_phones = [str(p) for p in self.senone_phones]
 
     @property
@@ -145,30 +157,43 @@ def viterbi(
     values = matrix.values if weights is None else apply_weights(matrix, weights).values
     T, S = values.shape
 
-    pred, pred_logp = model.pred, model.pred_logp
-    K = pred.shape[1]
+    # The lattice runs over positions in model.order, so each degree
+    # group's rows sit side by side in cand.
+    values = values.take(model.order, axis=1)
+    pred, pred_logp, row_starts = model.pred, model.pred_logp, model.row_starts
     scores = np.empty((T, S))
-    # back[t, j] is the slot j * K + k of j's best predecessor pred[j, k].
+    # back[t, i] is the cell of cand that holds the best predecessor of
+    # position i; pred at that cell is the predecessor's position.
     back = np.zeros((T, S), dtype=np.int64)
-    cand = np.empty((S, K))
-    cand_flat = cand.reshape(-1)
-    row_starts = np.arange(0, S * K, K)
+    cand = np.empty(pred.size)
+    # best[i] is the slot, within position i's row, of its best predecessor.
+    best = np.empty(S, dtype=np.int64)
+    groups, row = [], 0
+    for width, rows in model.groups:
+        cell = row_starts.item(row)
+        groups.append((cand[cell:cell + width * rows].reshape(rows, width), best[row:row + rows]))
+        row += rows
     add = np.add
-    # Overflow and inf - inf are reported below as ScoreOverflow.
+    # Overflow and inf - inf are reported below as ScoreOverflow. The
+    # loop passes out and mode by position, which costs less per call
+    # than by keyword.
     with np.errstate(over="ignore", invalid="ignore"):
-        add(model.init, values[0], out=scores[0])
+        add(model.init.take(model.order), values[0], scores[0])
         for prev, cur, slot, emit in zip(scores, scores[1:], back[1:], values[1:]):
             if beam is not None:
                 # Keeps the maximum, nan or +inf too, for the check below; the last row needs none.
                 prev[prev < prev.max() - beam] = NEG_INF
             # Every index is in range; "clip" skips the check and the
             # buffered copy of out that the default mode makes.
-            prev.take(pred, out=cand, mode="clip")
-            add(cand, pred_logp, out=cand)
-            cand.argmax(axis=1, out=slot)  # first occurrence: lowest predecessor wins ties
-            add(slot, row_starts, out=slot)
-            cand_flat.take(slot, out=cur, mode="clip")
-            add(cur, emit, out=cur)
+            prev.take(pred, None, cand, "clip")
+            add(cand, pred_logp, cand)
+            for group, out in groups:
+                # First occurrence: the lowest live predecessor wins ties,
+                # as dead cells sit after the live ones.
+                group.argmax(1, out)
+            add(best, row_starts, slot)
+            cand.take(slot, None, cur, "clip")
+            add(cur, emit, cur)
 
     # The lattice dies at the first frame whose maximum is NEG_INF and
     # overflows at the first where it is +inf or nan; the frames computed
@@ -182,15 +207,16 @@ def viterbi(
             raise BeamCollapse(f"{matrix.utterance_id}: no surviving state at frame {t}")
         raise ScoreOverflow(f"{matrix.utterance_id}: path score is {peaks[t]} at frame {t}")
 
-    state = int(np.argmax(scores[T - 1]))
-    score = float(scores[T - 1, state])
-    path = [state] * T
+    # In senone order, so the lowest index wins a tie at the last frame.
+    last = scores[T - 1].take(model.pos)
+    state = int(np.argmax(last))
+    score = float(last[state])
+    path = [model.pos.item(state)] * T
     for t in range(T - 1, 0, -1):
-        state = pred.item(back.item(t, state))
-        path[t - 1] = state
+        path[t - 1] = pred.item(back.item(t, path[t]))
+    states = model.order.take(path)
     return DecodeResult(
-        matrix.utterance_id, np.array(path, dtype=np.int64), score,
-        collapse_states(path, model.senone_phones),
+        matrix.utterance_id, states, score, collapse_states(states.tolist(), model.senone_phones)
     )
 
 

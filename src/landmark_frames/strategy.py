@@ -117,8 +117,8 @@ def _drop_coset_period(mask: FrameMask) -> int:
     """Period P of a drop-1-in-P mask (drops exactly t = 0 mod P)."""
     dropped = mask.dropped_frames()
     if dropped.size >= 2:
-        gaps = np.unique(np.diff(dropped))
-        if gaps.size != 1:
+        gaps = np.diff(dropped)
+        if (gaps != gaps[0]).any():
             raise InvalidPattern("upsample needs a regular drop-1-in-P mask")
         period = int(gaps[0])
     else:

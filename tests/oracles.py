@@ -353,6 +353,11 @@ def reference_annotate(alignment, manner_table, config):
     return LandmarkSet(alignment.utterance_id, events)
 
 
+def dyadic_log(m):
+    """log(1/m) rounded onto a 2^-30 grid (see dyadic_uniform_model)."""
+    return round(math.log(1.0 / m) * 2**30) / 2**30
+
+
 def dyadic_uniform_model(rng, n_states):
     """Random init/trans log tables with exactly representable values.
 
@@ -361,9 +366,6 @@ def dyadic_uniform_model(rng, n_states):
     normalization tolerance) while every path score is an exact float64
     sum, so score ties are genuine and exercise the tie rule.
     """
-
-    def dyadic_log(m):
-        return round(math.log(1.0 / m) * 2**30) / 2**30
 
     def uniform_row():
         m = int(rng.integers(1, n_states + 1))

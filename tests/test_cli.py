@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import landmark_frames
 from landmark_frames import FrameMask, mask_random, read_score_matrix, write_mask
 from landmark_frames.cli import main
 
@@ -357,6 +360,29 @@ class TestRunAndSweep:
         assert (out / "report.csv").exists()
         assert (out / "report.svg").exists()
         assert capsys.readouterr().out.startswith("wrote report for 2 strategies")
+
+    def test_run_with_upsample_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs a run time and memory at import, and np.unique
+        # imports it. The run is in a fresh interpreter, so no other test
+        # has imported it first.
+        config = experiment_config(
+            tmp_path, ["regular:P=3,D=1,method=upsample"],
+            synth={"n_utterances": 6, "n_speakers": 3, "n_phones": 32, "utterance_length": 4},
+        )
+        out = tmp_path / "run"
+        script = (
+            "import sys\n"
+            "from landmark_frames.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r},"
+            " '--jobs', '1']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(landmark_frames.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_run_seed_override(self, tmp_path):
         config = experiment_config(tmp_path, [])

@@ -93,6 +93,20 @@ class TestScoreMatrixBinary:
         back = read_score_matrix(payload, "u")
         assert back.values.tobytes() == m.values.tobytes()
 
+    def test_bytes_are_header_then_little_endian_rows(self):
+        values = np.random.default_rng(0).normal(size=(5, 6))
+        header = b"LLM1" + struct.pack("<II", 5, 6)
+        expected = header + values.astype("<f8").tobytes()
+        big = ScoreMatrix("u", values.astype(">f8"))
+        # A read-only input is kept as given, so this one stays strided.
+        wide = np.zeros((5, 12))
+        wide[:, ::2] = values
+        wide.setflags(write=False)
+        strided = ScoreMatrix("u", wide[:, ::2])
+        assert not strided.values.flags.c_contiguous
+        for m in (big, strided):
+            assert write_score_matrix(m) == expected
+
     def test_bad_magic(self):
         payload = bytearray(write_score_matrix(ScoreMatrix("u", np.zeros((1, 1)))))
         payload[:4] = b"LLM2"

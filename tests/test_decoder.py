@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from landmark_frames import (
     write_transition_model,
 )
 from oracles import (
+    dyadic_log,
     dyadic_matrix,
     dyadic_uniform_model,
     enumerate_viterbi,
@@ -374,6 +376,44 @@ def decode_cases(draw):
     return ScoreMatrix("u", values), model, weights, beam
 
 
+@st.composite
+def degree_cases(draw):
+    """A model built column by column from drawn degrees, with a matrix,
+    frame weights and a beam.
+
+    Degrees 3, 5 and 20 round up to rows with dead slots; degree 0 leaves
+    a state no predecessor; S = 1 is a single-state model. Each row moves
+    uniformly to its successors, with logs on a 2^-30 grid, and scores
+    are multiples of 0.25, so path scores tie exactly. Cells of 1e308
+    overflow to +inf, which then meets dead slots as nan.
+    """
+    S = draw(st.sampled_from([1, 2, 3, 5, 6, 9, 21, 24]))
+    T = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live = np.zeros((S, S), dtype=bool)
+    for j in range(S):
+        degree = min(S, draw(st.sampled_from([0, 1, 2, 3, 5, 20, S])))
+        live[rng.choice(S, size=degree, replace=False), j] = True
+    for i in np.flatnonzero(~live.any(axis=1)):
+        live[i, rng.integers(S)] = True
+    trans = np.where(live, [[dyadic_log(n)] for n in live.sum(axis=1)], NEG_INF)
+    starts = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
+    init = np.full(S, NEG_INF)
+    init[starts] = dyadic_log(starts.size)
+    model = TransitionModel(init, trans, [f"p{i // 3}" for i in range(S)])
+    values = dyadic_matrix(rng, T, S)
+    if draw(st.booleans()):
+        values[rng.random((T, S)) < 0.2] = NEG_INF
+    if draw(st.booleans()):
+        t = int(rng.integers(T))
+        values[t:t + 2, rng.integers(S)] = 1e308
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=T)
+    beam = draw(st.sampled_from([None, 0.05, 1.0, 4.0]))
+    return ScoreMatrix("u", values), model, weights, beam
+
+
 def decode_outcome(decode, matrix, model, weights=None, beam=None):
     """What a decoder returns or raises, in comparable form."""
     try:
@@ -446,6 +486,55 @@ def sparse_model(rows, init=None):
     return TransitionModel(init, trans, [f"p{i}" for i in range(S)])
 
 
+def table_rows(model):
+    """Each senone's row of the grouped predecessor table, in senone
+    order: its predecessor senones and their log probabilities, slot by slot."""
+    widths = [width for width, rows in model.groups for _ in range(rows)]
+    rows = [None] * model.S
+    for i, (start, width) in enumerate(zip(model.row_starts.tolist(), widths)):
+        cells = slice(start, start + width)
+        rows[model.order[i]] = (
+            model.order[model.pred[cells]].tolist(), model.pred_logp[cells].tolist()
+        )
+    return rows
+
+
+def assert_grouped_table(model):
+    """The degree-grouped table holds exactly what trans says.
+
+    Each row lists its live predecessors in ascending order, then dead
+    ones; its width is the degree rounded up to a power of two, capped at
+    the largest degree K; rows sit group by group, ascending within a
+    group; and there are at most ceil(log2 K) + 1 groups.
+    """
+    S = model.S
+    live = model.trans > NEG_INF
+    degrees = live.sum(axis=0)
+    K = int(degrees.max())
+    widths = [width for width, _ in model.groups]
+    assert widths == sorted(set(widths))
+    assert len(widths) <= math.ceil(math.log2(K)) + 1
+    assert sum(rows for _, rows in model.groups) == S
+    assert sorted(model.order.tolist()) == list(range(S))
+    assert (model.pos[model.order] == np.arange(S)).all()
+    start = 0
+    for width, rows in model.groups:
+        group = model.order[start:start + rows]
+        assert (np.diff(group) > 0).all()
+        start += rows
+    cells = [width for width, rows in model.groups for _ in range(rows)]
+    assert model.row_starts.tolist() == [sum(cells[:i]) for i in range(S)]
+    assert model.pred.size == model.pred_logp.size == sum(cells)
+    for j, (preds, logps) in enumerate(table_rows(model)):
+        d = int(degrees[j])
+        assert len(preds) == min(K, 2 ** math.ceil(math.log2(max(d, 1)))) < 2 * max(d, 1)
+        assert preds[:d] == np.flatnonzero(live[:, j]).tolist()
+        assert logps == model.trans[preds, j].tolist()
+        assert all(lp == NEG_INF for lp in logps[d:])
+    for arr in (model.order, model.pos, model.row_starts, model.pred, model.pred_logp):
+        assert not arr.flags.writeable
+
+
 class TestPredecessorTable:
     def assert_decodes_like_reference(self, model, seed):
         rng = np.random.default_rng(seed)
@@ -456,22 +545,33 @@ class TestPredecessorTable:
                 got = quiet_outcome(m, model, beam=beam)
                 assert got == reference_outcome(m, model, beam=beam)
 
+    @settings(max_examples=300, deadline=None)
+    @given(degree_cases())
+    def test_grouped_table_decodes_like_reference(self, case):
+        matrix, model, weights, beam = case
+        assert_grouped_table(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = decode_outcome(viterbi, matrix, model, weights, beam)
+            assert got == decode_outcome(reference_viterbi, matrix, model, weights, beam)
+
     def test_rows_list_live_predecessors_in_ascending_order(self):
         model = sparse_model([[0, 1], [0, 2], [0]])
         # Columns: 0 <- {0, 1, 2}, 1 <- {0}, 2 <- {1}; K = 3.
-        assert model.pred.tolist() == [[0, 1, 2], [0, 1, 2], [1, 0, 2]]
-        live = model.pred_logp > NEG_INF
-        assert live.tolist() == [[True] * 3, [True, False, False], [True, False, False]]
-        assert (model.pred_logp == model.trans[model.pred, np.arange(3)[:, None]]).all()
-        for arr in (model.pred, model.pred_logp):
-            assert not arr.flags.writeable
+        assert [preds for preds, _ in table_rows(model)] == [[0, 1, 2], [0], [1]]
+        assert model.groups == ((1, 2), (3, 1))
+        assert model.order.tolist() == [1, 2, 0]
+        assert model.pos.tolist() == [2, 0, 1]
+        # No degree needs rounding up, so no slot is dead.
+        assert (model.pred_logp > NEG_INF).all()
+        assert_grouped_table(model)
 
     def test_unreachable_state(self):
         # No state moves into 2, so its column is all NEG_INF and its row
-        # of the table is all padding; it can only hold frame 0.
+        # of the table is one dead slot; it can only hold frame 0.
         model = sparse_model([[0, 1], [0, 1], [0, 1]])
-        assert model.pred.shape == (3, 3)
-        assert (model.pred_logp[2] == NEG_INF).all()
+        assert model.groups == ((1, 1), (3, 2))
+        assert table_rows(model)[2] == ([0], [NEG_INF])
+        assert_grouped_table(model)
         res = viterbi(mat([[-9.0, -9.0, 0.0], [-1.0, -2.0, 0.0]]), model)
         assert res.states.tolist() == [2, 0]
         self.assert_decodes_like_reference(model, seed=1)
@@ -482,29 +582,40 @@ class TestPredecessorTable:
         probs = rng.uniform(0.1, 1.0, size=(5, 5))
         model = TransitionModel(init, np.log(probs / probs.sum(axis=1, keepdims=True)),
                                 list("abcde"))
-        assert model.pred.tolist() == [list(range(5))] * 5
+        assert [preds for preds, _ in table_rows(model)] == [list(range(5))] * 5
+        assert model.groups == ((5, 5),)
+        assert_grouped_table(model)
         self.assert_decodes_like_reference(model, seed=2)
 
     def test_widest_column_belongs_to_one_state(self):
         # Every state can return to 0; the others have one or two predecessors.
         model = sparse_model([[0, 1], [0, 2], [0, 3], [0, 4], [0]])
-        assert model.pred.shape == (5, 5)
-        assert ((model.pred_logp > NEG_INF).sum(axis=1) == [5, 1, 1, 1, 1]).all()
+        assert model.groups == ((1, 4), (5, 1))
+        assert [sum(lp > NEG_INF for lp in logps) for _, logps in table_rows(model)] == [
+            5, 1, 1, 1, 1
+        ]
+        assert_grouped_table(model)
         self.assert_decodes_like_reference(model, seed=3)
 
     def test_overflow_next_to_pad_slots(self):
-        # State 0 overflows to +inf at frame 1. At frame 2, state 0 is a pad
-        # slot of state 2, so +inf + NEG_INF gives nan there; the decode
-        # still names frame 1, as the reference does.
-        model = sparse_model([[0, 1], [0, 2], [0]])
-        assert model.pred[2].tolist() == [1, 0, 2]
-        values = np.zeros((5, 3))
-        values[:2, 0] = 1e308
-        m = mat(values, uid="w2")
-        for beam in (None, 1.0):
-            got = quiet_outcome(m, model, beam=beam)
-            assert got == (ScoreOverflow, "w2: path score is inf at frame 1")
-            assert got == reference_outcome(m, model, beam=beam)
+        # State 0 overflows to +inf at frame 1. In the second model state 3
+        # has three predecessors, so its row is rounded up to four slots and
+        # the dead one is state 0: at frame 2, +inf + NEG_INF gives nan
+        # there. Both decodes still name frame 1, as the reference does.
+        plain = sparse_model([[0, 1], [0, 2], [0]])
+        padded = sparse_model([[0, 4], [1, 3, 4], [2, 3, 4], [4], [0, 1, 2, 3]])
+        preds, logps = table_rows(padded)[3]
+        assert preds == [1, 2, 4, 0]
+        assert logps[3] == NEG_INF
+        assert_grouped_table(padded)
+        for model in (plain, padded):
+            values = np.zeros((5, model.S))
+            values[:2, 0] = 1e308
+            m = mat(values, uid="w2")
+            for beam in (None, 1.0):
+                got = quiet_outcome(m, model, beam=beam)
+                assert got == (ScoreOverflow, "w2: path score is inf at frame 1")
+                assert got == reference_outcome(m, model, beam=beam)
 
 
 class TestSequenceScore:

@@ -36,6 +36,24 @@ RUN_BEAM = {**RUN, "beam": 4.0}
 # matrix format. Both read back the corpus RUN generates, so they pin RUN's digest.
 RUN_DISK = {key: value for key, value in RUN.items() if key != "synth"}
 
+# The S=96 shape of the run-s96-disk workload on 6 utterances: 32 phone-entry
+# states with 32 live predecessors and 64 states with 2, so the decoder's
+# predecessor table mixes degrees. The extra noise gives every row a nonzero
+# PER; the beam prunes and changes every row's PER again.
+SYNTH_S96 = {
+    "n_utterances": 6, "n_speakers": 3, "n_phones": 32, "utterance_length": 16, "noise_sigma": 5.0,
+}
+RUN_S96 = {
+    "strategies": [
+        "regular:P=2,D=1",
+        "landmark:keep,r=1,method=fill_const",
+        "overweight:factor=3.0,r=1",
+    ],
+    "folds": 3,
+    "synth": SYNTH_S96,
+}
+RUN_S96_BEAM = {**RUN_S96, "beam": 2.0}
+
 # name -> (parameter, config, values).
 SWEEPS = {
     "drop_rate": (
@@ -71,7 +89,11 @@ SWEEPS = {
 RUN_CHECKSUMS_SHA256 = {
     "run": "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f",
     "run_beam": "e8115b7e4c49ceb9d48346903c87c5b3acd406e8f0a72baa8d52a4606bb74fbe",
+    "run_s96": "796efbf72f002ecd6fe7c2ae3078e0d4d9758a173693643d1103cada7e4c65a3",
+    "run_s96_beam": "683f398016d718a644b401fff9d69af7fbb707fbdd0cd51f922a09f7906d9454",
 }
+# decode.txt of `decode --beam 2.0` on the first matrix of a SYNTH_S96 corpus.
+DECODE_S96_BEAM_SHA256 = "cbcaddb041451eb6d803edf62fa6dbb5e62ae42fb954671f9c17100ed4746bb4"
 SWEEP_CSV_SHA256 = {
     "drop_rate": "9d50d1501acecacde100b6a756f3f07ca999a427087961b404c373829a43e3f6",
     "overweight": "8a46f7affef3caf63dca46cea776725246c30e25243c84ebc8170e51fedce604",
@@ -110,6 +132,29 @@ def test_run_on_corpus_dir_pinned(tmp_path, fmt, jobs):
     out = tmp_path / "run"
     assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
     assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256["run"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_s96_checksums_pinned(tmp_path, jobs):
+    for name, payload in (("run_s96", RUN_S96), ("run_s96_beam", RUN_S96_BEAM)):
+        out = tmp_path / name
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+        assert (out / "strategy_02" / "stats.csv").exists()
+        assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256[name], name
+
+
+def test_decode_s96_beam_pinned(tmp_path):
+    synth = tmp_path / "synth.txt"
+    synth.write_text("".join(f"{key} = {value}\n" for key, value in SYNTH_S96.items()))
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--config", str(synth), "--out", str(corpus)]) == 0
+    out = tmp_path / "decode.txt"
+    assert main([
+        "decode", "--matrix", str(corpus / "utt0000.llm"), "--model", str(corpus / "model.tm"),
+        "--beam", "2.0", "--out", str(out),
+    ]) == 0
+    assert sha256(out) == DECODE_S96_BEAM_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
