@@ -83,7 +83,6 @@ from .landmarks import (
 from .scoring import (
     PERReport,
     align_edit,
-    edit_ops,
     merge_reports,
     per_increment,
     write_confusion_csv,

@@ -7,7 +7,6 @@ through its file format is the identity.
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,8 +296,9 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via temp file + rename so readers never observe partial output."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(16).hex()}")
+    # Mode 0o666 less the umask, as open() makes it; mkstemp would make it 0o600.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -449,7 +449,8 @@ def _prepare(config: ExperimentConfig, jobs: int, full: bool):
 
     Loads or synthesizes the corpus, builds a run's folds, annotates
     landmarks when a strategy reads them, starts one pool of jobs
-    workers (none for jobs 1), and decodes and scores the baseline once.
+    workers, at most one per utterance (none for one), and decodes and
+    scores the baseline once.
     The pool shuts down when the block exits. Bad folds and a failing
     baseline are fatal. full says whether outcomes carry what `run`
     writes (see _Prepared).
@@ -468,6 +469,7 @@ def _prepare(config: ExperimentConfig, jobs: int, full: bool):
         ]
 
     executor = None
+    jobs = min(jobs, len(corpus.utterances))
     if jobs > 1:
         executor = ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(corpus,)

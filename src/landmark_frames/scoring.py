@@ -32,40 +32,11 @@ def _edit_rows(ref, hyp):
 def edit_distance(ref, hyp) -> int:
     """Unit-cost edit distance of two symbol sequences, without the alignment.
 
-    Equal to edit_ops(ref, hyp)[0]; keeps one row of the table at a time.
+    Equal to align_edit(ref, hyp).errors; keeps one row of the table at a time.
     """
     for row in _edit_rows(ref, hyp):
         pass
     return row[-1]
-
-
-def edit_ops(ref, hyp):
-    """Unit-cost edit alignment of two symbol sequences.
-
-    Returns (distance, ops) where ops is a list of
-    ("match"|"sub"|"del"|"ins", ref_symbol|None, hyp_symbol|None) tuples
-    in reference order. When several alignments are optimal the
-    backtrace prefers match/substitution over deletion over insertion.
-    """
-    n, m = len(ref), len(hyp)
-    # d[i][j] is the distance between ref[:i] and hyp[:j].
-    d = list(_edit_rows(ref, hyp))
-
-    ops = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            kind = "match" if ref[i - 1] == hyp[j - 1] else "sub"
-            ops.append((kind, ref[i - 1], hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
-            ops.append(("del", ref[i - 1], None))
-            i -= 1
-        else:
-            ops.append(("ins", None, hyp[j - 1]))
-            j -= 1
-    ops.reverse()
-    return int(d[n][m]), ops
 
 
 def pooled_per(counts) -> float:
@@ -116,25 +87,31 @@ class PERReport:
 def align_edit(ref, hyp, utterance_id: str = "") -> PERReport:
     """Score one hypothesis phone sequence against its reference.
 
-    Either sequence may be empty; an empty reference yields N=0.
+    Either sequence may be empty; an empty reference yields N=0. One
+    backtrace through the edit table counts the errors and the confusion
+    map. When several alignments are optimal it prefers match or
+    substitution over deletion over insertion.
     """
-    _, ops = edit_ops(list(ref), list(hyp))
+    ref, hyp = list(ref), list(hyp)
+    # d[i][j] is the distance between ref[:i] and hyp[:j].
+    d = list(_edit_rows(ref, hyp))
     ins = dels = sub = 0
     confusion = {}
-
-    def bump(key):
-        confusion[key] = confusion.get(key, 0) + 1
-
-    for kind, r, h in ops:
-        if kind == "ins":
-            ins += 1
-            bump((INSERTION, h))
-        elif kind == "del":
+    i, j = len(ref), len(hyp)
+    while i or j:
+        if i and j and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            i, j = i - 1, j - 1
+            key = ref[i], hyp[j]
+            sub += ref[i] != hyp[j]
+        elif i and d[i][j] == d[i - 1][j] + 1:
+            i -= 1
+            key = ref[i], DELETION
             dels += 1
-            bump((r, DELETION))
         else:
-            sub += kind == "sub"
-            bump((r, h))
+            j -= 1
+            key = INSERTION, hyp[j]
+            ins += 1
+        confusion[key] = confusion.get(key, 0) + 1
     return PERReport(utterance_id, len(ref), ins, dels, sub, confusion)
 
 

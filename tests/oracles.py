@@ -7,7 +7,8 @@ frames and frame maps come from the reference loops below. A bug in the
 decoder, the scorer, the landmark map or the strategy composition
 cannot hide in its own oracle. The end-to-end reference
 (reference_outcomes) also takes the corpus, the strategy grammar,
-upsample replacement, matrix serialization and edit_ops from the package.
+upsample replacement, matrix serialization and edit_distance from the
+package.
 """
 
 import hashlib
@@ -36,13 +37,13 @@ from landmark_frames import (
     UnknownSenone,
     apply_replacement,
     apply_weights,
-    edit_ops,
     gen_corpus,
     mask_random,
     mask_regular,
     parse_strategy,
     write_score_matrix,
 )
+from landmark_frames.scoring import edit_distance
 
 
 def sequence_score(values, log_init, log_trans, states, weights=None):
@@ -384,6 +385,38 @@ def dyadic_matrix(rng, n_frames, n_states):
     return rng.integers(-32, 33, size=(n_frames, n_states)) / 4.0
 
 
+def reference_edit_ops(ref, hyp):
+    """Unit-cost edit alignment of two symbol sequences, from a full table.
+
+    Returns (distance, ops) where ops is a list of
+    ("match"|"sub"|"del"|"ins", ref_symbol|None, hyp_symbol|None) tuples
+    in reference order. When several alignments are optimal the
+    backtrace prefers match/substitution over deletion over insertion.
+    """
+    n, m = len(ref), len(hyp)
+    # d[i][j] is the distance between ref[:i] and hyp[:j].
+    d = [[i + j if i == 0 or j == 0 else 0 for j in range(m + 1)] for i in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            d[i][j] = min(d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]),
+                          d[i - 1][j] + 1, d[i][j - 1] + 1)
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            kind = "match" if ref[i - 1] == hyp[j - 1] else "sub"
+            ops.append((kind, ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
+            ops.append(("del", ref[i - 1], None))
+            i -= 1
+        else:
+            ops.append(("ins", None, hyp[j - 1]))
+            j -= 1
+    ops.reverse()
+    return d[n][m], ops
+
+
 def edit_distance_matchings(ref, hyp):
     """Minimum unit-cost edit distance via exhaustive monotone matchings.
 
@@ -556,7 +589,7 @@ def reference_outcomes(config, rep=0, adjust_rate=None):
                 decoded = reference_viterbi(modified, corpus.model, beam=config.beam)
                 hyp = [p for p in decoded.phones if p not in silence]
                 ref = [p for p in utt.alignment.phones() if p not in silence]
-                row["counts"].append((len(ref), edit_ops(ref, hyp)[0]))
+                row["counts"].append((len(ref), edit_distance(ref, hyp)))
                 row["decodes"].append((uid, hyp))
                 row["masks"].append((uid, mask))
                 digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()

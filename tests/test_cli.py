@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -383,6 +384,25 @@ class TestRunAndSweep:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        config = experiment_config(tmp_path, ["regular:P=2,D=1"])
+        old = os.umask(umask)
+        try:
+            assert run_cli("synth", "--out", str(tmp_path / "corpus")) == 0
+            assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "run")) == 0
+        finally:
+            os.umask(old)
+        modes = {
+            os.path.join(root, name): stat.S_IMODE(os.stat(os.path.join(root, name)).st_mode)
+            for out in ("corpus", "run")
+            for root, _, names in os.walk(tmp_path / out)
+            for name in names
+        }
+        assert len(modes) > 20
+        assert {path: m for path, m in modes.items() if m != mode} == {}
 
     def test_run_seed_override(self, tmp_path):
         config = experiment_config(tmp_path, [])

@@ -4,7 +4,7 @@ import json
 import os
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -631,6 +631,25 @@ class TestSharedPreparation:
         assert len(shipped) == 10 + 2 * 2 * 2 * 10
         heavy = (ScoreMatrix, TransitionModel)
         assert not any(isinstance(item, heavy) for task in shipped for item in task)
+
+    def test_pool_has_at_most_one_worker_per_utterance(self, monkeypatch):
+        # A thread pool stands in for the process pool, so no process starts; its
+        # initializer sets _worker_corpus in this process, and monkeypatch restores it.
+        config = fast_config(["landmark:keep", "random:match=keep"], folds=3,
+                             n_utterances=3, n_speakers=3)
+        serial, _ = compute_outcomes(config, jobs=1)
+        workers = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiment, "_worker_corpus", None)
+        capped, _ = compute_outcomes(config, jobs=64)
+        assert workers == [3]
+        assert [baseline_fields(o) for o in capped] == [baseline_fields(o) for o in serial]
 
 
 # Every replacement method, seeded and unseeded random parts, landmark

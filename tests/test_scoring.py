@@ -11,44 +11,64 @@ from landmark_frames import (
     EmptyInput,
     PERReport,
     align_edit,
-    edit_ops,
     merge_reports,
     per_increment,
     write_confusion_csv,
     write_report_csv,
 )
 from landmark_frames.scoring import DELETION, INSERTION, edit_distance, pooled_per
-from oracles import edit_distance_matchings
+from oracles import edit_distance_matchings, reference_edit_ops
+
+
+def counts(report):
+    return report.n_ref, report.ins, report.dels, report.sub, report.confusion
+
+
+def counts_of_ops(ref, ops):
+    """(n_ref, ins, dels, sub, confusion) tallied from a list of edit ops."""
+    kinds = [kind for kind, _, _ in ops]
+    confusion = {}
+    for kind, r, h in ops:
+        key = (INSERTION if kind == "ins" else r, DELETION if kind == "del" else h)
+        confusion[key] = confusion.get(key, 0) + 1
+    return len(ref), kinds.count("ins"), kinds.count("del"), kinds.count("sub"), confusion
 
 
 class TestEditOps:
     def test_identity(self):
-        dist, ops = edit_ops(["a", "b"], ["a", "b"])
-        assert dist == 0
-        assert ops == [("match", "a", "a"), ("match", "b", "b")]
+        report = align_edit(["a", "b"], ["a", "b"])
+        assert report.errors == 0
+        assert counts(report)[1:] == (0, 0, 0, {("a", "a"): 1, ("b", "b"): 1})
 
     def test_substitution(self):
-        dist, ops = edit_ops(["a", "b", "c"], ["a", "x", "c"])
-        assert dist == 1
-        assert ops[1] == ("sub", "b", "x")
+        report = align_edit(["a", "b", "c"], ["a", "x", "c"])
+        assert report.errors == 1
+        assert counts(report)[1:] == (0, 0, 1, {("a", "a"): 1, ("b", "x"): 1, ("c", "c"): 1})
 
     def test_deletion_and_insertion(self):
-        assert edit_ops(["a"], []) == (1, [("del", "a", None)])
-        assert edit_ops([], ["a"]) == (1, [("ins", None, "a")])
+        assert counts(align_edit(["a"], [])) == (1, 0, 1, 0, {("a", DELETION): 1})
+        assert counts(align_edit([], ["a"])) == (0, 1, 0, 0, {(INSERTION, "a"): 1})
 
     def test_sub_preferred_over_del_ins_pair(self):
-        dist, ops = edit_ops(["a", "b"], ["b", "a"])
-        assert dist == 2
-        assert [op for op, _, _ in ops] == ["sub", "sub"]
+        report = align_edit(["a", "b"], ["b", "a"])
+        assert report.errors == 2
+        assert counts(report)[1:] == (0, 0, 2, {("a", "b"): 1, ("b", "a"): 1})
 
     def test_del_preferred_over_ins_on_ties(self):
         # Equal-cost alignments exist that swap the del/ins order; the
         # backtrace prefers consuming the reference first.
-        dist, ops = edit_ops(["a"], ["b"])
-        assert dist == 1
-        assert [op for op, _, _ in ops] == ["sub"]
-        dist, ops = edit_ops(["a", "b"], ["b"])
-        assert (dist, [op for op, _, _ in ops]) == (1, ["del", "match"])
+        report = align_edit(["a"], ["b"])
+        assert report.errors == 1
+        assert counts(report)[1:] == (0, 0, 1, {("a", "b"): 1})
+        report = align_edit(["a", "b"], ["b"])
+        assert report.errors == 1
+        assert counts(report)[1:] == (0, 1, 0, {("a", DELETION): 1, ("b", "b"): 1})
+        # Preferring insertions here would give one insertion and two substitutions.
+        report = align_edit(["a", "b", "a"], ["b", "c", "a", "b"])
+        assert counts(report)[1:] == (2, 1, 0, {
+            (INSERTION, "b"): 1, (INSERTION, "c"): 1, ("a", DELETION): 1,
+            ("a", "a"): 1, ("b", "b"): 1,
+        })
 
     def test_ops_replay_to_inputs(self):
         rng = np.random.default_rng(0)
@@ -56,7 +76,7 @@ class TestEditOps:
         for _ in range(200):
             ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 7))]
             hyp = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 7))]
-            dist, ops = edit_ops(ref, hyp)
+            dist, ops = reference_edit_ops(ref, hyp)
             got_ref = [r for op, r, _ in ops if op != "ins"]
             got_hyp = [h for op, _, h in ops if op != "del"]
             assert got_ref == ref and got_hyp == hyp
@@ -68,13 +88,13 @@ class TestEditOps:
         for _ in range(150):
             ref = [alphabet[i] for i in rng.integers(0, 3, size=rng.integers(0, 6))]
             hyp = [alphabet[i] for i in rng.integers(0, 3, size=rng.integers(0, 6))]
-            dist, _ = edit_ops(ref, hyp)
+            dist, _ = reference_edit_ops(ref, hyp)
             assert dist == edit_distance_matchings(ref, hyp)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from("abc"), max_size=6), st.lists(st.sampled_from("abc"), max_size=6))
     def test_ops_replay_ref_into_hyp_at_oracle_distance(self, ref, hyp):
-        dist, ops = edit_ops(ref, hyp)
+        dist, ops = reference_edit_ops(ref, hyp)
         assert dist == edit_distance_matchings(ref, hyp)
         assert dist == sum(op != "match" for op, _, _ in ops)
         rest, built = list(ref), []
@@ -93,10 +113,23 @@ class TestEditOps:
     @example(["a", "b"], [])
     @example([], ["c", "c", "a"])
     def test_distance_only_equals_edit_ops_and_align_edit(self, ref, hyp):
-        assert edit_distance(ref, hyp) == edit_ops(ref, hyp)[0] == align_edit(ref, hyp).errors
+        distance = reference_edit_ops(ref, hyp)[0]
+        assert edit_distance(ref, hyp) == distance == align_edit(ref, hyp).errors
 
 
 class TestAlignEdit:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=8),
+           st.lists(st.sampled_from("abcd"), max_size=8))
+    @example([], [])
+    @example(["a", "b"], [])
+    @example([], ["c", "c", "a"])
+    @example(["a", "b", "a"], ["b", "c", "a", "b"])
+    def test_counts_equal_the_reference_ops(self, ref, hyp):
+        report = align_edit(ref, hyp)
+        assert counts(report) == counts_of_ops(ref, reference_edit_ops(ref, hyp)[1])
+        assert all(type(n) is int for n in counts(report)[:4])
+
     def test_counts_and_per(self):
         report = align_edit(["a", "b", "c"], ["a", "c"], "u")
         assert (report.n_ref, report.ins, report.dels, report.sub) == (3, 0, 1, 0)
