@@ -18,6 +18,7 @@ from .corpus_io import (
     atomic_write_bytes,
     atomic_write_text,
     format_alignment,
+    line_fields,
     parse_alignment,
     read_manner_table,
     read_score_matrix,
@@ -162,6 +163,8 @@ def cmd_annotate(args) -> int:
 
 
 def _realize_from_args(args, num_frames: int):
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
     spec = parse_strategy(args.strategy)
     landmarks = read_landmarks(_read_text(args.landmarks)) if args.landmarks else None
     rng = np.random.default_rng(args.seed) if spec.needs_rng() else None
@@ -195,16 +198,11 @@ def cmd_decode(args) -> int:
 
 
 def _read_hyp_phones(path: str):
+    """The phones of a `decode` output (its score line skipped) or of a phone list."""
     phones = []
-    for line in _read_text(path).splitlines():
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0] == "score":
-            continue
-        if fields[0] == "phones":
-            fields = fields[1:]
-        phones.extend(fields)
+    for _, fields in line_fields(_read_text(path)):
+        if fields[0] != "score":
+            phones.extend(fields[1:] if fields[0] == "phones" else fields)
     return phones
 
 

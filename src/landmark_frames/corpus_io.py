@@ -149,20 +149,43 @@ class Corpus:
     utterances: list  # of Utterance
 
 
-def records(text: str, layout: str, error=FormatError):
+def line_fields(text: str):
     """Yield (line number, fields) for each non-blank line of text.
 
-    The one record rule of every tabular text input: fields are split on
-    whitespace, blank lines are skipped, and a line whose field count is
-    not that of layout raises error naming the line.
+    The one line rule of every text input but the synth config: fields are
+    split on whitespace, blank and whitespace-only lines are skipped, and
+    line numbers count every line of the file, blank ones included.
     """
-    width = len(layout.split())
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if len(fields) == width:
+        if fields:
             yield lineno, fields
-        elif fields:
-            raise error(f"line {lineno}: expected {layout!r}, got {line.strip()!r}")
+
+
+def records(text: str, layout: str, error=FormatError):
+    """line_fields(text), the record rule of every tabular text input: a
+    line whose field count is not that of layout raises error naming the line.
+    """
+    width = len(layout.split())
+    for lineno, fields in line_fields(text):
+        if len(fields) != width:
+            raise error(f"line {lineno}: expected {layout!r}, got {' '.join(fields)!r}")
+        yield lineno, fields
+
+
+def write_float_row(values) -> str:
+    """One line of shortest-round-trip floats, as read_float_row reads it back."""
+    return " ".join(repr(float(v)) for v in values)
+
+
+def read_float_row(lineno: int, fields: list, width: int) -> list:
+    """The width floats of one line's fields; an error names the line."""
+    if len(fields) != width:
+        raise FormatError(f"line {lineno}: expected {width} values, got {len(fields)}")
+    try:
+        return [float(field) for field in fields]
+    except ValueError:
+        raise FormatError(f"line {lineno}: unparseable float in {' '.join(fields)!r}") from None
 
 
 def parse_alignment(
@@ -219,37 +242,24 @@ def read_score_matrix(data: bytes, utterance_id: str = "") -> ScoreMatrix:
 
 def write_score_matrix_text(matrix: ScoreMatrix) -> str:
     """Text layout: header "T S", then T rows of S shortest-round-trip floats."""
-    lines = [f"{matrix.T} {matrix.S}"]
-    for row in matrix.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{matrix.T} {matrix.S}", *map(write_float_row, matrix.values)]) + "\n"
 
 
 def read_score_matrix_text(text: str, utterance_id: str = "") -> ScoreMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = line_fields(text)
+    lineno, header = next(rows, (0, []))
+    if not header:
         raise FormatError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"bad matrix header {lines[0]!r}")
     try:
-        t, s = int(header[0]), int(header[1])
+        t, s = map(int, header)
     except ValueError:
-        raise FormatError(f"bad matrix header {lines[0]!r}") from None
+        raise FormatError(f"line {lineno}: bad matrix header {' '.join(header)!r}") from None
     if t < 1 or s < 1:
-        raise FormatError(f"matrix must be at least 1x1, header says {t}x{s}")
-    if len(lines) - 1 != t:
-        raise FormatError(f"expected {t} rows, got {len(lines) - 1}")
-    # Rows are checked as they are read, so the header alone never sizes an allocation.
-    values = []
-    for i, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != s:
-            raise FormatError(f"row {i}: expected {s} values, got {len(fields)}")
-        try:
-            values.append([float(f) for f in fields])
-        except ValueError:
-            raise FormatError(f"row {i}: unparseable float in {line!r}") from None
+        raise FormatError(f"line {lineno}: matrix must be at least 1x1, header says {t}x{s}")
+    # Each row's width is checked as it is read, so the header alone never sizes an allocation.
+    values = [read_float_row(n, fields, s) for n, fields in rows]
+    if len(values) != t:
+        raise FormatError(f"line {lineno}: header says {t} rows, got {len(values)}")
     return ScoreMatrix(utterance_id, np.array(values, dtype=np.float64))
 
 

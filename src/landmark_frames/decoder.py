@@ -15,7 +15,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .corpus_io import NEG_INF, ScoreMatrix
+from .corpus_io import NEG_INF, ScoreMatrix, line_fields, read_float_row, write_float_row
 from .errors import (
     BeamCollapse,
     FormatError,
@@ -223,49 +223,37 @@ def viterbi(
 def write_transition_model(model: TransitionModel) -> str:
     """Text layout: senone count, init row, S transition rows, then one
     "index phone" line per senone."""
-    lines = [str(model.S)]
-    lines.append(" ".join(repr(float(v)) for v in model.init))
-    for row in model.trans:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for i, phone in enumerate(model.senone_phones):
-        lines.append(f"{i} {phone}")
+    lines = [str(model.S), write_float_row(model.init), *map(write_float_row, model.trans)]
+    lines += [f"{i} {phone}" for i, phone in enumerate(model.senone_phones)]
     return "\n".join(lines) + "\n"
 
 
 def read_transition_model(text: str) -> TransitionModel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = line_fields(text)
+    lineno, header = next(rows, (0, []))
+    if not header:
         raise FormatError("empty transition model")
     try:
-        s = int(lines[0])
+        (s,) = map(int, header)
     except ValueError:
-        raise FormatError(f"bad senone count {lines[0]!r}") from None
+        raise FormatError(f"line {lineno}: bad senone count {' '.join(header)!r}") from None
     if s < 1:
-        raise FormatError(f"senone count must be >= 1, got {s}")
-    if len(lines) != 2 + 2 * s:
-        raise FormatError(f"expected {2 + 2 * s} lines for {s} senones, got {len(lines)}")
-
-    def parse_row(line, lineno):
-        fields = line.split()
-        if len(fields) != s:
-            raise FormatError(f"line {lineno}: expected {s} values, got {len(fields)}")
-        try:
-            return [float(f) for f in fields]
-        except ValueError:
-            raise FormatError(f"line {lineno}: unparseable float") from None
-
-    init = parse_row(lines[1], 2)
-    trans = [parse_row(lines[2 + i], 3 + i) for i in range(s)]
+        raise FormatError(f"line {lineno}: senone count must be >= 1, got {s}")
+    # Rows become floats as they are read; zip takes range first, so it leaves the labels.
+    table = [read_float_row(n, fields, s) for _, (n, fields) in zip(range(1 + s), rows)]
+    labels = list(rows)
+    if len(table) + len(labels) != 1 + 2 * s:
+        got = 1 + len(table) + len(labels)
+        raise FormatError(f"line {lineno}: {s} senones need {2 + 2 * s} non-blank lines, got {got}")
     phones = [None] * s
-    for line in lines[2 + s:]:
-        fields = line.split()
+    for n, fields in labels:
         if len(fields) != 2:
-            raise FormatError(f"bad senone label line {line!r}")
+            raise FormatError(f"line {n}: expected 'index phone', got {' '.join(fields)!r}")
         try:
             idx = int(fields[0])
         except ValueError:
-            raise FormatError(f"bad senone index in {line!r}") from None
+            raise FormatError(f"line {n}: bad senone index {fields[0]!r}") from None
         if not (0 <= idx < s) or phones[idx] is not None:
-            raise FormatError(f"senone index {idx} out of range or repeated")
+            raise FormatError(f"line {n}: senone index {idx} out of range or repeated")
         phones[idx] = fields[1]
-    return TransitionModel(np.array(init), np.array(trans), phones)
+    return TransitionModel(np.array(table[0]), np.array(table[1:]), phones)

@@ -18,7 +18,8 @@ Parts joined by "+" are OR-combined frame-wise. The method= key picks
 the replacement written into dropped rows (default copy). Any other key
 appears at most once per part; the keep/drop shorthand counts as the
 landmark mode= key. On a random part, r= widens the landmark frames that
-match= counts, so it needs match=.
+match= counts, so it needs match=. Every number is finite and >= 0, and
+rate is at most 1.
 """
 
 import warnings
@@ -325,15 +326,15 @@ def parse_strategy(text: str) -> StrategySpec:
                 raise InvalidPattern("random strategy needs exactly one of rate, n, or match")
             if "r" in params and "match" not in params:
                 raise InvalidPattern("random r= widens landmark frames, so it needs match=")
-            if "rate" in params and not 0.0 <= params["rate"] <= 1.0:
-                raise InvalidPattern(f"rate must lie in [0, 1], got {params['rate']}")
         if "P" in params and not (params["P"] >= 2 and 1 <= params["D"] < params["P"]):
             raise InvalidPattern(
                 f"{kind} needs 1 <= D < P with P >= 2, got P={params['P']}, D={params['D']}"
             )
-        weight_key = WEIGHT_KEYS.get(kind)
-        if weight_key and not 0 <= params[weight_key] < np.inf:
-            raise InvalidPattern(f"{weight_key} must be finite and >= 0, got {params[weight_key]}")
+        for key, value in params.items():
+            if key == "rate" and not 0.0 <= value <= 1.0:
+                raise InvalidPattern(f"rate must lie in [0, 1], got {value}")
+            if not isinstance(value, str) and not 0 <= value < np.inf:
+                raise InvalidPattern(f"{key} must be finite and >= 0, got {value}")
         parts.append((kind, params))
     return StrategySpec(raw, parts, method if method is not None else "copy")
 

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import landmark_frames
-from landmark_frames import FrameMask, mask_random, read_score_matrix, write_mask
+from landmark_frames import (
+    FrameMask,
+    mask_random,
+    parse_alignment,
+    read_score_matrix,
+    write_mask,
+)
 from landmark_frames.cli import main
 
 
@@ -206,6 +212,10 @@ class TestMask:
         assert run_cli("mask", "--strategy", "regular:P=2,D=1", "--frames", frames) == 1
         assert f"--frames must be >= 1, got {frames}" in capsys.readouterr().err
 
+    def test_negative_strategy_seed_refused(self, capsys):
+        assert run_cli("mask", "--strategy", "random:n=3,seed=-1", "--frames", "10") == 1
+        assert capsys.readouterr().err == "error: seed must be finite and >= 0, got -1\n"
+
 
 class TestTransformDecodeScore:
     def test_transform_fill_0(self, corpus_dir, tmp_path):
@@ -257,6 +267,30 @@ class TestTransformDecodeScore:
         assert out[0] == "utterance_id,N,ins,del,sub,per"
         assert out[1].startswith("utt0000,")
         assert confusion.read_text().splitlines()[0] == "ref,hyp,count"
+
+    def test_score_reads_padded_decode_output(self, corpus_dir, tmp_path, capsys):
+        ref = corpus_dir / "utt0000.align"
+        phones = parse_alignment(ref.read_text()).phones()
+        plain = tmp_path / "plain.txt"
+        plain.write_text(f"score -12.5\nphones {' '.join(phones)}\n")
+        padded = tmp_path / "padded.txt"
+        padded.write_text(f"\n  score\t-12.5 \n \n\tphones  {'  '.join(phones)}\t\n\n")
+        assert run_cli("score", "--ref", str(ref), "--hyp", str(plain)) == 0
+        expected = capsys.readouterr().out
+        assert expected.splitlines()[1] == f"utt0000,{len(phones)},0,0,0,0.0"
+        assert run_cli("score", "--ref", str(ref), "--hyp", str(padded)) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", ["mask", "transform"])
+    def test_negative_seed_refused(self, corpus_dir, tmp_path, capsys, command):
+        out = tmp_path / "out.llm"
+        inputs = {
+            "mask": ["--frames", "10"],
+            "transform": ["--matrix", str(corpus_dir / "utt0000.llm"), "--out", str(out)],
+        }[command]
+        assert run_cli(command, "--strategy", "random:rate=0.5", "--seed", "-1", *inputs) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_decode_missing_file_exits_2(self, corpus_dir, tmp_path):
         code = run_cli(

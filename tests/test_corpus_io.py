@@ -42,6 +42,7 @@ from landmark_frames.corpus_io import (
 )
 from landmark_frames.decoder import TransitionModel, write_transition_model
 from landmark_frames.experiment import load_corpus_dir
+from oracles import dyadic_uniform_model
 
 
 class TestAlignment:
@@ -251,14 +252,19 @@ def read_pairs(text, tmp_path):
     return out.read_text()
 
 
+def write_tiny_corpus(path):
+    """A corpus directory of three 2-frame utterances over one senone."""
+    model = TransitionModel(np.log([1.0]), np.log([[1.0]]), ["aa"])
+    (path / "model.tm").write_text(write_transition_model(model))
+    (path / "manners.txt").write_text("aa vowel")
+    for u in range(3):
+        (path / f"utt{u:04d}.align").write_text("0 2 aa")
+        (path / f"utt{u:04d}.llm.txt").write_text("2 1\n0.0\n0.0\n")
+
+
 def read_speakers(text, tmp_path):
     """(speaker, gender) of each utterance of a three-utterance corpus with text as speakers.tsv."""
-    model = TransitionModel(np.log([1.0]), np.log([[1.0]]), ["aa"])
-    (tmp_path / "model.tm").write_text(write_transition_model(model))
-    (tmp_path / "manners.txt").write_text("aa vowel")
-    for u in range(3):
-        (tmp_path / f"utt{u:04d}.align").write_text("0 2 aa")
-        (tmp_path / f"utt{u:04d}.llm.txt").write_text("2 1\n0.0\n0.0\n")
+    write_tiny_corpus(tmp_path)
     (tmp_path / "speakers.tsv").write_text(text)
     corpus = load_corpus_dir(str(tmp_path))
     return [(u.alignment.speaker_id, u.alignment.gender) for u in corpus.utterances]
@@ -311,6 +317,65 @@ class TestRecords:
         assert re.search(f"(^|: ){message}$", str(caught.value))
 
 
+# name -> (reader, a well-formed text of its format).
+POSITIONAL_READERS = {
+    "matrix": (read_score_matrix_text, "2 2\n0.0 -1.5\n-inf 2.0\n"),
+    "model": (
+        read_transition_model,
+        write_transition_model(
+            TransitionModel(np.log([0.5, 0.5]), np.log(np.full((2, 2), 0.5)), ["a", "b"])
+        ),
+    ),
+}
+
+
+def spaced(lines):
+    """Lines with blank ones before and between them: lines[i] is file line 2i + 3."""
+    return "\n \n".join(["", *lines]) + "\n"
+
+
+class TestPositionalLines:
+    """The matrix text and the transition model walk their lines through
+    corpus_io.line_fields: blank lines are skipped, and errors name the file
+    line, blank lines counted."""
+
+    @pytest.mark.parametrize(
+        "name, index, bad, message",
+        [
+            ("matrix", 0, "2 x", "bad matrix header '2 x'"),
+            ("matrix", 0, "2 0", "matrix must be at least 1x1, header says 2x0"),
+            ("matrix", 0, "3 2", "header says 3 rows, got 2"),
+            ("matrix", 2, "-inf x", "unparseable float in '-inf x'"),
+            ("matrix", 2, "-inf", "expected 2 values, got 1"),
+            ("model", 0, "x", "bad senone count 'x'"),
+            ("model", 0, "0", "senone count must be >= 1, got 0"),
+            ("model", 1, "0.0 x", "unparseable float in '0.0 x'"),
+            ("model", 3, "0.0", "expected 2 values, got 1"),
+            ("model", 3, "0.0 x", "unparseable float in '0.0 x'"),
+            ("model", 5, "1", "expected 'index phone', got '1'"),
+            ("model", 5, "x b", "bad senone index 'x'"),
+            ("model", 5, "0 b", "senone index 0 out of range or repeated"),
+        ],
+    )
+    def test_bad_line_names_its_file_line(self, name, index, bad, message):
+        reader, text = POSITIONAL_READERS[name]
+        lines = text.splitlines()
+        lines[index] = f"\t{bad} "
+        with pytest.raises(FormatError, match=f"^line {2 * index + 3}: {re.escape(message)}$"):
+            reader(spaced(lines))
+
+    def test_model_line_count_names_the_header(self):
+        _, text = POSITIONAL_READERS["model"]
+        with pytest.raises(FormatError, match="^line 3: 2 senones need 6 non-blank lines, got 5$"):
+            read_transition_model(spaced(text.splitlines()[:-1]))
+
+    def test_corpus_directory_names_model_line(self, tmp_path):
+        write_tiny_corpus(tmp_path)
+        (tmp_path / "model.tm").write_text("\n1\n\n0.0\nx\n0 aa\n")
+        with pytest.raises(FormatError, match=r"^model\.tm: line 5: unparseable float in 'x'$"):
+            load_corpus_dir(str(tmp_path))
+
+
 # A field separator, and the whitespace at either end of a line or on a blank line.
 _SEP = st.text(" \t", min_size=1, max_size=3)
 _PAD = st.text(" \t", max_size=3)
@@ -361,6 +426,27 @@ class TestRecordRoundTrip:
         landmarks = LandmarkSet("u", events)
         back = read_landmarks(loosen(data, write_landmarks(landmarks)), "u")
         assert back.events == landmarks.events
+
+    @settings(max_examples=100)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+    def test_score_matrix_text(self, shape, data):
+        score = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(NEG_INF))
+        size = shape[0] * shape[1]
+        cells = data.draw(st.lists(score, min_size=size, max_size=size))
+        matrix = ScoreMatrix("u", np.reshape(cells, shape))
+        back = read_score_matrix_text(loosen(data, write_score_matrix_text(matrix)), "u")
+        assert back.values.tobytes() == matrix.values.tobytes()
+
+    @settings(max_examples=100)
+    @given(n_states=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_transition_model(self, n_states, seed, data):
+        init, trans = dyadic_uniform_model(np.random.default_rng(seed), n_states)
+        phones = data.draw(st.lists(_PHONES, min_size=n_states, max_size=n_states))
+        model = TransitionModel(init, trans, phones)
+        back = read_transition_model(loosen(data, write_transition_model(model)))
+        assert back.init.tobytes() == model.init.tobytes()
+        assert back.trans.tobytes() == model.trans.tobytes()
+        assert back.senone_phones == model.senone_phones
 
 
 class TestAtomicWrites:

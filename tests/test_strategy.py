@@ -9,6 +9,7 @@ from landmark_frames import (
     LANDMARK_TYPES,
     NEG_INF,
     REPLACEMENT_METHODS,
+    ExperimentConfig,
     FrameMask,
     InvalidConfig,
     InvalidPattern,
@@ -552,6 +553,25 @@ class TestGrammar:
     def test_rejects_bad_strings(self, text):
         with pytest.raises(InvalidPattern):
             parse_strategy(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("random:n=3,seed=-1", "seed"),
+            ("random:n=-1", "n"),
+            ("random:match=keep,r=-1", "r"),
+            ("landmark:keep,r=-1", "r"),
+            ("hybrid:P=2,D=1,overweight=1.5,r=-1", "r"),
+            ("overweight:factor=2.0,r=-1", "r"),
+        ],
+    )
+    def test_negative_numbers_refused_as_parsed(self, text, key):
+        # Refused before any corpus is built, not by the first utterance it realizes.
+        message = f"^{key} must be finite and >= 0, got -1$"
+        with pytest.raises(InvalidPattern, match=message):
+            parse_strategy(text)
+        with pytest.raises(InvalidPattern, match=message):
+            ExperimentConfig(strategies=[text])
 
     def test_needs_flags(self):
         assert not parse_strategy("identity").needs_landmarks()
