@@ -34,6 +34,7 @@ from .decoder import (
     collapse_states,
     read_transition_model,
     viterbi,
+    viterbi_batch,
     write_transition_model,
 )
 from .errors import (

@@ -10,6 +10,7 @@ are broken toward the lowest senone index at every step, so the
 returned path is deterministic.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 
@@ -44,7 +45,8 @@ class TransitionModel:
     width. Row i, for senone order[i], starts at row_starts[i] of pred,
     which holds each predecessor's position in order: live ones in
     ascending senone order, then dead ones. pred_logp holds their trans
-    entries.
+    entries. tiles keeps that table tiled for the largest batch decoded
+    so far (see tiled).
     """
 
     init: np.ndarray
@@ -56,6 +58,7 @@ class TransitionModel:
     row_starts: np.ndarray = field(init=False, repr=False)
     pred: np.ndarray = field(init=False, repr=False)
     pred_logp: np.ndarray = field(init=False, repr=False)
+    tiles: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         init = np.asarray(self.init, dtype=np.float64)
@@ -108,6 +111,25 @@ class TransitionModel:
     def S(self) -> int:
         return self.init.shape[0]
 
+    def tiled(self, rows: int) -> tuple:
+        """The predecessor table tiled for a batch of at least rows rows.
+
+        Returns flat (pred, pred_logp, cells): batch row r gathers its
+        predecessors at r * S + pred, weighs them with pred_logp, and
+        finds position i's first cell at cells[r * S + i] = r * P +
+        row_starts[i], P being pred.size. Prefixes serve fewer rows.
+        """
+        if not self.tiles or self.tiles[0].size < rows * self.pred.size:
+            r = np.arange(rows)[:, None]
+            self.tiles = (
+                (r * self.S + self.pred).ravel(),
+                np.tile(self.pred_logp, rows),
+                (r * self.pred.size + self.row_starts).ravel(),
+            )
+            for arr in self.tiles:
+                arr.setflags(write=False)
+        return self.tiles
+
 
 @dataclass
 class DecodeResult:
@@ -141,83 +163,145 @@ def viterbi(
     weights: np.ndarray | None = None,
     beam: float | None = None,
 ) -> DecodeResult:
-    """Best-path decode of one utterance.
+    """Best-path decode of one utterance: viterbi_batch on a batch of one.
 
     weights, if given, scale each frame's emission row through
-    strategy.apply_weights (NEG_INF entries stay NEG_INF). beam, if
-    given, prunes states whose partial score falls more than beam below
-    the frame maximum. Pruning everything raises BeamCollapse, as does a
-    model with no feasible path; partial scores that overflow to +inf or
-    nan raise ScoreOverflow. Both name the utterance and the frame.
+    strategy.apply_weights (NEG_INF entries stay NEG_INF), once the
+    senone count and the beam have passed their checks.
     """
-    if matrix.S != model.S:
-        raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
+    if weights is not None and matrix.S == model.S and (beam is None or beam > 0):
+        matrix = apply_weights(matrix, weights)
+    return viterbi_batch([matrix], model, beam)[0]
+
+
+def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None) -> list:
+    """Best-path decodes of several utterances in one pass, in input order.
+
+    beam, if given, prunes the states of an utterance whose partial
+    score falls more than beam below its frame maximum. Pruning
+    everything raises BeamCollapse, as does a model with no feasible
+    path; partial scores that overflow to +inf or nan raise
+    ScoreOverflow. Both name the utterance and the frame; of several
+    failing utterances, the first in input order raises. Every
+    utterance decodes exactly as it would alone.
+    """
+    for matrix in matrices:
+        if matrix.S != model.S:
+            raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
     if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
-    values = matrix.values if weights is None else apply_weights(matrix, weights).values
-    T, S = values.shape
-
-    # The lattice runs over positions in model.order, so each degree
-    # group's rows sit side by side in cand.
-    values = values.take(model.order, axis=1)
-    pred, pred_logp, row_starts = model.pred, model.pred_logp, model.row_starts
-    scores = np.empty((T, S))
-    # back[t, i] is the cell of cand that holds the best predecessor of
-    # position i; pred at that cell is the predecessor's position.
-    back = np.zeros((T, S), dtype=np.int64)
-    cand = np.empty(pred.size)
-    # best[i] is the slot, within position i's row, of its best predecessor.
-    best = np.empty(S, dtype=np.int64)
+    if not matrices:
+        return []
+    S, P = model.S, model.pred.size
+    # Rows run longest first, so the rows still live at a frame come
+    # first. Buffers are time-major: frame t holds rows starts[t] to
+    # starts[t + 1] of scores and back, one per live row.
+    rows = sorted(range(len(matrices)), key=lambda b: -matrices[b].T)
+    lengths = [matrices[b].T for b in rows]
+    B = len(rows)
+    # Frames t0 to t1 - 1 of each segment (t0, t1, n) have n live rows.
+    starts, segments, n, t0 = [0], [], B, 0
+    for t1 in reversed(lengths):
+        if t1 > t0:
+            starts += range(starts[-1] + n, starts[-1] + n * (t1 - t0) + 1, n)
+            segments.append((t0, t1, n))
+            t0 = t1
+        n -= 1
+    # scores holds the emissions until the frame loop adds each frame's
+    # best path scores to them.
+    scores = np.concatenate([matrices[b].values for b in rows]).take(model.order, axis=1)
+    if B > 1:
+        # Row r's frame t moves to buffer row starts[t] + r; the
+        # emissions are held once while the lattice runs.
+        offsets = np.array(starts)
+        emissions, scores = scores, np.empty_like(scores)
+        scores[np.concatenate([offsets[:L] + r for r, L in enumerate(lengths)])] = emissions
+        del emissions
+    # back at a frame's row r, position i is the cell of cand that holds
+    # the best predecessor; pred_r at that cell is its place in the
+    # previous frame, r * S + its position. Frame 0's rows stay unread.
+    back = np.empty(scores.shape, dtype=np.int64)
+    cand = np.empty(B * P)
+    best = np.empty(B * S, dtype=np.int64)
+    incoming = np.empty(B * S)
+    # Tiled, so no add broadcasts.
+    pred_r, logp_r, cells_r = model.tiled(B)
     groups, row = [], 0
-    for width, rows in model.groups:
-        cell = row_starts.item(row)
-        groups.append((cand[cell:cell + width * rows].reshape(rows, width), best[row:row + rows]))
-        row += rows
+    for width, count in model.groups:
+        cell = model.row_starts.item(row)
+        groups.append((
+            cand.reshape(B, P)[:, cell:cell + width * count].reshape(B, count, width),
+            best.reshape(B, S)[:, row:row + count],
+        ))
+        row += count
     add = np.add
     # Overflow and inf - inf are reported below as ScoreOverflow. The
     # loop passes out and mode by position, which costs less per call
     # than by keyword.
     with np.errstate(over="ignore", invalid="ignore"):
-        add(model.init.take(model.order), values[0], scores[0])
-        for prev, cur, slot, emit in zip(scores, scores[1:], back[1:], values[1:]):
-            if beam is not None:
-                # Keeps the maximum, nan or +inf too, for the check below; the last row needs none.
-                prev[prev < prev.max() - beam] = NEG_INF
-            # Every index is in range; "clip" skips the check and the
-            # buffered copy of out that the default mode makes.
-            prev.take(pred, None, cand, "clip")
-            add(cand, pred_logp, cand)
-            for group, out in groups:
-                # First occurrence: the lowest live predecessor wins ties,
-                # as dead cells sit after the live ones.
-                group.argmax(1, out)
-            add(best, row_starts, slot)
-            cand.take(slot, None, cur, "clip")
-            add(cur, emit, cur)
+        add(model.init.take(model.order), scores[:starts[1]], scores[:starts[1]])
+        # Each frame's live rows are one flat block of n * S values; the
+        # loop starts at frame 1.
+        for t0, t1, n in segments:
+            t0 = max(t0, 1)
+            lo, hi, k = starts[t0], starts[t1], t1 - t0
+            prev = scores[starts[t0 - 1]:starts[t0 - 1] + n].ravel()
+            pred, logp, cand_n = pred_r[:n * P], logp_r[:n * P], cand[:n * P]
+            cells, best_n, incoming_n = cells_r[:n * S], best[:n * S], incoming[:n * S]
+            groups_n = [(group[:n], out[:n]) for group, out in groups]
+            for cur, slot in zip(scores[lo:hi].reshape(k, n * S), back[lo:hi].reshape(k, n * S)):
+                if beam is not None:
+                    # Keeps each row's maximum, nan or +inf too, for the
+                    # check below; a row's last frame needs none.
+                    grid = prev.reshape(n, S)
+                    grid[grid < grid.max(1, None, True) - beam] = NEG_INF
+                # Every index is in range; "clip" skips the check and the
+                # buffered copy of out that the default mode makes.
+                prev.take(pred, None, cand_n, "clip")
+                add(cand_n, logp, cand_n)
+                for group, out in groups_n:
+                    # First occurrence: the lowest live predecessor wins
+                    # ties, as dead cells sit after the live ones.
+                    group.argmax(2, out)
+                add(best_n, cells, slot)
+                cand_n.take(slot, None, incoming_n, "clip")
+                add(incoming_n, cur, cur)
+                prev = cur
 
-    # The lattice dies at the first frame whose maximum is NEG_INF and
-    # overflows at the first where it is +inf or nan; the frames computed
-    # after that one change nothing, so one check here replaces a check
-    # per frame.
-    peaks = scores.max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(peaks))
-    if bad.size:
-        t = bad[0]
-        if peaks[t] == NEG_INF:
-            raise BeamCollapse(f"{matrix.utterance_id}: no surviving state at frame {t}")
-        raise ScoreOverflow(f"{matrix.utterance_id}: path score is {peaks[t]} at frame {t}")
+    # A row dies at its first frame whose maximum is NEG_INF and
+    # overflows at the first where it is +inf or nan. Either state lasts
+    # to its last frame, as emissions are finite or NEG_INF, so the
+    # frames are searched only when some last frame is bad; buffer rows
+    # are time-major, so each row's first bad frame comes first.
+    last = scores[[starts[L - 1] + r for r, L in enumerate(lengths)]]
+    if not np.isfinite(last.max(axis=1)).all():
+        peaks = scores.max(axis=1)
+        failed = {}
+        for j in np.flatnonzero(~np.isfinite(peaks)).tolist():
+            t = bisect_right(starts, j) - 1
+            failed.setdefault(rows[j - starts[t]], (t, peaks.item(j)))
+        b = min(failed)
+        t, peak = failed[b]
+        if peak == NEG_INF:
+            raise BeamCollapse(f"{matrices[b].utterance_id}: no surviving state at frame {t}")
+        raise ScoreOverflow(f"{matrices[b].utterance_id}: path score is {peak} at frame {t}")
 
+    results = [None] * B
+    flat_back = back.ravel()
     # In senone order, so the lowest index wins a tie at the last frame.
-    last = scores[T - 1].take(model.pos)
-    state = int(np.argmax(last))
-    score = float(last[state])
-    path = [model.pos.item(state)] * T
-    for t in range(T - 1, 0, -1):
-        path[t - 1] = pred.item(back.item(t, path[t]))
-    states = model.order.take(path)
-    return DecodeResult(
-        matrix.utterance_id, states, score, collapse_states(states.tolist(), model.senone_phones)
-    )
+    last = last.take(model.pos, axis=1)
+    for r, (b, L) in enumerate(zip(rows, lengths)):
+        state = int(last[r].argmax())
+        path = [r * S + model.pos.item(state)] * L
+        for t in range(L - 1, 0, -1):
+            path[t - 1] = pred_r.item(flat_back.item(starts[t] * S + path[t]))
+        # A place r * S + i wraps to position i.
+        states = model.order.take(path, None, None, "wrap")
+        results[b] = DecodeResult(
+            matrices[b].utterance_id, states, last.item(r, state),
+            collapse_states(states.tolist(), model.senone_phones),
+        )
+    return results
 
 
 def write_transition_model(model: TransitionModel) -> str:

@@ -35,7 +35,7 @@ from .corpus_io import (
     write_mask,
     write_score_matrix,
 )
-from .decoder import read_transition_model, viterbi
+from .decoder import read_transition_model, viterbi, viterbi_batch
 from .errors import FormatError, InvalidConfig, LandmarkFramesError, ShapeError
 from .landmarks import AnnotationConfig, annotate
 from .scoring import (
@@ -277,37 +277,63 @@ def _init_worker(corpus):
 
 
 def _pipeline_one(task):
-    """Pool task: _score_one on the worker's corpus."""
-    return _score_one(_worker_corpus, task)
+    """Pool task: _score_task on the worker's corpus."""
+    return _score_task(_worker_corpus, task)
 
 
-def _score_one(corpus, task):
-    """Replace, weight, decode, and score one utterance.
+def _score_task(corpus, task):
+    """Replace, weight, decode, and score the utterances of one task.
 
-    task is (utterance index, mask, weights, method, beam, full), so a
-    pool task ships no matrix or model; weights None means every weight
-    is 1. With full (a run), returns (report, hypothesis, digest), digest
-    being the sha256 of the modified matrix; otherwise (a sweep) returns
-    (n_ref, errors), the only numbers a sweep row reads. Replacement
-    errors name the utterance and the stage; weight and decode errors
-    already name the utterance.
+    task is (items, method, beam, full), items holding (utterance index,
+    mask, weights) per utterance, so a pool task ships no matrix or
+    model; weights None means every weight is 1. A run's task (full)
+    holds one utterance, decoded by viterbi, and yields (report,
+    hypothesis, digest), digest being the sha256 of the modified matrix.
+    A sweep's task holds a chunk of utterances, decoded as one
+    viterbi_batch, and yields (n_ref, errors) for each, the only numbers
+    a sweep row reads. Returns the list of what the utterances yield.
+
+    The first utterance in task order that fails decides the error,
+    whatever its stage: when replacing or weighting utterance k fails,
+    the utterances before it decode first, and their first decode error
+    wins. Replacement errors name the utterance and the stage; weight
+    and decode errors already name the utterance.
     """
-    ui, mask, weights, method, beam, full = task
-    utt = corpus.utterances[ui]
+    items, method, beam, full = task
+    modified, failure = [], None
+    for ui, mask, weights in items:
+        try:
+            modified.append(_modify(corpus.utterances[ui], mask, weights, method))
+        except LandmarkFramesError as e:
+            failure = e
+            break
+    if full:
+        decoded = [viterbi(matrix, corpus.model, beam=beam) for matrix in modified]
+    else:
+        decoded = viterbi_batch(modified, corpus.model, beam)
+    if failure is not None:
+        raise failure
     silence = _silence_phones(corpus.manner_table)
+    results = []
+    for (ui, _, _), matrix, result in zip(items, modified, decoded):
+        alignment = corpus.utterances[ui].alignment
+        hyp = [p for p in result.phones if p not in silence]
+        ref = [p for p in alignment.phones() if p not in silence]
+        if not full:
+            results.append((len(ref), edit_distance(ref, hyp)))
+            continue
+        digest = hashlib.sha256(write_score_matrix(matrix)).hexdigest()
+        results.append((align_edit(ref, hyp, alignment.utterance_id), hyp, digest))
+    return results
+
+
+def _modify(utt, mask, weights, method):
+    """utt's matrix with its masked frames replaced, then weighted."""
     try:
-        modified = apply_replacement(utt.matrix, mask, method)
+        matrix = apply_replacement(utt.matrix, mask, method)
     except LandmarkFramesError as e:
         raise type(e)(f"{utt.alignment.utterance_id}: replace: {e}") from None
-    if weights is not None:
-        modified = apply_weights(modified, weights)
-    result = viterbi(modified, corpus.model, beam=beam)
-    hyp = [p for p in result.phones if p not in silence]
-    ref = [p for p in utt.alignment.phones() if p not in silence]
-    if not full:
-        return len(ref), edit_distance(ref, hyp)
-    digest = hashlib.sha256(write_score_matrix(modified)).hexdigest()
-    return align_edit(ref, hyp, utt.alignment.utterance_id), hyp, digest
+    return matrix if weights is None else apply_weights(matrix, weights)
 
 
 def _silence_phones(manner_table: dict) -> frozenset:
@@ -346,9 +372,10 @@ def _memoized(memo, key, compute):
 def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     """Realize raw's masks in this process and queue its decodes.
 
-    Returns (masks, results). With a pool, results is the
-    executor's map over the utterance tasks, every chunk queued at once;
-    without one, the decoded list. Realize and adjust errors raise here,
+    Returns (masks, results), results holding each task's list (see
+    _score_task). With a pool, results is the executor's map over the
+    tasks, every chunk queued at once; without one, the list of what
+    each task returned. Realize and adjust errors raise here,
     prefixed with the utterance and the stage; pool decode errors raise
     when _collect_strategy reads results.
 
@@ -363,7 +390,7 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
-    tasks = []
+    items = []
     masks = []
     for ui, utt in enumerate(prep.corpus.utterances):
         uid = utt.alignment.utterance_id
@@ -397,11 +424,18 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
         except LandmarkFramesError as e:
             raise type(e)(f"{uid}: {stage}: {e}") from None
         masks.append((uid, mask))
-        tasks.append((ui, mask, weights, spec.method, config.beam, prep.full))
+        items.append((ui, mask, weights))
+    # A run's task is one utterance, a sweep's one chunk per worker (the
+    # whole strategy without a pool); either way each worker gets one
+    # message per strategy.
+    size = 1 if prep.full else ceil(len(items) / prep.jobs)
+    tasks = [
+        (items[i:i + size], spec.method, config.beam, prep.full)
+        for i in range(0, len(items), size)
+    ]
     if prep.executor is None:
-        results = [_score_one(prep.corpus, t) for t in tasks]
+        results = [_score_task(prep.corpus, t) for t in tasks]
     else:
-        # One chunk per worker: each worker gets one message per strategy.
         chunksize = ceil(len(tasks) / prep.jobs)
         results = prep.executor.map(_pipeline_one, tasks, chunksize=chunksize)
     return masks, results
@@ -413,7 +447,7 @@ def _collect_strategy(raw, masks, results, prep):
     Its delta_per compares its PER with the baseline's; the baseline
     itself, collected before prep.baseline is set, compares with itself.
     """
-    results = list(results)
+    results = list(chain.from_iterable(results))
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
     outcome = StrategyOutcome(raw, drop_rate=drop_rate, masks=masks)
     if not prep.full:

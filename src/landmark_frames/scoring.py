@@ -30,13 +30,39 @@ def _edit_rows(ref, hyp):
 
 
 def edit_distance(ref, hyp) -> int:
-    """Unit-cost edit distance of two symbol sequences, without the alignment.
+    """Unit-cost edit distance of two sequences of hashable symbols, without the alignment.
 
-    Equal to align_edit(ref, hyp).errors; keeps one row of the table at a time.
+    Equal to align_edit(ref, hyp).errors. Myers' bit-vector algorithm
+    (Myers 1999), in Hyyrö's form for the distance between whole
+    sequences (Hyyrö 2001): bit i of pv (mv) says that the current
+    column of the table steps up (down) by one from row i to row i + 1.
+    The bits of a column sit in one Python int, so it costs a few
+    integer operations for any length of ref.
     """
-    for row in _edit_rows(ref, hyp):
-        pass
-    return row[-1]
+    m = len(ref)
+    if not m:
+        return len(hyp)
+    full, top = (1 << m) - 1, 1 << (m - 1)
+    peq = {}  # symbol -> the bits of the rows of ref that hold it
+    for i, r in enumerate(ref):
+        peq[r] = peq.get(r, 0) | 1 << i
+    pv, mv, distance = full, 0, m
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            distance += 1
+        elif mh & top:
+            distance -= 1
+        # Row 0 of the table counts up along hyp, so every column steps up there.
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv & full
+    return distance
 
 
 def pooled_per(counts) -> float:

@@ -37,11 +37,16 @@ INTERP_TAPS = 17
 
 
 def mask_regular(num_frames: int, period: int, drop: int) -> FrameMask:
-    """Drop the first `drop` frames of every `period`-frame cycle."""
+    """Drop the first `drop` frames of every `period`-frame cycle.
+
+    Either number may be any size: past num_frames + 1 it drops the same
+    frames as num_frames + 1, so it is capped there before numpy, whose
+    integers stop at 2**63, sees it.
+    """
     if period < 2 or not (1 <= drop < period):
         raise InvalidPattern(f"regular mask needs 1 <= D < P with P >= 2, got P={period}, D={drop}")
     t = np.arange(num_frames)
-    return FrameMask((t % period) < drop)
+    return FrameMask((t % min(period, num_frames + 1)) < min(drop, num_frames + 1))
 
 
 def mask_random(num_frames: int, n_drop: int, seed: int) -> FrameMask:

@@ -216,6 +216,14 @@ class TestMask:
         assert run_cli("mask", "--strategy", "random:n=3,seed=-1", "--frames", "10") == 1
         assert capsys.readouterr().err == "error: seed must be finite and >= 0, got -1\n"
 
+    @pytest.mark.parametrize("huge", ["P=100000000000000000000,D=1",
+                                      "P=100000000000000000000,D=99999999999999999999"])
+    def test_period_past_a_c_long_drops_like_one_past_the_frames(self, capsys, huge):
+        # Every period above the frame count drops the first D frames of the one cycle.
+        assert run_cli("mask", "--strategy", f"regular:{huge}", "--frames", "6") == 0
+        D = int(huge.split("D=")[1])
+        assert capsys.readouterr().out == write_mask(FrameMask(np.arange(6) < D)) + "\n"
+
 
 class TestTransformDecodeScore:
     def test_transform_fill_0(self, corpus_dir, tmp_path):

@@ -26,6 +26,7 @@ from landmark_frames import (
     collapse_states,
     read_transition_model,
     viterbi,
+    viterbi_batch,
     write_transition_model,
 )
 from oracles import (
@@ -138,8 +139,8 @@ def scored_hypothesis(path, senone_phones, manner_table):
     model = uniform_model(S, senone_phones)
     alignment = PhoneAlignment("u", [(senone_phones[path[0]], 0, T)])
     corpus = Corpus(model, manner_table, [Utterance(alignment, ScoreMatrix("u", values))])
-    task = (0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T), "copy", None, True)
-    _, hyp, _ = experiment._score_one(corpus, task)
+    task = ([(0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T))], "copy", None, True)
+    ((_, hyp, _),) = experiment._score_task(corpus, task)
     return hyp
 
 
@@ -376,6 +377,33 @@ def decode_cases(draw):
     return ScoreMatrix("u", values), model, weights, beam
 
 
+def degree_model(draw, rng):
+    """A model built column by column from drawn degrees (see degree_cases)."""
+    S = draw(st.sampled_from([1, 2, 3, 5, 6, 9, 21, 24]))
+    live = np.zeros((S, S), dtype=bool)
+    for j in range(S):
+        degree = min(S, draw(st.sampled_from([0, 1, 2, 3, 5, 20, S])))
+        live[rng.choice(S, size=degree, replace=False), j] = True
+    for i in np.flatnonzero(~live.any(axis=1)):
+        live[i, rng.integers(S)] = True
+    trans = np.where(live, [[dyadic_log(n)] for n in live.sum(axis=1)], NEG_INF)
+    starts = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
+    init = np.full(S, NEG_INF)
+    init[starts] = dyadic_log(starts.size)
+    return TransitionModel(init, trans, [f"p{i // 3}" for i in range(S)])
+
+
+def degree_matrix(draw, rng, T, S):
+    """Dyadic scores, maybe with NEG_INF cells and a 1e308 cell over two frames."""
+    values = dyadic_matrix(rng, T, S)
+    if draw(st.booleans()):
+        values[rng.random((T, S)) < 0.2] = NEG_INF
+    if draw(st.booleans()):
+        t = int(rng.integers(T))
+        values[t:t + 2, rng.integers(S)] = 1e308
+    return values
+
+
 @st.composite
 def degree_cases(draw):
     """A model built column by column from drawn degrees, with a matrix,
@@ -387,31 +415,32 @@ def degree_cases(draw):
     are multiples of 0.25, so path scores tie exactly. Cells of 1e308
     overflow to +inf, which then meets dead slots as nan.
     """
-    S = draw(st.sampled_from([1, 2, 3, 5, 6, 9, 21, 24]))
-    T = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    live = np.zeros((S, S), dtype=bool)
-    for j in range(S):
-        degree = min(S, draw(st.sampled_from([0, 1, 2, 3, 5, 20, S])))
-        live[rng.choice(S, size=degree, replace=False), j] = True
-    for i in np.flatnonzero(~live.any(axis=1)):
-        live[i, rng.integers(S)] = True
-    trans = np.where(live, [[dyadic_log(n)] for n in live.sum(axis=1)], NEG_INF)
-    starts = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
-    init = np.full(S, NEG_INF)
-    init[starts] = dyadic_log(starts.size)
-    model = TransitionModel(init, trans, [f"p{i // 3}" for i in range(S)])
-    values = dyadic_matrix(rng, T, S)
-    if draw(st.booleans()):
-        values[rng.random((T, S)) < 0.2] = NEG_INF
-    if draw(st.booleans()):
-        t = int(rng.integers(T))
-        values[t:t + 2, rng.integers(S)] = 1e308
+    model = degree_model(draw, rng)
+    T = draw(st.integers(1, 30))
+    values = degree_matrix(draw, rng, T, model.S)
     weights = None
     if draw(st.booleans()):
         weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=T)
     beam = draw(st.sampled_from([None, 0.05, 1.0, 4.0]))
     return ScoreMatrix("u", values), model, weights, beam
+
+
+@st.composite
+def batch_cases(draw):
+    """A degree-drawn model, 1 to 12 matrices of mixed lengths and a beam.
+
+    Lengths repeat and include T = 1, so live rows end together and
+    alone. Any matrix may collapse on its NEG_INF cells or overflow on its
+    1e308 ones, so some batches fail in one row or several.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = degree_model(draw, rng)
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 8, 17, 30]), min_size=1, max_size=12))
+    matrices = [
+        ScoreMatrix(f"u{b}", degree_matrix(draw, rng, T, model.S)) for b, T in enumerate(lengths)
+    ]
+    return matrices, model, draw(st.sampled_from([None, 0.05, 1.0, 4.0]))
 
 
 def decode_outcome(decode, matrix, model, weights=None, beam=None):
@@ -616,6 +645,65 @@ class TestPredecessorTable:
                 got = quiet_outcome(m, model, beam=beam)
                 assert got == (ScoreOverflow, "w2: path score is inf at frame 1")
                 assert got == reference_outcome(m, model, beam=beam)
+
+
+def batch_outcome(matrices, model, beam=None):
+    """decode_outcome of each row, or the one error, of viterbi_batch; fails on any RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            results = viterbi_batch(matrices, model, beam)
+        except LandmarkFramesError as e:
+            return type(e), str(e)
+    return [(r.utterance_id, r.states.dtype, r.states.tolist(), r.score, r.phones)
+            for r in results]
+
+
+class TestBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(batch_cases())
+    @example(([ScoreMatrix("u0", np.zeros((1, 2))), ScoreMatrix("u1", np.zeros((3, 2)))],
+              TransitionModel(np.log([0.5, 0.5]), np.log(np.full((2, 2), 0.5)), ["a", "b"]),
+              None))
+    def test_rows_decode_as_alone_and_as_the_reference(self, case):
+        matrices, model, beam = case
+        alone = [quiet_outcome(m, model, beam=beam) for m in matrices]
+        assert alone == [reference_outcome(m, model, beam=beam) for m in matrices]
+        # An error outcome is (class, message); the first in input order is the batch's.
+        failed = [outcome for outcome in alone if len(outcome) == 2]
+        assert batch_outcome(matrices, model, beam) == (failed[0] if failed else alone)
+
+    def test_first_failing_row_in_input_order_raises(self):
+        # Row 1 dies at frame 3 and row 2 overflows at frame 1; rows sort
+        # by length, so the longer row 2 runs first inside the batch.
+        model = uniform_model(2)
+        dead = np.zeros((5, 2))
+        dead[3] = NEG_INF
+        big = np.zeros((8, 2))
+        big[:2] = 1e308
+        rows = [mat(np.zeros((4, 2)), "a"), mat(dead, "b"), mat(big, "c")]
+        assert batch_outcome(rows, model) == (BeamCollapse, "b: no surviving state at frame 3")
+        assert batch_outcome(rows[::-1], model) == (ScoreOverflow, "c: path score is inf at frame 1")
+        assert batch_outcome([rows[0], rows[2]], model, beam=1.0) == (
+            ScoreOverflow, "c: path score is inf at frame 1"
+        )
+
+    def test_model_table_grows_with_the_batch(self):
+        rng = np.random.default_rng(4)
+        model = sparse_model([[0, 1], [1, 2], [2, 0]])
+        rows = [ScoreMatrix(f"u{b}", dyadic_matrix(rng, T, 3)) for b, T in enumerate([4, 9, 1, 6])]
+        for batch in (rows[:2], rows, rows[1:3]):
+            alone = [quiet_outcome(m, model) for m in batch]
+            assert batch_outcome(batch, model) == alone
+        assert len(model.tiled(1)[0]) == 4 * model.pred.size
+
+    def test_checks_and_empty_batch(self):
+        model = uniform_model(2)
+        assert viterbi_batch([], model) == []
+        with pytest.raises(ShapeError, match="matrix has 3 senones, model has 2"):
+            viterbi_batch([mat(np.zeros((2, 2))), mat(np.zeros((2, 3)))], model)
+        with pytest.raises(InvalidConfig, match="beam must be positive, got 0.0"):
+            viterbi_batch([mat(np.zeros((2, 2)))], model, beam=0.0)
 
 
 class TestSequenceScore:

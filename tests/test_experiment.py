@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from landmark_frames import (
     BASELINE,
+    NEG_INF,
     ExperimentConfig,
     FormatError,
     InvalidConfig,
@@ -84,6 +85,22 @@ class TestComputeOutcomes:
         assert base.drop_rate == 0.0
         assert base.per > 0.0
         assert len(corpus.utterances) == 10
+
+    def test_period_past_a_c_long_runs_like_one_past_the_frames(self):
+        # P = 10**20 does not fit numpy's int64; every period past the longest
+        # utterance drops the same frames, so the rows equal P = 10**5's.
+        huge, long = (
+            [f"regular:P={p},D=1", f"hybrid:P={p},D=2,overweight=1.5"] for p in (10**20, 10**5)
+        )
+        config = load_experiment_config(json.dumps({
+            "strategies": huge, "folds": 5, "synth": FAST_SYNTH,
+        }))
+        outcomes, corpus = compute_outcomes(config)
+        assert max(utt.matrix.T for utt in corpus.utterances) < 10**5
+        expected, _ = compute_outcomes(fast_config(long))
+        assert [o.error for o in outcomes] == [None] * 3
+        for got, want in zip(outcomes, expected):
+            assert baseline_fields(got)[1:] == baseline_fields(want)[1:]
 
     def test_strategies_in_config_order_after_baseline(self):
         config = fast_config(["random:rate=0.3,seed=1", "regular:P=2,D=1"])
@@ -627,10 +644,15 @@ class TestSharedPreparation:
             sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
         assert dict(vars(experiment)) == before
         assert calls == {"gen_corpus": 1, "annotate": 10, "ProcessPoolExecutor": 1}
-        # One baseline decode, then 2 values x 2 repeats x 2 strategies.
-        assert len(shipped) == 10 + 2 * 2 * 2 * 10
+        # One baseline decode, then 2 values x 2 repeats x 2 strategies, each
+        # as one chunk of 5 utterances per worker.
+        assert len(shipped) == 2 * (1 + 2 * 2 * 2)
+        assert all(len(items) == 5 for items, *_ in shipped)
         heavy = (ScoreMatrix, TransitionModel)
-        assert not any(isinstance(item, heavy) for task in shipped for item in task)
+        assert not any(
+            isinstance(value, heavy)
+            for items, *rest in shipped for value in (*rest, *(v for item in items for v in item))
+        )
 
     def test_pool_has_at_most_one_worker_per_utterance(self, monkeypatch):
         # A thread pool stands in for the process pool, so no process starts; its
@@ -1030,6 +1052,84 @@ class TestPipeline:
             assert outcome.error == f"{uid}: replace: upsample needs a regular drop-1-in-P mask"
 
 
+def write_two_state_corpus(path, utterances):
+    """A corpus directory over a two-state left-to-right model.
+
+    utterances lists (T, kind) per utterance: "plain" scores are finite
+    and favour aa's state, so the baseline misses bb there; "forced" ones allow only aa's state in the first half and only bb's
+    in the second, so any dropped frame that upsample reconstructs from
+    both halves allows no state at all; "late" ones are finite but for
+    aa's state at the last frame, so fill_const allows only bb's state at
+    a dropped frame, which init forbids at frame 0.
+    """
+    path.mkdir()
+    half_log = np.log(0.5)
+    model = TransitionModel(
+        np.array([0.0, NEG_INF]), np.array([[half_log, half_log], [NEG_INF, 0.0]]), ["aa", "bb"]
+    )
+    (path / "model.tm").write_text(write_transition_model(model))
+    (path / "manners.txt").write_text(write_manner_table({"aa": "vowel", "bb": "vowel"}))
+    rng = np.random.default_rng(0)
+    for u, (T, kind) in enumerate(utterances):
+        half = T // 2
+        values = rng.normal(-2.0, 1.0, size=(T, 2))
+        if kind == "plain":
+            values[:, 1] -= 20.0
+        elif kind == "forced":
+            values[:half, 1] = values[half:, 0] = NEG_INF
+        elif kind == "late":
+            values[-1, 0] = NEG_INF
+        (path / f"utt{u:04d}.align").write_text(f"0 {half} aa\n{half} {T} bb\n")
+        (path / f"utt{u:04d}.llm").write_bytes(write_score_matrix(ScoreMatrix(f"utt{u:04d}", values)))
+
+
+class TestChunkFailures:
+    """A sweep decodes each chunk as one batch; its rows still fail as utterance-by-utterance decoding did."""
+
+    # A third of 12 and 9 frames keeps regular:P=3,D=1's drop-1-in-3 masks; 10
+    # frames have one drop too many, so the adjusted mask is no coset for upsample.
+    THIRD = 1 / 3
+
+    def sweep_rows(self, tmp_path, utterances, strategies, values, repeats, jobs):
+        """The sweep's rows and the rows rebuilt from one run per (value, repeat)."""
+        write_two_state_corpus(tmp_path / "corpus", utterances)
+        config = ExperimentConfig(strategies=strategies, folds=2, data_dir=str(tmp_path / "corpus"))
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        return [row_tuple(r) for r in rows[1:]], per_point_rows(config, values, repeats)[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_decode_error_before_a_later_replace_error_wins(self, tmp_path, jobs):
+        # Utterance 0 collapses under upsample; utterance 1, in the same chunk, cannot be upsampled.
+        rows, expected = self.sweep_rows(
+            tmp_path, [(12, "forced"), (10, "plain"), (9, "plain")],
+            ["regular:P=3,D=1,method=upsample"], [self.THIRD], 1, jobs,
+        )
+        assert rows == expected
+        assert rows[0][-1] == "1 of 1 repeats; rep 0: utt0000: no surviving state at frame 0"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replace_error_before_a_later_decode_error_wins(self, tmp_path, jobs):
+        rows, expected = self.sweep_rows(
+            tmp_path, [(10, "plain"), (12, "forced"), (9, "plain")],
+            ["regular:P=3,D=1,method=upsample"], [self.THIRD], 1, jobs,
+        )
+        assert rows == expected
+        assert rows[0][-1].startswith("1 of 1 repeats; rep 0: utt0000: replace: upsample needs")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_collapse_fails_only_its_strategy_and_repeat(self, tmp_path, jobs):
+        # random:rate=0.75 drops 9 of utterance 0's 12 frames, frame 0 in some repeats only.
+        rows, expected = self.sweep_rows(
+            tmp_path, [(12, "late"), (9, "plain"), (6, "plain")],
+            ["regular:P=3,D=1,method=fill_0", "random:rate=0.75,method=fill_const"], [0.75], 4, jobs,
+        )
+        assert rows == expected
+        assert rows[0][-1] is None
+        failed = rows[1][-1]
+        assert re.fullmatch(r"[123] of 4 repeats; rep \d: utt0000: no surviving state at frame 0",
+                            failed), failed
+
+
 class TestPointMemo:
     """A command does the work that does not depend on its point once, in one memo."""
 
@@ -1125,9 +1225,9 @@ class TestTasks:
     """What a pool task carries and what it returns, at --jobs 1 and 2."""
 
     def record(self, monkeypatch, jobs):
-        """Collect every task and its result in submission order."""
+        """Collect every task and its result list in submission order."""
         tasks, results = [], []
-        score = experiment._score_one
+        score = experiment._score_task
 
         def recorded(corpus, task):
             result = score(corpus, task)
@@ -1144,7 +1244,7 @@ class TestTasks:
                 return shipped
 
         if jobs == 1:
-            monkeypatch.setattr(experiment, "_score_one", recorded)
+            monkeypatch.setattr(experiment, "_score_task", recorded)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
         return tasks, results
 
@@ -1154,21 +1254,28 @@ class TestTasks:
         tasks, results = self.record(monkeypatch, jobs)
         rows = sweep(config, "drop_rate", [0.3], repeats=1, jobs=jobs)
         U = len(rows[0].counts)
-        assert len(results) == 3 * U
+        # A sweep task is one chunk per worker, the whole strategy at --jobs 1,
+        # in utterance order.
+        assert [[ui for ui, *_ in items] for items, *_ in tasks] == 3 * (
+            [list(range(U))] if jobs == 1 else [list(range(U // 2)), list(range(U // 2, U))]
+        )
         assert not any(full for *_, full in tasks)
-        assert all(type(n) is int and type(e) is int for n, e in results)
-        assert rows[0].counts == results[:U]
+        counts = [c for result in results for c in result]
+        assert len(counts) == 3 * U
+        assert all(type(n) is int and type(e) is int for n, e in counts)
+        assert rows[0].counts == counts[:U]
 
         tasks.clear()
         results.clear()
         outcomes, _ = compute_outcomes(config, jobs=jobs)
-        assert len(results) == 3 * U
+        # A run task is one utterance.
+        assert [[ui for ui, *_ in items] for items, *_ in tasks] == 3 * [[ui] for ui in range(U)]
         assert all(full for *_, full in tasks)
-        for report, hyp, digest in results:
+        for ((report, hyp, digest),) in results:
             assert isinstance(report, PERReport) and isinstance(hyp, list)
             assert len(digest) == 64
         # The sweep's counts are the run's reports, utterance by utterance.
-        assert [(r.n_ref, r.errors) for r, _, _ in results[:U]] == rows[0].counts
+        assert [(r.n_ref, r.errors) for ((r, _, _),) in results[:U]] == rows[0].counts
         assert outcomes[0].counts == rows[0].counts
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1180,8 +1287,8 @@ class TestTasks:
         tasks.clear()
         sweep(fast_config(strategies), "drop_rate", [0.3], repeats=1, jobs=jobs)
         for shipped in (run_tasks, tasks):
-            U = len(shipped) // 4
-            weights = [w for _, _, w, *_ in shipped]
+            weights = [w for items, *_ in shipped for _, _, w in items]
+            U = len(weights) // 4
             weighted = weights[2 * U:3 * U]
             assert weights[:2 * U] == [None] * (2 * U) and weights[3 * U:] == [None] * U
             assert any(w is not None for w in weighted)

@@ -84,6 +84,18 @@ SWEEPS = {
         },
         "0.1,0.5",
     ),
+    # The drop_rate sweep under a beam that prunes inside every decoded batch.
+    "drop_rate_beam": (
+        "drop_rate",
+        {"strategies": ["landmark:keep", "random:match=keep"], "synth": SYNTH, "beam": 4.0},
+        "0.1,0.5",
+    ),
+    # The drop_rate sweep at S=96, whose predecessor table mixes degree groups.
+    "drop_rate_s96": (
+        "drop_rate",
+        {"strategies": ["landmark:keep", "random:match=keep"], "synth": SYNTH_S96},
+        "0.1,0.5",
+    ),
 }
 
 RUN_CHECKSUMS_SHA256 = {
@@ -98,6 +110,8 @@ SWEEP_CSV_SHA256 = {
     "drop_rate": "9d50d1501acecacde100b6a756f3f07ca999a427087961b404c373829a43e3f6",
     "overweight": "8a46f7affef3caf63dca46cea776725246c30e25243c84ebc8170e51fedce604",
     "drop_rate_protected": "f0de54e517be4c3f2ce4f1f7cb00dddf54bade67f2f9c9d4a2dba7c95b9f026a",
+    "drop_rate_beam": "f5152392f60902435c43ab897d50a5e74d56af81026fe5d699a1c762c20d5647",
+    "drop_rate_s96": "98f3402d4be06f1eb06a6c95161254bb808f33b27968909e0ea70580fa0c44e0",
 }
 
 

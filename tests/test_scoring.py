@@ -117,6 +117,16 @@ class TestEditOps:
         assert edit_distance(ref, hyp) == distance == align_edit(ref, hyp).errors
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), min_size=60, max_size=150),
+           st.lists(st.sampled_from("abcde"), max_size=150))
+    @example(list("ab" * 40), [])
+    @example(list("abc" * 30), list("abc" * 30))
+    def test_distance_over_references_longer_than_a_word(self, ref, hyp):
+        # Past 64 symbols the bit vectors of edit_distance span several machine words.
+        assert edit_distance(ref, hyp) == reference_edit_ops(ref, hyp)[0]
+
+
 class TestAlignEdit:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from("abc"), max_size=8),
