@@ -10,7 +10,6 @@ are broken toward the lowest senone index at every step, so the
 returned path is deterministic.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 
@@ -21,6 +20,7 @@ from .errors import (
     BeamCollapse,
     FormatError,
     InvalidConfig,
+    LandmarkFramesError,
     ScoreOverflow,
     ShapeError,
     UnknownSenone,
@@ -157,13 +157,31 @@ def collapse_states(states, senone_phones) -> list:
     return phones
 
 
+# Back-pointers of the frames just decoded stay in an intp block of at
+# most this many cells (one frame at least, no more than the lattice)
+# and are narrowed block by block, so a frame pays no cast.
+_BLOCK_CELLS = 1 << 14
+
+# A backtrace step gathers all live rows of a frame at once when at least
+# this many are live; with fewer, each row walks on its own, which costs
+# less than the gather's fixed numpy calls.
+GATHER_ROWS = 8
+
+
+def index_type(cells: int):
+    """The narrowest signed integer type that holds any cell index of a
+    row of cells cells: int8 up to 127, then int16, then int32."""
+    return np.int8 if cells <= 127 else np.int16 if cells <= 32767 else np.int32
+
+
 def viterbi(
     matrix: ScoreMatrix,
     model: TransitionModel,
     weights: np.ndarray | None = None,
     beam: float | None = None,
 ) -> DecodeResult:
-    """Best-path decode of one utterance: viterbi_batch on a batch of one.
+    """Best-path decode of one utterance: viterbi_batch on a batch of one,
+    raising its BeamCollapse or ScoreOverflow.
 
     weights, if given, scale each frame's emission row through
     strategy.apply_weights (NEG_INF entries stay NEG_INF), once the
@@ -171,33 +189,45 @@ def viterbi(
     """
     if weights is not None and matrix.S == model.S and (beam is None or beam > 0):
         matrix = apply_weights(matrix, weights)
-    return viterbi_batch([matrix], model, beam)[0]
+    (result,) = viterbi_batch([matrix], model, beam)
+    if isinstance(result, LandmarkFramesError):
+        raise result
+    return result
 
 
-def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None) -> list:
+def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, lengths=None) -> list:
     """Best-path decodes of several utterances in one pass, in input order.
 
     beam, if given, prunes the states of an utterance whose partial
     score falls more than beam below its frame maximum. Pruning
-    everything raises BeamCollapse, as does a model with no feasible
-    path; partial scores that overflow to +inf or nan raise
-    ScoreOverflow. Both name the utterance and the frame; of several
-    failing utterances, the first in input order raises. Every
-    utterance decodes exactly as it would alone.
+    everything fails the utterance with BeamCollapse, as does a model
+    with no feasible path; partial scores that overflow to +inf or nan
+    fail it with ScoreOverflow. Both name the utterance and the frame.
+    Returns, for each utterance, its DecodeResult or the error it raises
+    when decoded alone: every utterance decodes exactly as it would
+    alone, whatever the others do.
+
+    matrices is a sequence of ScoreMatrix. Given lengths, each
+    utterance's frame count, it may be any iterable, read once in input
+    order; a LandmarkFramesError in place of a matrix is that
+    utterance's outcome. Each matrix is copied into the lattice as it is
+    read and not kept.
     """
-    for matrix in matrices:
-        if matrix.S != model.S:
-            raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
+    if lengths is None:
+        lengths = [matrix.T for matrix in matrices]
+        for matrix in matrices:
+            if matrix.S != model.S:
+                raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
     if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
-    if not matrices:
+    if not lengths:
         return []
     S, P = model.S, model.pred.size
     # Rows run longest first, so the rows still live at a frame come
     # first. Buffers are time-major: frame t holds rows starts[t] to
     # starts[t + 1] of scores and back, one per live row.
-    rows = sorted(range(len(matrices)), key=lambda b: -matrices[b].T)
-    lengths = [matrices[b].T for b in rows]
+    rows = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    lengths = [lengths[b] for b in rows]
     B = len(rows)
     # Frames t0 to t1 - 1 of each segment (t0, t1, n) have n live rows.
     starts, segments, n, t0 = [0], [], B, 0
@@ -207,25 +237,41 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None) -
             segments.append((t0, t1, n))
             t0 = t1
         n -= 1
-    # scores holds the emissions until the frame loop adds each frame's
-    # best path scores to them.
-    scores = np.concatenate([matrices[b].values for b in rows]).take(model.order, axis=1)
-    if B > 1:
-        # Row r's frame t moves to buffer row starts[t] + r; the
-        # emissions are held once while the lattice runs.
-        offsets = np.array(starts)
-        emissions, scores = scores, np.empty_like(scores)
-        scores[np.concatenate([offsets[:L] + r for r, L in enumerate(lengths)])] = emissions
-        del emissions
-    # back at a frame's row r, position i is the cell of cand that holds
-    # the best predecessor; pred_r at that cell is its place in the
-    # previous frame, r * S + its position. Frame 0's rows stay unread.
-    back = np.empty(scores.shape, dtype=np.int64)
+    offsets = np.array(starts)
+    # scores holds the emissions, in group order, until the frame loop
+    # adds each frame's best path scores to them. Row r's frame t is
+    # buffer row starts[t] + r.
+    scores = np.empty((starts[-1], S))
+    outcomes, uids = [None] * B, [None] * B
+    rank = {b: r for r, b in enumerate(rows)}
+    for b, matrix in enumerate(matrices):
+        r = rank[b]
+        frames = offsets[:lengths[r]] + r
+        if isinstance(matrix, LandmarkFramesError):
+            outcomes[b] = matrix
+            scores[frames] = 0.0  # decoded, never read
+            continue
+        if matrix.S != S:
+            raise ShapeError(f"matrix has {matrix.S} senones, model has {S}")
+        if matrix.T != lengths[r]:
+            raise ShapeError(f"{matrix.utterance_id}: {matrix.T} frames, expected {lengths[r]}")
+        if B == 1:
+            matrix.values.take(model.order, 1, scores, "clip")
+        else:
+            scores[frames] = matrix.values.take(model.order, axis=1)
+        uids[b] = matrix.utterance_id
+    # back at row r's frame t, position i, holds the cell of r's row of
+    # the predecessor table that holds the best predecessor: pred there is
+    # its position at frame t - 1. Frame 0's rows stay unread. block holds
+    # the same cells offset by r * P, as cand indexes them.
+    back = np.empty(scores.shape, dtype=index_type(P))
+    block = np.empty(min(max(_BLOCK_CELLS, B * S), scores.size), dtype=np.intp)
     cand = np.empty(B * P)
-    best = np.empty(B * S, dtype=np.int64)
+    best = np.empty(B * S, dtype=np.intp)
     incoming = np.empty(B * S)
     # Tiled, so no add broadcasts.
     pred_r, logp_r, cells_r = model.tiled(B)
+    row_offsets = np.arange(0, B * P, P).repeat(S)
     groups, row = [], 0
     for width, count in model.groups:
         cell = model.row_starts.item(row)
@@ -244,64 +290,107 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None) -
         # loop starts at frame 1.
         for t0, t1, n in segments:
             t0 = max(t0, 1)
-            lo, hi, k = starts[t0], starts[t1], t1 - t0
+            nS = n * S
             prev = scores[starts[t0 - 1]:starts[t0 - 1] + n].ravel()
             pred, logp, cand_n = pred_r[:n * P], logp_r[:n * P], cand[:n * P]
-            cells, best_n, incoming_n = cells_r[:n * S], best[:n * S], incoming[:n * S]
+            cells, best_n, incoming_n = cells_r[:nS], best[:nS], incoming[:nS]
             groups_n = [(group[:n], out[:n]) for group, out in groups]
-            for cur, slot in zip(scores[lo:hi].reshape(k, n * S), back[lo:hi].reshape(k, n * S)):
-                if beam is not None:
-                    # Keeps each row's maximum, nan or +inf too, for the
-                    # check below; a row's last frame needs none.
-                    grid = prev.reshape(n, S)
-                    grid[grid < grid.max(1, None, True) - beam] = NEG_INF
-                # Every index is in range; "clip" skips the check and the
-                # buffered copy of out that the default mode makes.
-                prev.take(pred, None, cand_n, "clip")
-                add(cand_n, logp, cand_n)
-                for group, out in groups_n:
-                    # First occurrence: the lowest live predecessor wins
-                    # ties, as dead cells sit after the live ones.
-                    group.argmax(2, out)
-                add(best_n, cells, slot)
-                cand_n.take(slot, None, incoming_n, "clip")
-                add(incoming_n, cur, cur)
-                prev = cur
+            step = block.size // nS
+            for b0 in range(t0, t1, step):
+                lo, hi, k = starts[b0], starts[min(b0 + step, t1)], min(step, t1 - b0)
+                slots = block[:k * nS].reshape(k, nS)
+                for cur, slot in zip(scores[lo:hi].reshape(k, nS), slots):
+                    if beam is not None:
+                        # Keeps each row's maximum, nan or +inf too, for the
+                        # check below; a row's last frame needs none.
+                        grid = prev.reshape(n, S)
+                        grid[grid < grid.max(1, None, True) - beam] = NEG_INF
+                    # Every index is in range; "clip" skips the check and the
+                    # buffered copy of out that the default mode makes.
+                    prev.take(pred, None, cand_n, "clip")
+                    add(cand_n, logp, cand_n)
+                    for group, out in groups_n:
+                        # First occurrence: the lowest live predecessor wins
+                        # ties, as dead cells sit after the live ones.
+                        group.argmax(2, out)
+                    add(best_n, cells, slot)
+                    cand_n.take(slot, None, incoming_n, "clip")
+                    add(incoming_n, cur, cur)
+                    prev = cur
+                narrow = back[lo:hi].reshape(k, nS)
+                if n == 1:
+                    # Row 0's cells have no offset; a plain cast copy costs
+                    # a fifth of the broadcast subtract.
+                    np.copyto(narrow, slots, "same_kind")
+                else:
+                    np.subtract(slots, row_offsets[:nS], narrow)
 
     # A row dies at its first frame whose maximum is NEG_INF and
     # overflows at the first where it is +inf or nan. Either state lasts
     # to its last frame, as emissions are finite or NEG_INF, so the
     # frames are searched only when some last frame is bad; buffer rows
     # are time-major, so each row's first bad frame comes first.
-    last = scores[[starts[L - 1] + r for r, L in enumerate(lengths)]]
+    ends = offsets[np.array(lengths) - 1] + np.arange(B)
+    last = scores[ends]
     if not np.isfinite(last.max(axis=1)).all():
         peaks = scores.max(axis=1)
-        failed = {}
-        for j in np.flatnonzero(~np.isfinite(peaks)).tolist():
-            t = bisect_right(starts, j) - 1
-            failed.setdefault(rows[j - starts[t]], (t, peaks.item(j)))
-        b = min(failed)
-        t, peak = failed[b]
-        if peak == NEG_INF:
-            raise BeamCollapse(f"{matrices[b].utterance_id}: no surviving state at frame {t}")
-        raise ScoreOverflow(f"{matrices[b].utterance_id}: path score is {peak} at frame {t}")
+        bad = np.flatnonzero(~np.isfinite(peaks))
+        frames = offsets.searchsorted(bad, "right") - 1
+        _, first = np.unique(bad - offsets[frames], return_index=True)
+        for j, t in zip(bad[first].tolist(), frames[first].tolist()):
+            b, peak = rows[j - starts[t]], peaks.item(j)
+            if outcomes[b] is not None:
+                continue
+            if peak == NEG_INF:
+                outcomes[b] = BeamCollapse(f"{uids[b]}: no surviving state at frame {t}")
+            else:
+                outcomes[b] = ScoreOverflow(f"{uids[b]}: path score is {peak} at frame {t}")
+    # The backtrace reads back only: the scores, and every view of them, go.
+    scores = prev = cur = grid = None
 
-    results = [None] * B
-    flat_back = back.ravel()
     # In senone order, so the lowest index wins a tie at the last frame.
     last = last.take(model.pos, axis=1)
+    final = last.argmax(axis=1)
+    # walk holds each row's position at each frame, time-major like back.
+    walk = np.empty(starts[-1], dtype=back.dtype)
+    at = model.pos.take(final)
+    walk[ends] = at
+    flat_back, pred = back.ravel(), model.pred
+    # Frames from gather on have fewer than GATHER_ROWS live rows; each
+    # row that reaches them walks back through them alone.
+    gather = lengths[GATHER_ROWS - 1] if B >= GATHER_ROWS else 0
+    # Below gather 2 no frame gathers, so those rows keep their whole
+    # walk as a list.
+    alone = {}
+    for r, L in enumerate(lengths[:GATHER_ROWS - 1]):
+        p = at.item(r)
+        path = [p]
+        for t in range(L - 1, max(gather, 1) - 1, -1):
+            p = pred.item(flat_back.item((starts[t] + r) * S + p))
+            path.append(p)
+        path.reverse()
+        if gather < 2:
+            alone[r] = path
+        else:
+            walk[offsets[gather - 1:L] + r] = path
+            at[r] = p
+    places = np.arange(0, B * S, S)
+    cell = np.empty(B, dtype=back.dtype)
+    for t0, t1, n in reversed(segments):
+        for t in range(min(t1, gather) - 1, max(t0, 1) - 1, -1):
+            place = places[:n] + starts[t] * S
+            add(place, at[:n], place)
+            flat_back.take(place, None, cell[:n], "clip")
+            pred.take(cell[:n], None, at[:n], "clip")
+            walk[starts[t - 1]:starts[t - 1] + n] = at[:n]
     for r, (b, L) in enumerate(zip(rows, lengths)):
-        state = int(last[r].argmax())
-        path = [r * S + model.pos.item(state)] * L
-        for t in range(L - 1, 0, -1):
-            path[t - 1] = pred_r.item(flat_back.item(starts[t] * S + path[t]))
-        # A place r * S + i wraps to position i.
-        states = model.order.take(path, None, None, "wrap")
-        results[b] = DecodeResult(
-            matrices[b].utterance_id, states, last.item(r, state),
-            collapse_states(states.tolist(), model.senone_phones),
-        )
-    return results
+        if outcomes[b] is None:
+            path = model.order.take(alone[r] if r in alone else walk[offsets[:L] + r])
+            outcomes[b] = DecodeResult(
+                uids[b], path, last.item(r, final.item(r)),
+                collapse_states(path.tolist(), model.senone_phones),
+            )
+    return outcomes
 
 
 def write_transition_model(model: TransitionModel) -> str:

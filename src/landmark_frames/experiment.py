@@ -11,10 +11,11 @@ same config are byte-identical.
 import hashlib
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import ceil
 from types import UnionType
 from typing import get_args, get_origin
@@ -65,6 +66,17 @@ BASELINE = "identity"
 SWEEP_PARAMETERS = ("overweight", "drop_rate")
 
 REPORT_FORMATS = ("csv", "svg")
+
+# A sweep task holds utterances up to this many lattice cells: T * S
+# each, plus 3 * P for its share of the predecessor table tiled for the
+# batch and of the candidate buffer (three 8-byte cells per predecessor
+# cell). That is about 200 utterances of the synthetic S=24 corpus.
+TASK_CELLS = 1 << 19
+
+# Tasks queued per worker, so that no worker waits while the parent
+# realizes the next groups. One is enough, and each more holds another
+# task's masks in the parent, whose peak RSS is the sweep's.
+_QUEUED_PER_WORKER = 1
 
 # Stream labels keep every rng derivation independent of scheduling.
 _STREAM_FOLDS = 1
@@ -284,47 +296,61 @@ def _pipeline_one(task):
 def _score_task(corpus, task):
     """Replace, weight, decode, and score the utterances of one task.
 
-    task is (items, method, beam, full), items holding (utterance index,
-    mask, weights) per utterance, so a pool task ships no matrix or
+    task is (items, beam, full), items holding (utterance index, mask,
+    weights, method) per utterance, so a pool task ships no matrix or
     model; weights None means every weight is 1. A run's task (full)
     holds one utterance, decoded by viterbi, and yields (report,
     hypothesis, digest), digest being the sha256 of the modified matrix.
-    A sweep's task holds a chunk of utterances, decoded as one
-    viterbi_batch, and yields (n_ref, errors) for each, the only numbers
-    a sweep row reads. Returns the list of what the utterances yield.
+    A sweep's task holds up to TASK_CELLS of lattice from any number of
+    strategies and repeats (see _decode_groups), decoded as one
+    viterbi_batch that copies each modified matrix into its lattice and
+    keeps none; it yields (n_ref, errors), the only numbers a sweep row
+    reads.
 
-    The first utterance in task order that fails decides the error,
-    whatever its stage: when replacing or weighting utterance k fails,
-    the utterances before it decode first, and their first decode error
-    wins. Replacement errors name the utterance and the stage; weight
-    and decode errors already name the utterance.
+    Returns, for each utterance in task order, what it yields or the
+    LandmarkFramesError it fails with, whatever the stage. Replacement
+    errors name the utterance and the stage; weight and decode errors
+    already name the utterance.
     """
-    items, method, beam, full = task
-    modified, failure = [], None
-    for ui, mask, weights in items:
-        try:
-            modified.append(_modify(corpus.utterances[ui], mask, weights, method))
-        except LandmarkFramesError as e:
-            failure = e
-            break
-    if full:
-        decoded = [viterbi(matrix, corpus.model, beam=beam) for matrix in modified]
-    else:
-        decoded = viterbi_batch(modified, corpus.model, beam)
-    if failure is not None:
-        raise failure
+    items, beam, full = task
+    utterances = [corpus.utterances[ui] for ui, *_ in items]
+
+    def modified():
+        for utt, (_, mask, weights, method) in zip(utterances, items):
+            try:
+                yield _modify(utt, mask, weights, method)
+            except LandmarkFramesError as e:
+                yield e
+
     silence = _silence_phones(corpus.manner_table)
+    if not full:
+        lengths = [utt.matrix.T for utt in utterances]
+        decoded = viterbi_batch(modified(), corpus.model, beam, lengths)
+        results = []
+        for utt, result in zip(utterances, decoded):
+            if not isinstance(result, LandmarkFramesError):
+                ref, hyp = _scored_phones(utt, result, silence)
+                result = len(ref), edit_distance(ref, hyp)
+            results.append(result)
+        return results
     results = []
-    for (ui, _, _), matrix, result in zip(items, modified, decoded):
-        alignment = corpus.utterances[ui].alignment
-        hyp = [p for p in result.phones if p not in silence]
-        ref = [p for p in alignment.phones() if p not in silence]
-        if not full:
-            results.append((len(ref), edit_distance(ref, hyp)))
+    for utt, matrix in zip(utterances, modified()):
+        try:
+            if isinstance(matrix, LandmarkFramesError):
+                raise matrix
+            ref, hyp = _scored_phones(utt, viterbi(matrix, corpus.model, beam=beam), silence)
+        except LandmarkFramesError as e:
+            results.append(e)
             continue
         digest = hashlib.sha256(write_score_matrix(matrix)).hexdigest()
-        results.append((align_edit(ref, hyp, alignment.utterance_id), hyp, digest))
+        results.append((align_edit(ref, hyp, utt.alignment.utterance_id), hyp, digest))
     return results
+
+
+def _scored_phones(utt, result, silence):
+    """(reference, hypothesis) phones of a decode of utt, silence left out."""
+    ref = [p for p in utt.alignment.phones() if p not in silence]
+    return ref, [p for p in result.phones if p not in silence]
 
 
 def _modify(utt, mask, weights, method):
@@ -370,14 +396,12 @@ def _memoized(memo, key, compute):
 
 
 def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
-    """Realize raw's masks in this process and queue its decodes.
+    """Realize raw's masks in this process, for _decode_groups to queue.
 
-    Returns (masks, results), results holding each task's list (see
-    _score_task). With a pool, results is the executor's map over the
-    tasks, every chunk queued at once; without one, the list of what
-    each task returned. Realize and adjust errors raise here,
-    prefixed with the utterance and the stage; pool decode errors raise
-    when _collect_strategy reads results.
+    Returns (masks, items): masks holds (utterance id, mask) and items a
+    task item (see _score_task) per utterance, in corpus order. Realize
+    and adjust errors raise here, prefixed with the utterance and the
+    stage.
 
     A task carries weights only when some weight is not 1, read-only;
     otherwise None. prep.memo keeps what does not depend on the point:
@@ -424,30 +448,21 @@ def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
         except LandmarkFramesError as e:
             raise type(e)(f"{uid}: {stage}: {e}") from None
         masks.append((uid, mask))
-        items.append((ui, mask, weights))
-    # A run's task is one utterance, a sweep's one chunk per worker (the
-    # whole strategy without a pool); either way each worker gets one
-    # message per strategy.
-    size = 1 if prep.full else ceil(len(items) / prep.jobs)
-    tasks = [
-        (items[i:i + size], spec.method, config.beam, prep.full)
-        for i in range(0, len(items), size)
-    ]
-    if prep.executor is None:
-        results = [_score_task(prep.corpus, t) for t in tasks]
-    else:
-        chunksize = ceil(len(tasks) / prep.jobs)
-        results = prep.executor.map(_pipeline_one, tasks, chunksize=chunksize)
-    return masks, results
+        items.append((ui, mask, weights, spec.method))
+    return masks, items
 
 
 def _collect_strategy(raw, masks, results, prep):
     """The outcome of a submitted strategy, once every decode is back.
 
-    Its delta_per compares its PER with the baseline's; the baseline
-    itself, collected before prep.baseline is set, compares with itself.
+    results holds what _score_task returned for each utterance; the
+    first error among them, in utterance order, raises. Its delta_per
+    compares its PER with the baseline's; the baseline itself, collected
+    before prep.baseline is set, compares with itself.
     """
-    results = list(chain.from_iterable(results))
+    for result in results:
+        if isinstance(result, LandmarkFramesError):
+            raise result
     drop_rate = float(np.mean([m.drop_rate for _, m in masks]))
     outcome = StrategyOutcome(raw, drop_rate=drop_rate, masks=masks)
     if not prep.full:
@@ -511,7 +526,10 @@ def _prepare(config: ExperimentConfig, jobs: int, full: bool):
     try:
         prep = _Prepared(corpus, landmark_sets, executor, full, jobs, folds)
         # The baseline has no drops and no rng, so one decode serves every point.
-        baseline = _collect_strategy(BASELINE, *_submit_strategy(BASELINE, prep, config, 0), prep)
+        ((_, submitted),) = _decode_groups(prep, config, [(BASELINE, 0, 0, None)])
+        if isinstance(submitted, LandmarkFramesError):
+            raise submitted
+        baseline = _collect_strategy(BASELINE, *submitted, prep)
         baseline.mean = 0.0
         baseline.stdev = 0.0
         prep.baseline = baseline
@@ -525,26 +543,84 @@ def _evaluate(prep: _Prepared, config: ExperimentConfig, points):
     """Yield one outcome per strategy of each point, in order.
 
     points is a list of (strategies, rep, adjust_rate); adjust_rate, if
-    given, renormalizes every strategy mask to that drop rate. A failing
-    strategy yields a row with its error message.
-
-    The strategies of all points form one stream, and strategy k+1 is
-    submitted before strategy k is collected: with a pool, the parent
-    realizes masks while the workers decode, and the pool does not drain
-    between strategies or points. One strategy is queued ahead, no more.
+    given, renormalizes every strategy mask to that drop rate. A strategy
+    None is skipped and yields nothing; the ones after it keep their
+    stream index. A failing strategy yields a row with its error message.
     """
-    pending = None
-    for strategies, rep, adjust_rate in points:
-        for si, raw in enumerate(strategies, start=1):
-            try:
-                submitted = raw, _submit_strategy(raw, prep, config, si, rep, adjust_rate)
-            except LandmarkFramesError as e:
-                submitted = raw, e
-            if pending is not None:
-                yield _outcome(*pending, prep)
-            pending = submitted
-    if pending is not None:
-        yield _outcome(*pending, prep)
+    groups = (
+        (raw, stream_index, rep, adjust_rate)
+        for strategies, rep, adjust_rate in points
+        for stream_index, raw in enumerate(strategies, start=1)
+        if raw is not None
+    )
+    for raw, submitted in _decode_groups(prep, config, groups):
+        yield _outcome(raw, submitted, prep)
+
+
+def _decode_groups(prep: _Prepared, config: ExperimentConfig, groups):
+    """Yield (raw, (masks, results)), or (raw, error), per group, in order.
+
+    groups holds (raw, stream_index, rep, adjust_rate), each one strategy
+    at one repeat; results holds what _score_task returned for each of
+    its utterances. The parent realizes each group's masks
+    (_submit_strategy); a realize or adjust error is the group's outcome.
+
+    A run queues each group as one task per utterance. A sweep packs the
+    utterances of consecutive groups into tasks of up to TASK_CELLS,
+    group boundaries free. Tasks are queued ahead, up to
+    _QUEUED_PER_WORKER per worker: the parent realizes the next groups
+    while the workers decode, and reads the oldest task's results only
+    when the queue is full or the groups run out.
+    """
+    model = prep.corpus.model
+    cost = [
+        utt.matrix.T * model.S + 3 * model.pred.size for utt in prep.corpus.utterances
+    ]
+    queued, read, waiting = deque(), deque(), deque()
+    limit = 0 if prep.executor is None else _QUEUED_PER_WORKER * prep.jobs
+    task, cells = [], 0
+
+    def submit(tasks, chunksize=1):
+        if prep.executor is None:
+            queued.append([_score_task(prep.corpus, t) for t in tasks])
+        else:
+            queued.append(prep.executor.map(_pipeline_one, tasks, chunksize=chunksize))
+
+    def ready(limit):
+        """Each waiting group whose results are all read, reading tasks until at most limit are queued."""
+        while True:
+            while waiting and len(read) >= waiting[0][2]:
+                raw, masks, n = waiting.popleft()
+                if isinstance(masks, LandmarkFramesError):
+                    yield raw, masks
+                else:
+                    yield raw, (masks, [read.popleft() for _ in range(n)])
+            if len(queued) <= limit:
+                return
+            for result in queued.popleft():
+                read.extend(result)
+
+    for raw, stream_index, rep, adjust_rate in groups:
+        try:
+            masks, items = _submit_strategy(raw, prep, config, stream_index, rep, adjust_rate)
+        except LandmarkFramesError as e:
+            waiting.append((raw, e, 0))
+        else:
+            waiting.append((raw, masks, len(items)))
+            if prep.full:
+                tasks = [([item], config.beam, True) for item in items]
+                submit(tasks, ceil(len(tasks) / prep.jobs))
+            else:
+                for item in items:
+                    task.append(item)
+                    cells += cost[item[0]]
+                    if cells >= TASK_CELLS:
+                        submit([(task, config.beam, False)])
+                        task, cells = [], 0
+        yield from ready(limit)
+    if task:
+        submit([(task, config.beam, False)])
+    yield from ready(0)
 
 
 def _outcome(raw, submitted, prep):
@@ -832,6 +908,22 @@ def _sweep_row(raw, value, runs):
     )
 
 
+def _value_rows(value, evaluated, points):
+    """The rows of one swept value, from its points' outcomes as evaluated yields them.
+
+    A strategy None at a repeat takes its outcome at repeat 0.
+    """
+    block = [
+        [None if raw is None else next(evaluated) for raw in strategies]
+        for strategies, _, _ in points
+    ]
+    # By position: a strategy listed twice is two rows with their own rng streams.
+    return [
+        _sweep_row(raw, value, [run[i] or block[0][i] for run in block])
+        for i, raw in enumerate(points[0][0])
+    ]
+
+
 def sweep(
     config: ExperimentConfig,
     parameter: str,
@@ -847,8 +939,10 @@ def sweep(
     the target rate via seeded adjustment. Rows hold repeat means; mean and
     stdev summarize the repeat spread. The corpus, its landmarks, the
     baseline decode and the worker pool are prepared once for every
-    (value, repeat) point. Sweep rows carry no significance tests and
-    read no folds.
+    (value, repeat) point, and a strategy with no rng to draw from is
+    decoded once per value of an overweight sweep, its outcome counted
+    at every repeat. Sweep rows carry no significance tests and read no
+    folds.
     Writes sweep.csv / sweep.svg when out_dir is given.
     """
     if parameter not in SWEEP_PARAMETERS:
@@ -877,20 +971,21 @@ def sweep(
             adjust_rate = None
         else:
             strategies, adjust_rate = config.strategies, value
-        points += [(strategies, rep, adjust_rate) for rep in range(repeats)]
+        # With no rng to draw from and no rate to adjust to, a strategy has
+        # the same input at every repeat, so only repeat 0 decodes it.
+        again = [
+            raw if adjust_rate is not None or parse_strategy(raw).needs_rng() else None
+            for raw in strategies
+        ]
+        points += [(again if rep else strategies, rep, adjust_rate) for rep in range(repeats)]
 
     rows = []
     # Sweep rows read only per-utterance counts: no reports, decodes or checksums.
     with _prepare(config, jobs, full=False) as prep:
         # One stream over every (value, repeat) point keeps the pool busy.
         evaluated = _evaluate(prep, config, points)
-        for value, (strategies, _, _) in zip(values, points[::repeats]):
-            block = list(islice(evaluated, repeats * len(strategies)))
-            # By position: a strategy listed twice is two rows with their own rng streams.
-            rows += [
-                _sweep_row(raw, value, block[i::len(strategies)])
-                for i, raw in enumerate(strategies)
-            ]
+        for v, value in enumerate(values):
+            rows += _value_rows(value, evaluated, points[v * repeats:(v + 1) * repeats])
 
     all_rows = [prep.baseline] + rows
     if out_dir is not None:

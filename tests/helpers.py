@@ -16,7 +16,7 @@ def corpus_reports(corpus, strategy="identity", landmarks=None, rng=None):
         mask, weights, _ = lf.realize_strategy(
             spec, utt.matrix.T, landmarks=None if landmarks is None else landmarks[ui], rng=rng
         )
-        ((report, _, _),) = _score_task(corpus, ([(ui, mask, weights)], spec.method, None, True))
+        ((report, _, _),) = _score_task(corpus, ([(ui, mask, weights, spec.method)], None, True))
         reports.append(report)
     return reports
 

@@ -21,6 +21,7 @@ from landmark_frames import (
     ScoreOverflow,
     ShapeError,
     TransitionModel,
+    InvalidPattern,
     UnknownSenone,
     Utterance,
     collapse_states,
@@ -29,6 +30,7 @@ from landmark_frames import (
     viterbi_batch,
     write_transition_model,
 )
+from landmark_frames.decoder import index_type
 from oracles import (
     dyadic_log,
     dyadic_matrix,
@@ -139,7 +141,7 @@ def scored_hypothesis(path, senone_phones, manner_table):
     model = uniform_model(S, senone_phones)
     alignment = PhoneAlignment("u", [(senone_phones[path[0]], 0, T)])
     corpus = Corpus(model, manner_table, [Utterance(alignment, ScoreMatrix("u", values))])
-    task = ([(0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T))], "copy", None, True)
+    task = ([(0, FrameMask(np.zeros(T, dtype=bool)), np.ones(T), "copy")], None, True)
     ((_, hyp, _),) = experiment._score_task(corpus, task)
     return hyp
 
@@ -428,15 +430,16 @@ def degree_cases(draw):
 
 @st.composite
 def batch_cases(draw):
-    """A degree-drawn model, 1 to 12 matrices of mixed lengths and a beam.
+    """A degree-drawn model, 1 to 20 matrices of mixed lengths and a beam.
 
     Lengths repeat and include T = 1, so live rows end together and
-    alone. Any matrix may collapse on its NEG_INF cells or overflow on its
+    alone, and a backtrace frame has fewer or more than GATHER_ROWS live
+    rows. Any matrix may collapse on its NEG_INF cells or overflow on its
     1e308 ones, so some batches fail in one row or several.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = degree_model(draw, rng)
-    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 8, 17, 30]), min_size=1, max_size=12))
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 8, 17, 30]), min_size=1, max_size=20))
     matrices = [
         ScoreMatrix(f"u{b}", degree_matrix(draw, rng, T, model.S)) for b, T in enumerate(lengths)
     ]
@@ -647,16 +650,22 @@ class TestPredecessorTable:
                 assert got == reference_outcome(m, model, beam=beam)
 
 
-def batch_outcome(matrices, model, beam=None):
-    """decode_outcome of each row, or the one error, of viterbi_batch; fails on any RuntimeWarning."""
+def row_outcome(result):
+    """decode_outcome's form of one row that viterbi_batch returns."""
+    if isinstance(result, LandmarkFramesError):
+        return type(result), str(result)
+    return result.utterance_id, result.states.dtype, result.states.tolist(), result.score, result.phones
+
+
+def batch_outcome(matrices, model, beam=None, lengths=None):
+    """row_outcome of each row of viterbi_batch, or the error it raises; fails on any RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            results = viterbi_batch(matrices, model, beam)
+            results = viterbi_batch(matrices, model, beam, lengths)
         except LandmarkFramesError as e:
             return type(e), str(e)
-    return [(r.utterance_id, r.states.dtype, r.states.tolist(), r.score, r.phones)
-            for r in results]
+    return [row_outcome(r) for r in results]
 
 
 class TestBatch:
@@ -669,11 +678,10 @@ class TestBatch:
         matrices, model, beam = case
         alone = [quiet_outcome(m, model, beam=beam) for m in matrices]
         assert alone == [reference_outcome(m, model, beam=beam) for m in matrices]
-        # An error outcome is (class, message); the first in input order is the batch's.
-        failed = [outcome for outcome in alone if len(outcome) == 2]
-        assert batch_outcome(matrices, model, beam) == (failed[0] if failed else alone)
+        # Each row's result or error is the one it gets alone, whatever the others do.
+        assert batch_outcome(matrices, model, beam) == alone
 
-    def test_first_failing_row_in_input_order_raises(self):
+    def test_each_failing_row_keeps_its_own_error(self):
         # Row 1 dies at frame 3 and row 2 overflows at frame 1; rows sort
         # by length, so the longer row 2 runs first inside the batch.
         model = uniform_model(2)
@@ -682,11 +690,14 @@ class TestBatch:
         big = np.zeros((8, 2))
         big[:2] = 1e308
         rows = [mat(np.zeros((4, 2)), "a"), mat(dead, "b"), mat(big, "c")]
-        assert batch_outcome(rows, model) == (BeamCollapse, "b: no surviving state at frame 3")
-        assert batch_outcome(rows[::-1], model) == (ScoreOverflow, "c: path score is inf at frame 1")
-        assert batch_outcome([rows[0], rows[2]], model, beam=1.0) == (
-            ScoreOverflow, "c: path score is inf at frame 1"
-        )
+        errors = [(BeamCollapse, "b: no surviving state at frame 3"),
+                  (ScoreOverflow, "c: path score is inf at frame 1")]
+        fine = quiet_outcome(rows[0], model)
+        assert batch_outcome(rows, model) == [fine, *errors]
+        assert batch_outcome(rows[::-1], model) == [*errors[::-1], fine]
+        assert batch_outcome([rows[0], rows[2]], model, beam=1.0) == [
+            quiet_outcome(rows[0], model, beam=1.0), errors[1]
+        ]
 
     def test_model_table_grows_with_the_batch(self):
         rng = np.random.default_rng(4)
@@ -700,10 +711,80 @@ class TestBatch:
     def test_checks_and_empty_batch(self):
         model = uniform_model(2)
         assert viterbi_batch([], model) == []
+        assert viterbi_batch(iter([]), model, lengths=[]) == []
         with pytest.raises(ShapeError, match="matrix has 3 senones, model has 2"):
             viterbi_batch([mat(np.zeros((2, 2))), mat(np.zeros((2, 3)))], model)
+        with pytest.raises(ShapeError, match="matrix has 3 senones, model has 2"):
+            viterbi_batch(iter([mat(np.zeros((2, 3)))]), model, lengths=[2])
+        with pytest.raises(ShapeError, match="u: 2 frames, expected 3"):
+            viterbi_batch(iter([mat(np.zeros((2, 2)))]), model, lengths=[3])
         with pytest.raises(InvalidConfig, match="beam must be positive, got 0.0"):
             viterbi_batch([mat(np.zeros((2, 2)))], model, beam=0.0)
+
+    def test_rows_read_once_in_input_order_and_errors_pass_through(self):
+        # Given lengths, the rows come from a generator that holds no
+        # matrix; an error in a row's place is that row's outcome.
+        rng = np.random.default_rng(7)
+        model = dyadic_model(rng, 4)
+        lengths = [3, 12, 1, 12, 7, 9, 2, 5, 11, 4]
+        matrices = [ScoreMatrix(f"u{b}", dyadic_matrix(rng, T, 4)) for b, T in enumerate(lengths)]
+        refused = InvalidPattern("u4: replace: refused")
+        read = []
+
+        def rows():
+            for b, matrix in enumerate(matrices):
+                read.append(b)
+                yield refused if b == 4 else matrix
+
+        got = batch_outcome(rows(), model, lengths=lengths)
+        assert read == list(range(len(lengths)))
+        want = [quiet_outcome(m, model) for m in matrices]
+        want[4] = (InvalidPattern, "u4: replace: refused")
+        assert got == want
+
+
+def dense_model(S):
+    """Every senone moves to every senone with one dyadic log probability,
+    so each row of the predecessor table has S * S cells and every
+    predecessor ties."""
+    logp = dyadic_log(S)
+    return TransitionModel(np.full(S, logp), np.full((S, S), logp), [f"p{i // 4}" for i in range(S)])
+
+
+class TestBackPointerWidths:
+    """Back-pointers take the narrowest type that holds a cell index of a
+    row of the predecessor table."""
+
+    @pytest.mark.parametrize("cells, dtype", [
+        (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+        (2**31 - 1, np.int32),
+    ])
+    def test_index_type(self, cells, dtype):
+        assert index_type(cells) is dtype
+
+    @pytest.mark.parametrize("S", [11, 12, 200])
+    def test_dense_models_decode_like_the_reference(self, S):
+        # P = S * S: 121 cells take int8, 144 int16 and 40,000 int32.
+        model = dense_model(S)
+        assert model.pred.size == S * S
+        rng = np.random.default_rng(S)
+        lengths = [6, 1, 9, 6, 3, 9, 2, 8, 5, 7, 4]
+        matrices = []
+        for b, T in enumerate(lengths):
+            # Scores on a quarter grid tie between states. Frames 1 to 3
+            # have at least GATHER_ROWS live rows, so their backtrace
+            # steps gather; the later ones walk row by row.
+            values = dyadic_matrix(rng, T, S)
+            if b == 3:
+                values[4] = NEG_INF  # collapses at frame 4
+            matrices.append(ScoreMatrix(f"u{b}", values))
+        want = [reference_outcome(m, model) for m in matrices]
+        assert want[3] == (BeamCollapse, "u3: no surviving state at frame 4")
+        assert batch_outcome(matrices, model) == want
+        for beam in (0.5, 3.0):
+            assert batch_outcome(matrices, model, beam) == [
+                reference_outcome(m, model, beam=beam) for m in matrices
+            ]
 
 
 class TestSequenceScore:

@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
@@ -18,6 +20,7 @@ from landmark_frames import (
     NEG_INF,
     ExperimentConfig,
     FormatError,
+    FrameMask,
     InvalidConfig,
     InvalidPattern,
     LandmarkFramesError,
@@ -48,6 +51,7 @@ from landmark_frames import (
 )
 import landmark_frames.experiment as experiment
 from landmark_frames.cli import main
+from landmark_frames.decoder import index_type
 from landmark_frames.experiment import load_corpus_dir
 from landmark_frames.scoring import pooled_per
 from oracles import reference_outcomes
@@ -560,6 +564,13 @@ def baseline_fields(outcome):
             outcome.fold_increments, outcome.stat_results)
 
 
+def task_cells(config, items):
+    """The lattice cells a sweep task's items count against TASK_CELLS."""
+    corpus = experiment.gen_corpus(config.synth, config.seed)
+    P = corpus.model.pred.size
+    return sum(corpus.utterances[ui].matrix.T * corpus.model.S + 3 * P for ui, *_ in items)
+
+
 def as_sweep_baseline(outcome):
     """A run's baseline as a sweep keeps it: per-utterance counts, no reports, decodes,
     checksums or fold increments."""
@@ -644,10 +655,12 @@ class TestSharedPreparation:
             sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
         assert dict(vars(experiment)) == before
         assert calls == {"gen_corpus": 1, "annotate": 10, "ProcessPoolExecutor": 1}
-        # One baseline decode, then 2 values x 2 repeats x 2 strategies, each
-        # as one chunk of 5 utterances per worker.
-        assert len(shipped) == 2 * (1 + 2 * 2 * 2)
-        assert all(len(items) == 5 for items, *_ in shipped)
+        # One baseline task, then the 2 values x 2 repeats x 2 strategies of
+        # 10 utterances in one task: their lattice is far below TASK_CELLS.
+        assert [[ui for ui, *_ in items] for items, *_ in shipped] == [
+            list(range(10)), list(range(10)) * (2 * 2 * 2)
+        ]
+        assert sum(task_cells(config, items) for items, *_ in shipped) < experiment.TASK_CELLS
         heavy = (ScoreMatrix, TransitionModel)
         assert not any(
             isinstance(value, heavy)
@@ -941,10 +954,15 @@ class EagerPool(ProcessPoolExecutor):
 
 
 class TestPipeline:
-    """Strategy k+1 is realized while strategy k decodes; the numbers do not move."""
+    """The next tasks are realized and queued while earlier ones decode; the numbers do not move."""
 
-    def test_next_strategy_realized_before_results_are_read(self):
+    def test_next_strategy_realized_before_results_are_read(self, monkeypatch):
         config = fast_config(["landmark:keep", "random:match=keep"])
+        expected = sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
+        # Tasks of about 15 utterances, so the stream holds several and a
+        # group of 10 is cut at most once, as a real one of 50 in a task of
+        # about 200.
+        monkeypatch.setattr(experiment, "TASK_CELLS", 15 * task_cells(config, [(0,)]))
         events = []
         # Realizations are memoized across points; the rate adjustment runs at every one.
         adjust = experiment.adjust_mask_to_rate
@@ -968,21 +986,28 @@ class TestPipeline:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiment, "adjust_mask_to_rate", recorded)
             patch.setattr(experiment, "ProcessPoolExecutor", Pool)
-            sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
+            rows = sweep(config, "drop_rate", [0.3, 0.6], repeats=2, jobs=2)
+        assert [row_tuple(r) for r in rows] == [row_tuple(r) for r in expected]
 
         where = {event: i for i, event in enumerate(events) if event[0] != "adjust"}
-        submits = [k for kind, k in events if kind == "submit"]
-        # The baseline, then 2 values x 2 repeats x 2 strategies in one stream.
-        assert submits == list(range(1 + 2 * 2 * 2))
-        for k in submits[1:-1]:
+        # The baseline's task comes before any adjustment; then the tasks of 2
+        # values x 2 repeats x 2 strategies, 80 utterances, run in one stream.
+        queued = experiment._QUEUED_PER_WORKER * 2
+        stream = [k for kind, k in events[events.index(("adjust", None)):] if kind == "submit"]
+        assert len(stream) > queued + 2
+        for k in stream[:-queued - 1]:
+            # The parent adjusts the next rows and queues more tasks before
+            # it reads task k's results.
             first_adjust = events.index(("adjust", None), where[("submit", k)])
             assert first_adjust < where[("read", k)]
-            assert where[("submit", k + 1)] < where[("read", k)]
+            assert where[("submit", k + queued)] < where[("read", k)]
+        # Before the last task, cut when the groups run out, queued tasks
+        # wait while one more is built.
         in_flight = peak = 0
-        for kind, _ in events:
+        for kind, _ in events[:where[("submit", stream[-1])]]:
             in_flight += {"submit": 1, "done": -1}.get(kind, 0)
             peak = max(peak, in_flight)
-        assert peak == 2
+        assert peak == queued + 1
 
     def test_list_returning_map_gives_the_same_outputs(self, tmp_path, monkeypatch):
         config = fast_config(["landmark:keep", "random:match=keep", "regular:P=2,D=1"],
@@ -1130,6 +1155,104 @@ class TestChunkFailures:
                             failed), failed
 
 
+class TestMixedTasks:
+    """One sweep task holds groups of several strategies and methods; each
+    group still fails alone, as utterance-by-utterance decoding did."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_groups_leave_the_other_rows_unchanged(self, tmp_path, jobs, monkeypatch):
+        # Utterance 0 collapses under fill_const wherever random:rate=0.75
+        # drops its last frame; after adjustment, upsample finds no coset in
+        # utterance 0 at rate 0.75 and in utterance 1 at a third; fill_0
+        # decodes everywhere.
+        write_two_state_corpus(tmp_path / "corpus", [(12, "late"), (10, "plain"), (9, "plain")])
+        config = ExperimentConfig(
+            strategies=["regular:P=3,D=1,method=fill_0", "random:rate=0.75,method=fill_const",
+                        "regular:P=3,D=1,method=upsample"],
+            folds=2, data_dir=str(tmp_path / "corpus"),
+        )
+        values, repeats = [0.75, TestChunkFailures.THIRD], 4
+        expected = per_point_rows(config, values, repeats)[1]
+        shipped = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                shipped.extend(tasks)
+                return super().map(fn, tasks, chunksize=chunksize)
+
+        score = experiment._score_task
+
+        def recorded(corpus, task):
+            shipped.append(task)
+            return score(corpus, task)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        if jobs == 1:
+            monkeypatch.setattr(experiment, "_score_task", recorded)
+        rows = [row_tuple(r) for r in sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)[1:]]
+        assert rows == expected
+        # The baseline's task, then one task for every group of both values.
+        assert len(shipped) == 2
+        methods = [method for *_, method in shipped[1][0]]
+        assert methods == (["fill_0"] * 3 + ["fill_const"] * 3 + ["upsample"] * 3) * 4 * 2
+        errors = [row[-1] for row in rows]
+        assert errors[0] is None and errors[3] is None
+        for i in (1, 4):
+            assert re.fullmatch(r"[123] of 4 repeats; rep \d: utt0000: no surviving state at frame 0",
+                                errors[i]), errors[i]
+        for i, uid in ((2, "utt0000"), (5, "utt0001")):
+            assert errors[i].startswith(f"4 of 4 repeats; rep 3: {uid}: replace: upsample needs")
+
+
+class TestRepeatFreeStrategies:
+    """An overweight sweep decodes a strategy that draws from no rng once per value."""
+
+    def test_rows_decoded_per_value_equal_the_distinct_inputs(self, monkeypatch):
+        config = fast_config(["overweight:factor=2.0", "random:rate=0.2+overweight:factor=0.5",
+                              "hybrid:P=2,D=1,overweight=1.5"])
+        values, repeats = [1.0, 2.5], 3
+        variants = {
+            v: [f"overweight:factor={v!r}", f"random:rate=0.2+overweight:factor={v!r}",
+                f"hybrid:P=2,D=1,overweight={v!r}"] for v in values
+        }
+        _, expected = per_point_rows(config, values, repeats, variants)
+        decoded = []
+        score = experiment._score_task
+
+        def counted(corpus, task):
+            items, _, _ = task
+            decoded.append(len(items))
+            return score(corpus, task)
+
+        monkeypatch.setattr(experiment, "_score_task", counted)
+        rows = sweep(config, "overweight", values, repeats=repeats)
+        assert [row_tuple(r) for r in rows[1:]] == expected
+        U = len(rows[0].counts)
+        # The baseline, then per value the two rng-free strategies once and
+        # the random one at every repeat.
+        assert sum(decoded) == U + len(values) * U * (2 + repeats)
+
+    def test_an_error_counts_at_every_repeat(self, monkeypatch):
+        config = fast_config(["overweight:factor=2.0", "random:rate=0.2+overweight:factor=0.5"])
+        realize, calls = experiment.realize_strategy, Counter()
+
+        def failing(spec, *args, **kwargs):
+            calls[spec.raw] += 1
+            if spec.raw.startswith("overweight:"):
+                raise InvalidPattern("refused")
+            return realize(spec, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "realize_strategy", failing)
+        rows = sweep(config, "overweight", [1.0, 2.5], repeats=3)
+        first = rows[0].masks[0][0]
+        assert [r.error for r in rows[1:]] == [
+            f"3 of 3 repeats; rep 2: {first}: realize: refused", None
+        ] * 2
+        # Realized at repeat 0 of each value only; the error is not kept.
+        assert calls["overweight:factor=1.0"] == calls["overweight:factor=2.5"] == 1
+
+
 class TestPointMemo:
     """A command does the work that does not depend on its point once, in one memo."""
 
@@ -1254,11 +1377,14 @@ class TestTasks:
         tasks, results = self.record(monkeypatch, jobs)
         rows = sweep(config, "drop_rate", [0.3], repeats=1, jobs=jobs)
         U = len(rows[0].counts)
-        # A sweep task is one chunk per worker, the whole strategy at --jobs 1,
-        # in utterance order.
-        assert [[ui for ui, *_ in items] for items, *_ in tasks] == 3 * (
-            [list(range(U))] if jobs == 1 else [list(range(U // 2)), list(range(U // 2, U))]
-        )
+        # The baseline is one task; both strategies share the next, each in
+        # utterance order, whatever the worker count.
+        assert [[ui for ui, *_ in items] for items, *_ in tasks] == [
+            list(range(U)), list(range(U)) * 2
+        ]
+        assert [[method for *_, method in items] for items, *_ in tasks] == [
+            ["copy"] * U, ["copy"] * 2 * U
+        ]
         assert not any(full for *_, full in tasks)
         counts = [c for result in results for c in result]
         assert len(counts) == 3 * U
@@ -1279,6 +1405,31 @@ class TestTasks:
         assert outcomes[0].counts == rows[0].counts
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_fill_up_to_the_cell_budget_across_groups(self, jobs, monkeypatch):
+        config = fast_config(["landmark:keep", "random:match=keep,method=fill_0"])
+        values, repeats = [0.3, 0.6], 2
+        expected = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        budget = 7 * task_cells(config, [(0,)])
+        monkeypatch.setattr(experiment, "TASK_CELLS", budget)
+        tasks, _ = self.record(monkeypatch, jobs)
+        rows = sweep(config, "drop_rate", values, repeats=repeats, jobs=jobs)
+        assert [row_tuple(r) for r in rows] == [row_tuple(r) for r in expected]
+        U = len(rows[0].counts)
+        items = [item for task_items, *_ in tasks for item in task_items]
+        # The baseline's rows, then 2 values x 2 repeats x 2 strategies of U
+        # utterances, in stream order; tasks cut inside groups.
+        groups = 1 + len(values) * repeats * 2
+        assert [ui for ui, *_ in items] == list(range(U)) * groups
+        assert [method for *_, method in items[U:]] == (["copy"] * U + ["fill_0"] * U) * 4
+        # The baseline is decoded before the stream starts.
+        split = list(itertools.accumulate(len(task_items) for task_items, *_ in tasks)).index(U) + 1
+        for stream in (tasks[:split], tasks[split:]):
+            for task_items, *_ in stream[:-1]:
+                assert task_cells(config, task_items) >= budget
+                assert task_cells(config, task_items[:-1]) < budget
+        assert any(len(task_items) % U for task_items, *_ in tasks[split:])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_only_weights_other_than_one_are_shipped(self, jobs, monkeypatch):
         strategies = ["landmark:keep", "overweight:factor=2.0", "overweight:factor=1.0"]
         tasks, _ = self.record(monkeypatch, jobs)
@@ -1287,13 +1438,48 @@ class TestTasks:
         tasks.clear()
         sweep(fast_config(strategies), "drop_rate", [0.3], repeats=1, jobs=jobs)
         for shipped in (run_tasks, tasks):
-            weights = [w for items, *_ in shipped for _, _, w in items]
+            weights = [w for items, *_ in shipped for _, _, w, _ in items]
             U = len(weights) // 4
             weighted = weights[2 * U:3 * U]
             assert weights[:2 * U] == [None] * (2 * U) and weights[3 * U:] == [None] * U
             assert any(w is not None for w in weighted)
             for w in weighted:
                 assert w is None or (not w.flags.writeable and (w != 1.0).any())
+
+
+class TestTaskMemory:
+    """A full-size sweep task holds about ten bytes per lattice cell at its peak."""
+
+
+    def test_peak_of_one_full_size_task(self):
+        # A fresh corpus, so the model's tiled table is built inside the trace.
+        corpus = experiment.gen_corpus(SynthConfig(n_utterances=50), 0)
+        model = corpus.model
+        U, S, P = len(corpus.utterances), model.S, model.pred.size
+        items, cells, lattice = [], 0, 0
+        for k in itertools.count():
+            ui = k % U
+            T = corpus.utterances[ui].matrix.T
+            items.append((ui, FrameMask(np.arange(T) % 3 == 1), None, "copy"))
+            cells += T * S + 3 * P
+            lattice += T * S
+            if cells >= experiment.TASK_CELLS:
+                break
+        # About 200 utterances; the lattice holds float64 scores and int8
+        # back-pointers, 9 bytes a cell.
+        assert 150 < len(items) < 300
+        assert index_type(P) is np.int8
+        tracemalloc.start()
+        try:
+            results = experiment._score_task(corpus, (items, None, False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(r, tuple) for r in results)
+        # Scores and back-pointers take 9 bytes a cell, the tiled table and
+        # the frame buffers about 2 more. An int64 back-pointer buffer would
+        # add 7 bytes a cell, and the replaced matrices, kept, 8.
+        assert peak < 12 * lattice, peak / lattice
 
 
 class TestConfigIO:
