@@ -189,13 +189,13 @@ def viterbi(
     """
     if weights is not None and matrix.S == model.S and (beam is None or beam > 0):
         matrix = apply_weights(matrix, weights)
-    (result,) = viterbi_batch([matrix], model, beam)
+    (result,) = viterbi_batch([matrix], model, beam, lengths=[matrix.T])
     if isinstance(result, LandmarkFramesError):
         raise result
     return result
 
 
-def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, lengths=None) -> list:
+def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *, lengths) -> list:
     """Best-path decodes of several utterances in one pass, in input order.
 
     beam, if given, prunes the states of an utterance whose partial
@@ -207,21 +207,14 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, l
     when decoded alone: every utterance decodes exactly as it would
     alone, whatever the others do.
 
-    matrices is a sequence of ScoreMatrix. Given lengths, each
-    utterance's frame count, it may be any iterable, read once in input
-    order; a LandmarkFramesError in place of a matrix is that
-    utterance's outcome. Each matrix is copied into the lattice as it is
-    read and not kept.
+    matrices is any iterable of ScoreMatrix, read once in input order,
+    and lengths holds each one's frame count; a count or shape that
+    differs raises ShapeError. A LandmarkFramesError in place of a
+    matrix is that utterance's outcome. Each matrix is copied into the
+    lattice as it is read and not kept.
     """
-    if lengths is None:
-        lengths = [matrix.T for matrix in matrices]
-        for matrix in matrices:
-            if matrix.S != model.S:
-                raise ShapeError(f"matrix has {matrix.S} senones, model has {model.S}")
     if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
-    if not lengths:
-        return []
     S, P = model.S, model.pred.size
     # Rows run longest first, so the rows still live at a frame come
     # first. Buffers are time-major: frame t holds rows starts[t] to
@@ -244,7 +237,11 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, l
     scores = np.empty((starts[-1], S))
     outcomes, uids = [None] * B, [None] * B
     rank = {b: r for r, b in enumerate(rows)}
+    read = 0
     for b, matrix in enumerate(matrices):
+        read += 1
+        if b >= B:
+            continue  # counted for the error below
         r = rank[b]
         frames = offsets[:lengths[r]] + r
         if isinstance(matrix, LandmarkFramesError):
@@ -260,6 +257,10 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, l
         else:
             scores[frames] = matrix.values.take(model.order, axis=1)
         uids[b] = matrix.utterance_id
+    if read != B:
+        raise ShapeError(f"matrix count {read} differs from length count {B}")
+    if not B:
+        return []
     # back at row r's frame t, position i, holds the cell of r's row of
     # the predecessor table that holds the best predecessor: pred there is
     # its position at frame t - 1. Frame 0's rows stay unread. block holds

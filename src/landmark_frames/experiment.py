@@ -325,7 +325,7 @@ def _score_task(corpus, task):
     silence = _silence_phones(corpus.manner_table)
     if not full:
         lengths = [utt.matrix.T for utt in utterances]
-        decoded = viterbi_batch(modified(), corpus.model, beam, lengths)
+        decoded = viterbi_batch(modified(), corpus.model, beam, lengths=lengths)
         results = []
         for utt, result in zip(utterances, decoded):
             if not isinstance(result, LandmarkFramesError):
@@ -375,7 +375,7 @@ class _Prepared:
     per-utterance counts only. jobs is the executor's worker count.
     folds are the CV folds of a run; a sweep reads none and builds none.
     memo keeps, for the whole command, what does not depend on the point
-    (see _submit_strategy).
+    (see _realize_group).
     """
 
     corpus: Corpus
@@ -395,10 +395,11 @@ def _memoized(memo, key, compute):
     return memo[key]
 
 
-def _submit_strategy(raw, prep, config, stream_index, rep=0, adjust_rate=None):
-    """Realize raw's masks in this process, for _decode_groups to queue.
+def _realize_group(raw, prep, config, stream_index, rep=0, adjust_rate=None):
+    """Realize and adjust the masks of one group, raw at repeat rep, in this process.
 
-    Returns (masks, items): masks holds (utterance id, mask) and items a
+    It queues nothing; _decode_groups packs the items into tasks. Returns
+    (masks, items): masks holds (utterance id, mask) and items a
     task item (see _score_task) per utterance, in corpus order. Realize
     and adjust errors raise here, prefixed with the utterance and the
     stage.
@@ -563,7 +564,7 @@ def _decode_groups(prep: _Prepared, config: ExperimentConfig, groups):
     groups holds (raw, stream_index, rep, adjust_rate), each one strategy
     at one repeat; results holds what _score_task returned for each of
     its utterances. The parent realizes each group's masks
-    (_submit_strategy); a realize or adjust error is the group's outcome.
+    (_realize_group); a realize or adjust error is the group's outcome.
 
     A run queues each group as one task per utterance. A sweep packs the
     utterances of consecutive groups into tasks of up to TASK_CELLS,
@@ -602,7 +603,7 @@ def _decode_groups(prep: _Prepared, config: ExperimentConfig, groups):
 
     for raw, stream_index, rep, adjust_rate in groups:
         try:
-            masks, items = _submit_strategy(raw, prep, config, stream_index, rep, adjust_rate)
+            masks, items = _realize_group(raw, prep, config, stream_index, rep, adjust_rate)
         except LandmarkFramesError as e:
             waiting.append((raw, e, 0))
         else:

@@ -14,55 +14,42 @@ DELETION = "<del>"
 INSERTION = "<ins>"
 
 
-def _edit_rows(ref, hyp):
-    """Rows of the unit-cost edit-distance table, one per prefix of ref.
+def _edit_columns(ref, hyp):
+    """Columns of the unit-cost edit-distance table, one per prefix of hyp.
 
-    Row i holds the distances between ref[:i] and every prefix of hyp;
-    plain ints in lists, so no cell goes through a numpy scalar.
+    Myers' bit-vector algorithm (Myers 1999), in Hyyrö's form for the
+    distance between whole sequences (Hyyrö 2001): bit i of pv (mv) says
+    that the column steps up (down) by one from row i to row i + 1, so
+    column j's row i is j + popcount(pv & (2**i - 1)) - popcount(mv &
+    (2**i - 1)). The bits of a column sit in one Python int, so it costs
+    a few integer operations for any length of ref.
     """
-    row = list(range(len(hyp) + 1))
-    yield row
-    for i, r in enumerate(ref, start=1):
-        prev, row = row, [i]
-        for h, diag, up in zip(hyp, prev, prev[1:]):
-            row.append(min(diag + (r != h), up + 1, row[-1] + 1))
-        yield row
+    full = (1 << len(ref)) - 1
+    peq = {}  # symbol -> the bits of the rows of ref that hold it
+    for i, r in enumerate(ref):
+        peq[r] = peq.get(r, 0) | 1 << i
+    pv, mv = full, 0
+    yield pv, mv
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # Row 0 of the table counts up along hyp, so every column steps up there.
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv & full
+        yield pv, mv
 
 
 def edit_distance(ref, hyp) -> int:
     """Unit-cost edit distance of two sequences of hashable symbols, without the alignment.
 
-    Equal to align_edit(ref, hyp).errors. Myers' bit-vector algorithm
-    (Myers 1999), in Hyyrö's form for the distance between whole
-    sequences (Hyyrö 2001): bit i of pv (mv) says that the current
-    column of the table steps up (down) by one from row i to row i + 1.
-    The bits of a column sit in one Python int, so it costs a few
-    integer operations for any length of ref.
+    Equal to align_edit(ref, hyp).errors: the last row of the last column.
     """
-    m = len(ref)
-    if not m:
-        return len(hyp)
-    full, top = (1 << m) - 1, 1 << (m - 1)
-    peq = {}  # symbol -> the bits of the rows of ref that hold it
-    for i, r in enumerate(ref):
-        peq[r] = peq.get(r, 0) | 1 << i
-    pv, mv, distance = full, 0, m
-    for h in hyp:
-        eq = peq.get(h, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & top:
-            distance += 1
-        elif mh & top:
-            distance -= 1
-        # Row 0 of the table counts up along hyp, so every column steps up there.
-        ph = ph << 1 | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv & full
-    return distance
+    for j, (pv, mv) in enumerate(_edit_columns(ref, hyp)):
+        pass
+    return j + pv.bit_count() - mv.bit_count()
 
 
 def pooled_per(counts) -> float:
@@ -119,17 +106,23 @@ def align_edit(ref, hyp, utterance_id: str = "") -> PERReport:
     substitution over deletion over insertion.
     """
     ref, hyp = list(ref), list(hyp)
-    # d[i][j] is the distance between ref[:i] and hyp[:j].
-    d = list(_edit_rows(ref, hyp))
+    columns = list(_edit_columns(ref, hyp))
+
+    def d(i, j):
+        """The distance between ref[:i] and hyp[:j]."""
+        pv, mv = columns[j]
+        low = (1 << i) - 1
+        return j + (pv & low).bit_count() - (mv & low).bit_count()
+
     ins = dels = sub = 0
     confusion = {}
     i, j = len(ref), len(hyp)
     while i or j:
-        if i and j and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i and j and d(i, j) == d(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]):
             i, j = i - 1, j - 1
             key = ref[i], hyp[j]
             sub += ref[i] != hyp[j]
-        elif i and d[i][j] == d[i - 1][j] + 1:
+        elif i and d(i, j) == d(i - 1, j) + 1:
             i -= 1
             key = ref[i], DELETION
             dels += 1

@@ -658,11 +658,16 @@ def row_outcome(result):
 
 
 def batch_outcome(matrices, model, beam=None, lengths=None):
-    """row_outcome of each row of viterbi_batch, or the error it raises; fails on any RuntimeWarning."""
+    """row_outcome of each row of viterbi_batch, or the error it raises; fails on any RuntimeWarning.
+
+    lengths defaults to the frame counts of matrices, a list then.
+    """
+    if lengths is None:
+        lengths = [m.T for m in matrices]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            results = viterbi_batch(matrices, model, beam, lengths)
+            results = viterbi_batch(matrices, model, beam, lengths=lengths)
         except LandmarkFramesError as e:
             return type(e), str(e)
     return [row_outcome(r) for r in results]
@@ -710,16 +715,25 @@ class TestBatch:
 
     def test_checks_and_empty_batch(self):
         model = uniform_model(2)
-        assert viterbi_batch([], model) == []
+        assert viterbi_batch([], model, lengths=[]) == []
         assert viterbi_batch(iter([]), model, lengths=[]) == []
         with pytest.raises(ShapeError, match="matrix has 3 senones, model has 2"):
-            viterbi_batch([mat(np.zeros((2, 2))), mat(np.zeros((2, 3)))], model)
+            viterbi_batch([mat(np.zeros((2, 2))), mat(np.zeros((2, 3)))], model, lengths=[2, 2])
         with pytest.raises(ShapeError, match="matrix has 3 senones, model has 2"):
             viterbi_batch(iter([mat(np.zeros((2, 3)))]), model, lengths=[2])
         with pytest.raises(ShapeError, match="u: 2 frames, expected 3"):
             viterbi_batch(iter([mat(np.zeros((2, 2)))]), model, lengths=[3])
         with pytest.raises(InvalidConfig, match="beam must be positive, got 0.0"):
-            viterbi_batch([mat(np.zeros((2, 2)))], model, beam=0.0)
+            viterbi_batch([mat(np.zeros((2, 2)))], model, beam=0.0, lengths=[2])
+        # The matrices and lengths count the same rows, or the batch fails
+        # naming both counts; no row is read from an unfilled lattice.
+        m = mat(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="^matrix count 1 differs from length count 2$"):
+            viterbi_batch(iter([m]), model, lengths=[2, 5])
+        with pytest.raises(ShapeError, match="^matrix count 2 differs from length count 1$"):
+            viterbi_batch(iter([m, m]), model, lengths=[2])
+        with pytest.raises(ShapeError, match="^matrix count 1 differs from length count 0$"):
+            viterbi_batch(iter([m]), model, lengths=[])
 
     def test_rows_read_once_in_input_order_and_errors_pass_through(self):
         # Given lengths, the rows come from a generator that holds no

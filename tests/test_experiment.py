@@ -1257,9 +1257,9 @@ class TestPointMemo:
     """A command does the work that does not depend on its point once, in one memo."""
 
     def record(self, monkeypatch, fail=None):
-        """Count realize_strategy calls by strategy and collect each submit's memo."""
+        """Count realize_strategy calls by strategy and collect each realized group's memo."""
         calls, memos = Counter(), []
-        realize, submit = experiment.realize_strategy, experiment._submit_strategy
+        realize, realize_group = experiment.realize_strategy, experiment._realize_group
 
         def counted(spec, *args, **kwargs):
             calls[spec.raw] += 1
@@ -1269,10 +1269,10 @@ class TestPointMemo:
 
         def recorded(raw, prep, *args, **kwargs):
             memos.append(prep.memo)
-            return submit(raw, prep, *args, **kwargs)
+            return realize_group(raw, prep, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "realize_strategy", counted)
-        monkeypatch.setattr(experiment, "_submit_strategy", recorded)
+        monkeypatch.setattr(experiment, "_realize_group", recorded)
         return calls, memos
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -123,8 +123,11 @@ class TestEditOps:
     @example(list("ab" * 40), [])
     @example(list("abc" * 30), list("abc" * 30))
     def test_distance_over_references_longer_than_a_word(self, ref, hyp):
-        # Past 64 symbols the bit vectors of edit_distance span several machine words.
-        assert edit_distance(ref, hyp) == reference_edit_ops(ref, hyp)[0]
+        # Past 64 symbols the bit vectors of edit_distance span several
+        # machine words, and so do the columns align_edit walks back through.
+        distance, ops = reference_edit_ops(ref, hyp)
+        assert edit_distance(ref, hyp) == distance
+        assert counts(align_edit(ref, hyp)) == counts_of_ops(ref, ops)
 
 
 class TestAlignEdit:
