@@ -5,6 +5,8 @@ construction, their arrays are frozen, and round-tripping any artifact
 through its file format is the identity.
 """
 
+import functools
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -263,9 +265,16 @@ def read_score_matrix_text(text: str, utterance_id: str = "") -> ScoreMatrix:
     return ScoreMatrix(utterance_id, np.array(values, dtype=np.float64))
 
 
+@functools.cache
+def _mask_lines(capacity: int) -> tuple:
+    """("t 0", "t 1") for every frame t < capacity; one table per power of two."""
+    return tuple((f"{t} 0", f"{t} 1") for t in range(capacity))
+
+
 def write_mask(mask: FrameMask) -> str:
     """One line per frame: "t 0|1" where 1 marks a dropped frame."""
-    return "\n".join(f"{t} {d}" for t, d in enumerate(mask.dropped.view(np.uint8).tolist()))
+    lines = _mask_lines(1 << (mask.T - 1).bit_length())
+    return "\n".join(map(operator.getitem, lines, mask.dropped.tolist()))
 
 
 def write_manner_table(manners: dict) -> str:

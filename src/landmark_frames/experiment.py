@@ -855,9 +855,13 @@ def _write_files(out_dir: str, files) -> str:
     path, with each digest taken from the text as it was written.
     """
     entries = []
+    made = set()
     for rel, text in files:
         path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        parent = os.path.dirname(path)
+        if parent not in made:
+            os.makedirs(parent, exist_ok=True)
+            made.add(parent)
         atomic_write_text(path, text)
         entries.append((rel, hashlib.sha256(text.encode("utf-8")).hexdigest()))
     return "".join(f"{digest}  {rel}\n" for rel, digest in sorted(entries))

@@ -22,6 +22,7 @@ match= counts, so it needs match=. Every number is finite and >= 0, and
 rate is at most 1.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -96,13 +97,14 @@ def adjust_mask_to_rate(mask: FrameMask, target_n: int, protected=None, seed: in
     return FrameMask(dropped)
 
 
+@functools.cache
 def design_interp_filter(period: int) -> np.ndarray:
     """Windowed-sinc taps for a drop-1-in-period mask (drops t = 0 mod P).
 
     INTERP_TAPS taps: cutoff pi/period, Hamming window, unit center tap
     with exact zeros on the rest of the retained coset, and the off-coset
     taps normalized so a constant input reconstructs exactly away from
-    the edges.
+    the edges. One read-only array per period is designed and reused.
     """
     if not 2 <= period <= 8:
         raise InvalidPattern(f"filter period must lie in [2, 8], got {period}")
@@ -116,6 +118,7 @@ def design_interp_filter(period: int) -> np.ndarray:
     if total <= 0.0:
         raise InvalidPattern(f"degenerate filter for period {period}")
     h[~on_coset] /= total
+    h.flags.writeable = False
     return h
 
 
@@ -141,25 +144,48 @@ def _fill_const_row(values: np.ndarray) -> np.ndarray:
     return values.mean(axis=0)
 
 
-def _upsample_rows(values: np.ndarray, mask: FrameMask, taps: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    kept = mask.kept_frames()
+def _upsample_rows(values: np.ndarray, period: int, taps: np.ndarray) -> np.ndarray:
+    """Rebuild the dropped rows t = 0 mod period in one fold over the tap offsets.
+
+    A dropped row is a left fold from 0.0, in ascending frame order, of
+    (tap / window sum) * value over the kept frames of its window, and the
+    window sum is a left fold in the same order. Each step of the fold is
+    one offset, and it updates every dropped row at once: one gather takes
+    every (offset, drop) source row, and a frame past the matrix edge gets
+    a zero weight, so the in-range renormalization keeps DC gain 1 at the
+    edges. A NEG_INF among a cell's window values makes it NEG_INF. A zero
+    window sum copies the nearest kept row: frame 1 for frame 0, frame
+    t - 1 otherwise. No BLAS call picks the summation order, so the bytes
+    are the same on every CPU.
+    """
+    T, S = values.shape
     half = len(taps) // 2
-    for t in mask.dropped_frames():
-        window = kept[(kept >= t - half) & (kept <= t + half)]
-        weights = taps[window - t + half]
-        total = weights.sum()
-        if window.size == 0 or total == 0.0:
-            nearest = kept[np.argmin(np.abs(kept - t))]
-            out[t] = values[nearest]
-            continue
-        gathered = values[window]
-        impossible = (gathered == NEG_INF).any(axis=0)
-        safe = np.where(gathered == NEG_INF, 0.0, gathered)
-        # In-range renormalization keeps DC gain exactly 1 at the edges.
-        row = (weights / total) @ safe
-        row[impossible] = NEG_INF
-        out[t] = row
+    drops = np.arange(0, T, period)
+    # Offsets on the drop coset land on dropped frames, so the fold skips them.
+    offsets = np.array([k for k in range(-half, half + 1) if k % period])
+    frames = drops + offsets[:, None]
+    inside = (frames >= 0) & (frames < T)
+    weights = np.where(inside, taps[offsets + half][:, None], 0.0)
+    total = np.zeros(drops.size)
+    for w in weights:
+        total += w
+    fallback = total == 0.0
+    coef = np.divide(weights, total, out=np.zeros_like(weights), where=~fallback)
+    # An (offset, drop, senone) cube of source values; frames past an edge
+    # read the edge row, whose term the zero weight makes 0.
+    terms = values.take(frames.clip(0, T - 1), axis=0)
+    impossible = terms == NEG_INF
+    np.copyto(terms, 0.0, where=impossible)
+    terms *= coef[:, :, None]
+    rows = np.zeros((drops.size, S))
+    for term in terms:
+        rows += term
+    impossible &= inside[:, :, None]
+    np.copyto(rows, NEG_INF, where=impossible.any(axis=0))
+    t = drops[fallback]
+    rows[fallback] = values[np.where(t > 0, t - 1, 1)]
+    out = values.copy()
+    out[drops] = rows
     return out
 
 
@@ -191,8 +217,8 @@ def apply_replacement(matrix: ScoreMatrix, mask: FrameMask, method: str) -> Scor
         if leading.any():
             values[leading] = _fill_const_row(matrix.values)
     else:
-        taps = design_interp_filter(_drop_coset_period(mask))
-        values = _upsample_rows(matrix.values, mask, taps)
+        period = _drop_coset_period(mask)
+        values = _upsample_rows(matrix.values, period, design_interp_filter(period))
     # values is this call's own array: read-only, ScoreMatrix validates it without a copy.
     values.flags.writeable = False
     return ScoreMatrix(matrix.utterance_id, values)

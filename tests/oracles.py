@@ -256,6 +256,39 @@ def reference_copy(values, dropped):
     return out
 
 
+def reference_upsample(values, dropped, taps):
+    """The definition of `apply_replacement(..., "upsample")`, one cell at a time.
+
+    A dropped row t is a left fold from 0.0, in ascending frame order, of
+    (tap / window sum) * value over the kept frames f with |f - t| <= half,
+    the tap taken at f - t; the window sum is a left fold over the same
+    frames. A NEG_INF among them makes the cell NEG_INF. A zero window sum
+    copies the nearest kept row, the earlier one on a tie.
+    """
+    out = values.copy()
+    half = len(taps) // 2
+    kept = [f for f in range(len(dropped)) if not dropped[f]]
+    for t in range(len(dropped)):
+        if not dropped[t]:
+            continue
+        window = [f for f in kept if abs(f - t) <= half]
+        total = 0.0
+        for f in window:
+            total += taps[f - t + half]
+        if total == 0.0:
+            out[t] = values[min(kept, key=lambda f: abs(f - t))]
+            continue
+        for s in range(values.shape[1]):
+            acc = 0.0
+            for f in window:
+                if values[f, s] == NEG_INF:
+                    acc = NEG_INF
+                    break
+                acc += (taps[f - t + half] / total) * values[f, s]
+            out[t, s] = acc
+    return out
+
+
 def reference_landmark_frames(landmarks, num_frames, radius=0):
     """Sorted indices of the frames within radius of an event, by a loop over the events."""
     if radius < 0:

@@ -166,6 +166,12 @@ class TestMask:
         assert (rows[:, 0] == np.arange(mask.T)).all()
         assert (rows[:, 1].astype(bool) == mask.dropped).all()
 
+    @given(st.lists(st.lists(st.booleans(), min_size=1, max_size=300), min_size=1, max_size=4))
+    def test_lines_for_masks_of_any_length_in_any_order(self, maps):
+        for dropped in maps:
+            want = "\n".join(f"{t} {int(d)}" for t, d in enumerate(dropped))
+            assert write_mask(FrameMask(np.array(dropped))) == want
+
     def test_properties(self):
         mask = FrameMask(np.array([True, False, True, False, False]))
         assert mask.T == 5

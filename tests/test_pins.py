@@ -2,14 +2,22 @@
 
 A refactor that claims byte-identical outputs must keep these digests.
 If a pin moves on purpose, the new digest and the reason belong in the
-change log.
+change log. The digests hold on every CPU: the run pin is rerun under
+other BLAS and numpy kernels, and the package makes no BLAS call, whose
+summation order the CPU would pick.
 """
 
+import ast
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import landmark_frames
 from landmark_frames.cli import main
 
 SYNTH = {"n_utterances": 12, "n_speakers": 4, "utterance_length": 6}
@@ -99,8 +107,8 @@ SWEEPS = {
 }
 
 RUN_CHECKSUMS_SHA256 = {
-    "run": "f7ae62a3429b955a7998d07965547a7d33ec0df8efbac4d4909c8b6d4e3c0d9f",
-    "run_beam": "e8115b7e4c49ceb9d48346903c87c5b3acd406e8f0a72baa8d52a4606bb74fbe",
+    "run": "ce7a02ed13269dac77ccd23b3fd39287338c36878f2bf56a68040672eb77d639",
+    "run_beam": "e95a38b4273a289c86b8e3e091667fbc3a1bda212d2f295230324b1017dbc7a4",
     "run_s96": "796efbf72f002ecd6fe7c2ae3078e0d4d9758a173693643d1103cada7e4c65a3",
     "run_s96_beam": "683f398016d718a644b401fff9d69af7fbb707fbdd0cd51f922a09f7906d9454",
 }
@@ -133,6 +141,52 @@ def test_run_checksums_pinned(tmp_path, jobs):
         assert main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
         assert (out / "strategy_01" / "stats.csv").exists()
         assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256[name], name
+
+
+# Kernel choices that must leave the run pin where it is. OpenBLAS picks its
+# kernel and numpy its dispatch targets when they load, so each runs in a
+# fresh interpreter. Haswell is the kernel of AVX2 machines, Prescott the
+# reference one; the numpy cap turns off its AVX-512 loops.
+KERNEL_ENVS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+# Names that reach BLAS, whose summation order depends on the CPU.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+
+
+@pytest.mark.parametrize("env", KERNEL_ENVS.values(), ids=list(KERNEL_ENVS))
+def test_run_pin_holds_under_every_kernel(tmp_path, env):
+    config = write_config(tmp_path, RUN)
+    out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(landmark_frames.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "landmark_frames.cli", "run", "--config", config,
+         "--out", str(out), "--jobs", "1"],
+        env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256["run"]
+
+
+def test_package_makes_no_blas_call():
+    found = []
+    for path in sorted(pathlib.Path(landmark_frames.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in BLAS_NAMES):
+                found.append(f"{path.name}:{node.lineno}: {node.func.id}()")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+                found += [f"{path.name}:{node.lineno}: import {name}"
+                          for name in names if name in BLAS_NAMES]
+    assert found == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,4 +1,5 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from landmark_frames import (
     realize_strategy,
     viterbi,
 )
+from landmark_frames import strategy
 from landmark_frames.strategy import INTERP_TAPS
 from oracles import (
     reference_adjust_mask_to_rate,
@@ -36,6 +38,7 @@ from oracles import (
     reference_frame_map,
     reference_landmark_frames,
     reference_realize,
+    reference_upsample,
 )
 
 
@@ -250,6 +253,34 @@ def _copy_cases(draw):
     return values, dropped
 
 
+@st.composite
+def _upsample_cases(draw):
+    """A matrix with NEG_INF cells, a drop-1-in-P period and the taps to use.
+
+    P runs from 2 to min(8, T); at P == T frame 0 is the only drop. Half
+    the cases swap the designed filter for taps on a 1/4 grid, so windows
+    whose sum is exactly zero come up.
+    """
+    T = draw(st.integers(2, 40))
+    period = draw(st.integers(2, min(8, T)))
+    S = draw(st.integers(1, 4))
+    cell = st.one_of(st.floats(-50.0, 50.0), st.just(NEG_INF))
+    values = np.array(draw(st.lists(st.lists(cell, min_size=S, max_size=S),
+                                    min_size=T, max_size=T)))
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, S - 1))] = NEG_INF
+    if draw(st.booleans()):
+        grid = st.lists(st.integers(-2, 2), min_size=INTERP_TAPS, max_size=INTERP_TAPS)
+        return values, period, np.array(draw(grid)) / 4.0
+    return values, period, design_interp_filter(period)
+
+
+# Frame 2 of 5 at P=2 sees frames 1 and 3 through taps 0.5 and -0.5: a zero window sum.
+_CANCELLING_TAPS = np.full(INTERP_TAPS, 0.25)
+_CANCELLING_TAPS[INTERP_TAPS // 2 - 1] = 0.5
+_CANCELLING_TAPS[INTERP_TAPS // 2 + 1] = -0.5
+
+
 class TestReplacement:
     def test_copy_repeats_most_recent_kept(self):
         m = mat([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -311,6 +342,31 @@ class TestReplacement:
         out = apply_replacement(mat(values), mask, "upsample")
         assert out.values[0, 0] == NEG_INF
         assert out.values[0, 1] == pytest.approx(-1.0, abs=1e-9)
+
+    @given(_upsample_cases())
+    @example((np.array([[1.0, NEG_INF], [-2.0, NEG_INF], [3.0, -0.5], [0.0, -1.0], [-4.0, 2.0]]),
+              2, _CANCELLING_TAPS))
+    @example((np.array([[1.0], [-2.0]]), 2, np.zeros(INTERP_TAPS)))
+    # A window of -0.0 cells: a fold from 0.0 gives +0.0, one from the first term -0.0.
+    @example((np.full((6, 1), -0.0), 2, np.full(INTERP_TAPS, 0.25)))
+    @example((np.array([[0.5, NEG_INF], [-1.0, NEG_INF], [2.0, NEG_INF]]), 3,
+              design_interp_filter(3)))
+    @example((np.arange(38.0).reshape(19, 2) - 20.0, 8, design_interp_filter(8)))
+    @settings(max_examples=300, deadline=None)
+    def test_upsample_equals_cell_loop(self, case):
+        values, period, taps = case
+        mask = mask_regular(len(values), period, 1)
+        asked = []
+
+        def filter_for(p):
+            asked.append(p)
+            return taps
+
+        with patch.object(strategy, "design_interp_filter", filter_for):
+            out = apply_replacement(mat(values), mask, "upsample").values
+        assert asked == [period]
+        want = reference_upsample(values, mask.dropped, taps)
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
 
     def test_unknown_method(self):
         with pytest.raises(InvalidPattern):
