@@ -53,11 +53,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _resolve_jobs(args) -> int:
     if getattr(args, "jobs", None) is not None:
         jobs = args.jobs
@@ -77,7 +72,8 @@ def _load_matrix(path: str, fmt: str):
     stem = os.path.splitext(os.path.basename(path))[0]
     if fmt == "text":
         return read_score_matrix_text(_read_text(path), stem)
-    return read_score_matrix(_read_bytes(path), stem)
+    with open(path, "rb") as fh:
+        return read_score_matrix(fh.read(), stem)
 
 
 def _dump_matrix(path: str, matrix, fmt: str) -> None:

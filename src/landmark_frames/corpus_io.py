@@ -129,9 +129,6 @@ class FrameMask:
     def dropped_frames(self) -> np.ndarray:
         return np.flatnonzero(self.dropped)
 
-    def kept_frames(self) -> np.ndarray:
-        return np.flatnonzero(~self.dropped)
-
 
 @dataclass
 class Utterance:

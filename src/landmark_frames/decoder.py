@@ -45,8 +45,7 @@ class TransitionModel:
     width. Row i, for senone order[i], starts at row_starts[i] of pred,
     which holds each predecessor's position in order: live ones in
     ascending senone order, then dead ones. pred_logp holds their trans
-    entries. tiles keeps that table tiled for the largest batch decoded
-    so far (see tiled).
+    entries.
     """
 
     init: np.ndarray
@@ -58,7 +57,6 @@ class TransitionModel:
     row_starts: np.ndarray = field(init=False, repr=False)
     pred: np.ndarray = field(init=False, repr=False)
     pred_logp: np.ndarray = field(init=False, repr=False)
-    tiles: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         init = np.asarray(self.init, dtype=np.float64)
@@ -110,25 +108,6 @@ class TransitionModel:
     @property
     def S(self) -> int:
         return self.init.shape[0]
-
-    def tiled(self, rows: int) -> tuple:
-        """The predecessor table tiled for a batch of at least rows rows.
-
-        Returns flat (pred, pred_logp, cells): batch row r gathers its
-        predecessors at r * S + pred, weighs them with pred_logp, and
-        finds position i's first cell at cells[r * S + i] = r * P +
-        row_starts[i], P being pred.size. Prefixes serve fewer rows.
-        """
-        if not self.tiles or self.tiles[0].size < rows * self.pred.size:
-            r = np.arange(rows)[:, None]
-            self.tiles = (
-                (r * self.S + self.pred).ravel(),
-                np.tile(self.pred_logp, rows),
-                (r * self.pred.size + self.row_starts).ravel(),
-            )
-            for arr in self.tiles:
-                arr.setflags(write=False)
-        return self.tiles
 
 
 @dataclass
@@ -270,8 +249,12 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
     cand = np.empty(B * P)
     best = np.empty(B * S, dtype=np.intp)
     incoming = np.empty(B * S)
-    # Tiled, so no add broadcasts.
-    pred_r, logp_r, cells_r = model.tiled(B)
+    # The table tiled per row, so no add broadcasts: row r gathers at
+    # r * S + pred, and its position i's first cell is r * P + row_starts[i].
+    r = np.arange(B)[:, None]
+    pred_r = (r * S + model.pred).ravel()
+    logp_r = np.tile(model.pred_logp, B)
+    cells_r = (r * P + model.row_starts).ravel()
     row_offsets = np.arange(0, B * P, P).repeat(S)
     groups, row = [], 0
     for width, count in model.groups:
@@ -356,7 +339,7 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
     walk = np.empty(starts[-1], dtype=back.dtype)
     at = model.pos.take(final)
     walk[ends] = at
-    flat_back, pred = back.ravel(), model.pred
+    flat_back, pred = back.ravel(), pred_r[:P]
     # Frames from gather on have fewer than GATHER_ROWS live rows; each
     # row that reaches them walks back through them alone.
     gather = lengths[GATHER_ROWS - 1] if B >= GATHER_ROWS else 0

@@ -13,7 +13,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain
 from math import ceil
@@ -205,9 +205,10 @@ def load_corpus_dir(path: str) -> Corpus:
     <stem>.llm (else text <stem>.llm.txt) pairs; speakers.tsv ("stem
     speaker gender") is optional, and an utterance it does not list is
     its own F speaker. A malformed speakers.tsv line, one that repeats a
-    stem or names a stem with no .align, an .align without its matrix,
-    or a matrix whose frame or senone count disagrees with its alignment
-    or the model fails here, naming the file and utterance.
+    stem or names a stem with no .align, an .align without its matrix
+    or with a phone that no senone emits and manners.txt does not call
+    silence, or a matrix whose frame or senone count disagrees with its
+    alignment or the model fails here, naming the file and utterance.
     """
     def read(name, parse, *args, utterance=None):
         """parse(contents of name, *args); its errors name the file and utterance."""
@@ -215,9 +216,10 @@ def load_corpus_dir(path: str) -> Corpus:
         try:
             with open(os.path.join(path, name), mode, encoding=encoding) as fh:
                 return parse(fh.read(), *args)
-        except LandmarkFramesError as e:
+        except (LandmarkFramesError, UnicodeDecodeError) as e:
             where = name if utterance is None else f"{name}: utterance {utterance!r}"
-            raise type(e)(f"{where}: {e}") from None
+            kind = type(e) if isinstance(e, LandmarkFramesError) else FormatError  # not UTF-8
+            raise kind(f"{where}: {e}") from None
 
     model = read("model.tm", read_transition_model)
     manner_table = read("manners.txt", read_manner_table)
@@ -226,12 +228,15 @@ def load_corpus_dir(path: str) -> Corpus:
         raise InvalidConfig(f"no .align files in {path}")
     listed = os.path.exists(os.path.join(path, "speakers.tsv"))
     speakers = read("speakers.tsv", _read_speakers, aligns) if listed else {}
-    utterances = []
+    utterances, emitted = [], {*model.senone_phones, *_silence_phones(manner_table)}
     for stem in sorted(os.path.splitext(name)[0] for name in aligns):
         speaker, gender = speakers.get(stem, (stem, "F"))
         alignment = read(
             f"{stem}.align", parse_alignment, "frames", stem, speaker, gender, utterance=stem
         )
+        bad = [phone for phone, _, _ in alignment.segments if phone not in emitted]
+        if bad:
+            raise FormatError(f"{stem}.align: utterance {stem!r}: no senone emits phone {bad[0]!r}")
         name = f"{stem}.llm"
         if not os.path.exists(os.path.join(path, name)):
             name += ".txt"  # as `synth --format text` writes it
@@ -415,8 +420,7 @@ def _realize_group(raw, prep, config, stream_index, rep=0, adjust_rate=None):
     """
     spec = parse_strategy(raw)
     rng_rep = rep if spec.needs_rng() else None
-    items = []
-    masks = []
+    items, masks = [], []
     for ui, utt in enumerate(prep.corpus.utterances):
         uid = utt.alignment.utterance_id
         landmarks = prep.landmark_sets[ui]
@@ -531,8 +535,7 @@ def _prepare(config: ExperimentConfig, jobs: int, full: bool):
         if isinstance(submitted, LandmarkFramesError):
             raise submitted
         baseline = _collect_strategy(BASELINE, *submitted, prep)
-        baseline.mean = 0.0
-        baseline.stdev = 0.0
+        baseline.mean = baseline.stdev = 0.0
         prep.baseline = baseline
         yield prep
     finally:
@@ -574,9 +577,7 @@ def _decode_groups(prep: _Prepared, config: ExperimentConfig, groups):
     when the queue is full or the groups run out.
     """
     model = prep.corpus.model
-    cost = [
-        utt.matrix.T * model.S + 3 * model.pred.size for utt in prep.corpus.utterances
-    ]
+    cost = [utt.matrix.T * model.S + 3 * model.pred.size for utt in prep.corpus.utterances]
     queued, read, waiting = deque(), deque(), deque()
     limit = 0 if prep.executor is None else _QUEUED_PER_WORKER * prep.jobs
     task, cells = [], 0
@@ -867,6 +868,24 @@ def _write_files(out_dir: str, files) -> str:
     return "".join(f"{digest}  {rel}\n" for rel, digest in sorted(entries))
 
 
+def _remove_listed(out_dir: str) -> None:
+    """Remove the files that out_dir's checksums.txt lists, then checksums.txt.
+    An entry that is absolute or not a file inside out_dir fails before any is removed."""
+    listing = os.path.join(out_dir, "checksums.txt")
+    if not os.path.isfile(listing):
+        return
+    root = os.path.join(os.path.realpath(out_dir), "")
+    with open(listing, encoding="utf-8") as fh:
+        rels = list(records(fh.read(), "sha256  path", lambda e: FormatError(f"{listing}: {e}")))
+    for n, (_, rel) in rels:
+        path = os.path.realpath(os.path.join(root, rel))
+        if os.path.isabs(rel) or not path.startswith(root) or os.path.isdir(path):
+            raise FormatError(f"{listing}: line {n}: {rel!r} is not a file inside {out_dir}")
+    for path in [*(os.path.join(root, rel) for _, (_, rel) in rels), listing]:
+        with suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1):
     """Execute a config and persist the report directory.
 
@@ -878,6 +897,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, jobs: int = 1):
         _report_files("report", outcomes, config, format_plot_svg(outcomes)),
         *(_strategy_files(name, outcome) for name, outcome in zip(names, outcomes)),
     )
+    _remove_listed(out_dir)
     manifest = _write_files(out_dir, files)
     atomic_write_text(os.path.join(out_dir, "checksums.txt"), manifest)
     return outcomes

@@ -178,7 +178,7 @@ class TestMask:
         assert mask.n_dropped == 2
         assert mask.drop_rate == 0.4
         assert list(mask.dropped_frames()) == [0, 2]
-        assert list(mask.kept_frames()) == [1, 3, 4]
+        assert list(np.flatnonzero(~mask.dropped)) == [1, 3, 4]
 
 
 class TestMannerTable:

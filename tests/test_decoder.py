@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import warnings
 
@@ -704,14 +706,21 @@ class TestBatch:
             quiet_outcome(rows[0], model, beam=1.0), errors[1]
         ]
 
-    def test_model_table_grows_with_the_batch(self):
+    def test_decoding_leaves_the_model_as_built(self):
         rng = np.random.default_rng(4)
         model = sparse_model([[0, 1], [1, 2], [2, 0]])
+        built = copy.deepcopy(model)
         rows = [ScoreMatrix(f"u{b}", dyadic_matrix(rng, T, 3)) for b, T in enumerate([4, 9, 1, 6])]
-        for batch in (rows[:2], rows, rows[1:3]):
+        # A batch, then a batch of one: each tiles its own tables.
+        for batch in (rows[:2], rows, rows[1:3], rows[3:]):
             alone = [quiet_outcome(m, model) for m in batch]
             assert batch_outcome(batch, model) == alone
-        assert len(model.tiled(1)[0]) == 4 * model.pred.size
+        for f in dataclasses.fields(model):
+            now, then = getattr(model, f.name), getattr(built, f.name)
+            if isinstance(now, np.ndarray):
+                assert np.array_equal(now, then) and not now.flags.writeable, f.name
+            else:
+                assert now == then, f.name
 
     def test_checks_and_empty_batch(self):
         model = uniform_model(2)

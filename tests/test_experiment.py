@@ -323,6 +323,51 @@ class TestRunExperiment:
                 assert rows, path
                 assert all(len(row) == len(header) for row in rows), path
 
+    @staticmethod
+    def files_under(out):
+        return sorted(
+            os.path.relpath(os.path.join(root, name), out)
+            for root, _, names in os.walk(out)
+            for name in names
+        )
+
+    def test_rerun_with_fewer_strategies_leaves_only_its_files(self, tmp_path):
+        out = self.run(tmp_path)
+        assert "strategy_01/decode.txt" in self.files_under(out)
+        run_experiment(fast_config(self.STRATEGIES[:1]), str(out))
+        lines = (out / "checksums.txt").read_text().splitlines()
+        listed = [line.split("  ", 1)[1] for line in lines]
+        assert self.files_under(out) == sorted([*listed, "checksums.txt"])
+        assert not any(rel.startswith("strategy_01") for rel in listed)
+
+    def test_rerun_keeps_files_checksums_does_not_list(self, tmp_path):
+        out = self.run(tmp_path)
+        (out / "notes.txt").write_text("mine\n")
+        (out / "strategy_00" / "notes.txt").write_text("mine too\n")
+        before = self.files_under(out)
+        self.run(tmp_path)
+        assert self.files_under(out) == before
+        assert (out / "strategy_00" / "notes.txt").read_text() == "mine too\n"
+
+    @pytest.mark.parametrize("entry", [
+        "../outside.txt", "strategy_00/../../outside.txt",
+        "{tmp}/outside.txt", "{tmp}/out/report.csv",
+    ])
+    def test_rerun_refuses_an_entry_outside_out(self, tmp_path, entry):
+        # An absolute entry is refused even when it names a file inside out.
+        out = self.run(tmp_path)
+        (tmp_path / "outside.txt").write_text("not ours\n")
+        entry = entry.format(tmp=tmp_path)
+        checksums = out / "checksums.txt"
+        lines = checksums.read_text().splitlines()
+        lines.insert(2, f"{'0' * 64}  {entry}")
+        checksums.write_text("\n".join(lines) + "\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        message = f"checksums.txt: line 3: '{entry}' is not a file inside"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            self.run(tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_jobs_do_not_change_output(self, tmp_path):
         serial = self.run(tmp_path, "serial", jobs=1)
         parallel = self.run(tmp_path, "parallel", jobs=2)
@@ -1452,7 +1497,7 @@ class TestTaskMemory:
 
 
     def test_peak_of_one_full_size_task(self):
-        # A fresh corpus, so the model's tiled table is built inside the trace.
+        # The task tiles its own predecessor table, so the peak counts it.
         corpus = experiment.gen_corpus(SynthConfig(n_utterances=50), 0)
         model = corpus.model
         U, S, P = len(corpus.utterances), model.S, model.pred.size
@@ -1683,6 +1728,35 @@ class TestLoadCorpusDir:
         lines[2] = lines[2].rsplit(" ", 1)[0]
         model.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"model\.tm.*line 3"):
+            load_corpus_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("manner", ["stop", "silence"])
+    def test_alignment_phone_that_no_senone_emits(self, tmp_path, manner):
+        config = tmp_path / "synth.cfg"
+        config.write_text("n_utterances = 4\nn_speakers = 2\n")
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", str(config), "--out", str(corpus)]) == 0
+        align = next(p for p in sorted(corpus.glob("*.align")) if " ph07\n" in p.read_text())
+        align.write_text(align.read_text().replace(" ph07\n", " phZZ\n"))
+        with open(corpus / "manners.txt", "a") as fh:
+            fh.write(f"phZZ {manner}\n")
+        stem = align.stem
+        if manner == "silence":
+            # Scoring drops silence, so no decode has to emit it.
+            loaded = load_corpus_dir(str(corpus))
+            assert "phZZ" in next(u for u in loaded.utterances
+                                  if u.alignment.utterance_id == stem).alignment.phones()
+            return
+        message = f"{stem}.align: utterance '{stem}': no senone emits phone 'phZZ'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_corpus_dir(str(corpus))
+
+    def test_text_file_that_is_not_utf8_names_file(self, tmp_path, small_corpus):
+        write_corpus_dir(tmp_path, small_corpus)
+        align = tmp_path / "utt0001.align"
+        align.write_bytes(align.read_bytes().replace(b"ph", b"p\xa3", 1))
+        message = r"^utt0001\.align: utterance 'utt0001': 'utf-8' codec can't decode"
+        with pytest.raises(FormatError, match=message):
             load_corpus_dir(str(tmp_path))
 
     def test_unknown_manner_names_file(self, tmp_path, small_corpus):

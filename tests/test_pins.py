@@ -146,11 +146,13 @@ def test_run_checksums_pinned(tmp_path, jobs):
 # Kernel choices that must leave the run pin where it is. OpenBLAS picks its
 # kernel and numpy its dispatch targets when they load, so each runs in a
 # fresh interpreter. Haswell is the kernel of AVX2 machines, Prescott the
-# reference one; the numpy cap turns off its AVX-512 loops.
+# reference one; the numpy caps turn off its AVX-512 loops, then its AVX2
+# ones too, down to the X86_V2 baseline.
 KERNEL_ENVS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "numpy-x86-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
 }
 
 # Names that reach BLAS, whose summation order depends on the CPU.
