@@ -305,8 +305,11 @@ def format_csv(header, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_text(path, text: str) -> bytes:
+    """atomic_write_bytes of text in UTF-8; returns the bytes written."""
+    data = text.encode("utf-8")
+    atomic_write_bytes(path, data)
+    return data
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

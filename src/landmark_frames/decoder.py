@@ -141,9 +141,9 @@ def collapse_states(states, senone_phones) -> list:
 # and are narrowed block by block, so a frame pays no cast.
 _BLOCK_CELLS = 1 << 14
 
-# A backtrace step gathers all live rows of a frame at once when at least
-# this many are live; with fewer, each row walks on its own, which costs
-# less than the gather's fixed numpy calls.
+# A batch of fewer than this many rows walks each row back alone, as a
+# list, which costs less than a gather's fixed numpy calls per frame. A
+# larger batch gathers the live rows of every frame, from its last one.
 GATHER_ROWS = 8
 
 
@@ -187,13 +187,17 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
     alone, whatever the others do.
 
     matrices is any iterable of ScoreMatrix, read once in input order,
-    and lengths holds each one's frame count; a count or shape that
-    differs raises ShapeError. A LandmarkFramesError in place of a
-    matrix is that utterance's outcome. Each matrix is copied into the
-    lattice as it is read and not kept.
+    and lengths holds each one's frame count, an integer of at least 1; a
+    count or shape that differs, or a length that is no such count,
+    raises ShapeError. A LandmarkFramesError in place of a matrix is
+    that utterance's outcome. Each matrix is copied into the lattice as
+    it is read and not kept.
     """
     if beam is not None and not beam > 0:
         raise InvalidConfig(f"beam must be positive, got {beam}")
+    for b, L in enumerate(lengths):
+        if not isinstance(L, (int, np.integer)) or L < 1:
+            raise ShapeError(f"length {b} is {L!r}, not a frame count of at least 1")
     S, P = model.S, model.pred.size
     # Rows run longest first, so the rows still live at a frame come
     # first. Buffers are time-major: frame t holds rows starts[t] to
@@ -231,10 +235,7 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
             raise ShapeError(f"matrix has {matrix.S} senones, model has {S}")
         if matrix.T != lengths[r]:
             raise ShapeError(f"{matrix.utterance_id}: {matrix.T} frames, expected {lengths[r]}")
-        if B == 1:
-            matrix.values.take(model.order, 1, scores, "clip")
-        else:
-            scores[frames] = matrix.values.take(model.order, axis=1)
+        scores[frames] = matrix.values.take(model.order, axis=1)
         uids[b] = matrix.utterance_id
     if read != B:
         raise ShapeError(f"matrix count {read} differs from length count {B}")
@@ -301,13 +302,7 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
                     cand_n.take(slot, None, incoming_n, "clip")
                     add(incoming_n, cur, cur)
                     prev = cur
-                narrow = back[lo:hi].reshape(k, nS)
-                if n == 1:
-                    # Row 0's cells have no offset; a plain cast copy costs
-                    # a fifth of the broadcast subtract.
-                    np.copyto(narrow, slots, "same_kind")
-                else:
-                    np.subtract(slots, row_offsets[:nS], narrow)
+                np.subtract(slots, row_offsets[:nS], back[lo:hi].reshape(k, nS))
 
     # A row dies at its first frame whose maximum is NEG_INF and
     # overflows at the first where it is +inf or nan. Either state lasts
@@ -335,41 +330,34 @@ def viterbi_batch(matrices, model: TransitionModel, beam: float | None = None, *
     # In senone order, so the lowest index wins a tie at the last frame.
     last = last.take(model.pos, axis=1)
     final = last.argmax(axis=1)
-    # walk holds each row's position at each frame, time-major like back.
-    walk = np.empty(starts[-1], dtype=back.dtype)
     at = model.pos.take(final)
-    walk[ends] = at
     flat_back, pred = back.ravel(), pred_r[:P]
-    # Frames from gather on have fewer than GATHER_ROWS live rows; each
-    # row that reaches them walks back through them alone.
-    gather = lengths[GATHER_ROWS - 1] if B >= GATHER_ROWS else 0
-    # Below gather 2 no frame gathers, so those rows keep their whole
-    # walk as a list.
-    alone = {}
-    for r, L in enumerate(lengths[:GATHER_ROWS - 1]):
-        p = at.item(r)
-        path = [p]
-        for t in range(L - 1, max(gather, 1) - 1, -1):
-            p = pred.item(flat_back.item((starts[t] + r) * S + p))
-            path.append(p)
-        path.reverse()
-        if gather < 2:
-            alone[r] = path
-        else:
-            walk[offsets[gather - 1:L] + r] = path
-            at[r] = p
-    places = np.arange(0, B * S, S)
-    cell = np.empty(B, dtype=back.dtype)
-    for t0, t1, n in reversed(segments):
-        for t in range(min(t1, gather) - 1, max(t0, 1) - 1, -1):
-            place = places[:n] + starts[t] * S
-            add(place, at[:n], place)
-            flat_back.take(place, None, cell[:n], "clip")
-            pred.take(cell[:n], None, at[:n], "clip")
-            walk[starts[t - 1]:starts[t - 1] + n] = at[:n]
-    for r, (b, L) in enumerate(zip(rows, lengths)):
+    if B < GATHER_ROWS:
+        paths = []
+        for r, L in enumerate(lengths):
+            p = at.item(r)
+            path = [p]
+            for t in range(L - 1, 0, -1):
+                p = pred.item(flat_back.item((starts[t] + r) * S + p))
+                path.append(p)
+            paths.append(path[::-1])
+    else:
+        # walk holds each row's position at each frame, time-major like back.
+        walk = np.empty(starts[-1], dtype=back.dtype)
+        walk[ends] = at
+        places = np.arange(0, B * S, S)
+        cell = np.empty(B, dtype=back.dtype)
+        for t0, t1, n in reversed(segments):
+            for t in range(t1 - 1, max(t0, 1) - 1, -1):
+                place = places[:n] + starts[t] * S
+                add(place, at[:n], place)
+                flat_back.take(place, None, cell[:n], "clip")
+                pred.take(cell[:n], None, at[:n], "clip")
+                walk[starts[t - 1]:starts[t - 1] + n] = at[:n]
+        paths = [walk[offsets[:L] + r] for r, L in enumerate(lengths)]
+    for r, (b, path) in enumerate(zip(rows, paths)):
         if outcomes[b] is None:
-            path = model.order.take(alone[r] if r in alone else walk[offsets[:L] + r])
+            path = model.order.take(path)
             outcomes[b] = DecodeResult(
                 uids[b], path, last.item(r, final.item(r)),
                 collapse_states(path.tolist(), model.senone_phones),

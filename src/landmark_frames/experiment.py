@@ -853,7 +853,7 @@ def _write_files(out_dir: str, files) -> str:
     """Write each (relative path, text) pair under out_dir.
 
     Returns the manifest: a "sha256  path" line per file, sorted by
-    path, with each digest taken from the text as it was written.
+    path, with each digest taken from the bytes as they were written.
     """
     entries = []
     made = set()
@@ -863,8 +863,7 @@ def _write_files(out_dir: str, files) -> str:
         if parent not in made:
             os.makedirs(parent, exist_ok=True)
             made.add(parent)
-        atomic_write_text(path, text)
-        entries.append((rel, hashlib.sha256(text.encode("utf-8")).hexdigest()))
+        entries.append((rel, hashlib.sha256(atomic_write_text(path, text)).hexdigest()))
     return "".join(f"{digest}  {rel}\n" for rel, digest in sorted(entries))
 
 

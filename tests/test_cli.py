@@ -166,8 +166,13 @@ class TestAnnotate:
         assert run_cli("annotate", "--dir", str(source), *manners) == 0
         assert capsys.readouterr().out.splitlines()[0] == "utterances 2"
 
-    def test_requires_exactly_one_source(self, corpus_dir):
+    def test_requires_exactly_one_source(self, corpus_dir, tmp_path, capsys):
         assert run_cli("annotate") == 1
+        # A --dir tree with no .align or .phn file is no source either.
+        (tmp_path / "empty" / "sub").mkdir(parents=True)
+        (tmp_path / "empty" / "sub" / "notes.txt").write_text("0 10 s\n")
+        assert run_cli("annotate", "--dir", str(tmp_path / "empty")) == 1
+        assert "no alignment files found" in capsys.readouterr().err
         assert (
             run_cli(
                 "annotate",
@@ -367,10 +372,13 @@ class TestStats:
         wilcoxon = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(wilcoxon[3]) != 0.0625
 
-    def test_malformed_pairs(self, tmp_path):
+    def test_malformed_pairs(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("1 2 3\n")
         assert run_cli("stats", "--pairs", str(pairs)) == 1
+        pairs.write_text("1 2\none 2\n")
+        assert run_cli("stats", "--pairs", str(pairs)) == 1
+        assert "line 2: unparseable value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["nan 3", "2 inf", "-inf 1"])
     def test_non_finite_pair_refused(self, tmp_path, capsys, line):

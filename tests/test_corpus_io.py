@@ -51,6 +51,8 @@ class TestAlignment:
         assert a.segments == [("s", 0, 10), ("iy", 10, 20)]
         assert a.num_frames == 20
         assert a.phones() == ["s", "iy"]
+        with pytest.raises(ParseError, match="^unknown unit 'ms'$"):
+            parse_alignment("0 10 s\n10 20 iy", "ms")
 
     def test_samples_unit_floor_mapping(self):
         a = parse_alignment("0 1600 s\n1600 3200 iy", "samples")
@@ -460,6 +462,9 @@ class TestAtomicWrites:
         p = tmp_path / "a.txt"
         atomic_write_text(os.fspath(p), "hello")
         assert p.read_text() == "hello"
+        # It returns the bytes it wrote, in UTF-8.
+        written = atomic_write_text(os.fspath(p), "h\u00e9llo\n")
+        assert written == p.read_bytes() == b"h\xc3\xa9llo\n"
         q = tmp_path / "b.bin"
         atomic_write_bytes(os.fspath(q), b"\x00\x01")
         assert q.read_bytes() == b"\x00\x01"

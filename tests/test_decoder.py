@@ -32,7 +32,7 @@ from landmark_frames import (
     viterbi_batch,
     write_transition_model,
 )
-from landmark_frames.decoder import index_type
+from landmark_frames.decoder import GATHER_ROWS, index_type
 from oracles import (
     dyadic_log,
     dyadic_matrix,
@@ -435,8 +435,9 @@ def batch_cases(draw):
     """A degree-drawn model, 1 to 20 matrices of mixed lengths and a beam.
 
     Lengths repeat and include T = 1, so live rows end together and
-    alone, and a backtrace frame has fewer or more than GATHER_ROWS live
-    rows. Any matrix may collapse on its NEG_INF cells or overflow on its
+    alone. A batch of fewer than GATHER_ROWS rows walks each row back
+    alone; a larger one gathers every frame, some with fewer than
+    GATHER_ROWS live rows. Any matrix may collapse on its NEG_INF cells or overflow on its
     1e308 ones, so some batches fail in one row or several.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -743,6 +744,17 @@ class TestBatch:
             viterbi_batch(iter([m, m]), model, lengths=[2])
         with pytest.raises(ShapeError, match="^matrix count 1 differs from length count 0$"):
             viterbi_batch(iter([m]), model, lengths=[])
+        # A frame count below 1 or not an integer fails, naming its
+        # position, before any buffer is sized.
+        error = ShapeError("x")
+        for batch, lengths, bad in [
+            ([error], [0], "length 0 is 0"),
+            ([error], [-2], "length 0 is -2"),
+            ([mat(np.zeros((37, 2))), error], [37, 0], "length 1 is 0"),
+            ([error], [2.5], "length 0 is 2.5"),
+        ]:
+            with pytest.raises(ShapeError, match=f"^{bad}, not a frame count of at least 1$"):
+                viterbi_batch(batch, model, lengths=lengths)
 
     def test_rows_read_once_in_input_order_and_errors_pass_through(self):
         # Given lengths, the rows come from a generator that holds no
@@ -791,23 +803,24 @@ class TestBackPointerWidths:
         model = dense_model(S)
         assert model.pred.size == S * S
         rng = np.random.default_rng(S)
-        lengths = [6, 1, 9, 6, 3, 9, 2, 8, 5, 7, 4]
+        lengths = [6, 1, 10, 6, 3, 9, 2, 8, 5]
         matrices = []
         for b, T in enumerate(lengths):
-            # Scores on a quarter grid tie between states. Frames 1 to 3
-            # have at least GATHER_ROWS live rows, so their backtrace
-            # steps gather; the later ones walk row by row.
+            # Scores on a quarter grid tie between states.
             values = dyadic_matrix(rng, T, S)
             if b == 3:
                 values[4] = NEG_INF  # collapses at frame 4
             matrices.append(ScoreMatrix(f"u{b}", values))
-        want = [reference_outcome(m, model) for m in matrices]
-        assert want[3] == (BeamCollapse, "u3: no surviving state at frame 4")
-        assert batch_outcome(matrices, model) == want
-        for beam in (0.5, 3.0):
-            assert batch_outcome(matrices, model, beam) == [
-                reference_outcome(m, model, beam=beam) for m in matrices
-            ]
+        collapse = (BeamCollapse, "u3: no surviving state at frame 4")
+        assert reference_outcome(matrices[3], model) == collapse
+        for beam in (None, 0.5, 3.0):
+            want = [reference_outcome(m, model, beam=beam) for m in matrices]
+            assert [quiet_outcome(m, model, beam=beam) for m in matrices] == want
+            # The first GATHER_ROWS - 1 rows walk back alone. The larger
+            # batches gather every frame, also each from 1 or 2 on, where
+            # fewer than GATHER_ROWS rows are live: 7 down to 1.
+            for n in (GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 1):
+                assert batch_outcome(matrices[:n], model, beam) == want[:n]
 
 
 class TestSequenceScore:

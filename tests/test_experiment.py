@@ -413,6 +413,8 @@ class TestSweep:
     def test_empty_values(self):
         with pytest.raises(InvalidConfig):
             sweep(fast_config(["overweight:factor=2.0"]), "overweight", [], repeats=1)
+        with pytest.raises(InvalidConfig, match="^repeats must be >= 1$"):
+            sweep(fast_config(["overweight:factor=2.0"]), "overweight", [1.0], repeats=0)
 
     def test_no_strategies(self):
         with pytest.raises(InvalidConfig):
@@ -1547,6 +1549,8 @@ class TestConfigIO:
     def test_not_json(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config("turbo = yes\n")
+        with pytest.raises(InvalidConfig, match="^config must be a JSON object$"):
+            load_experiment_config('["regular:P=2,D=1"]')
 
     def test_unknown_key(self):
         # Folds draw from the config seed; there is no separate fold seed.
@@ -1588,6 +1592,8 @@ class TestConfigIO:
     def test_validation_applies(self):
         with pytest.raises(InvalidConfig):
             load_experiment_config(json.dumps({"folds": 1}))
+        with pytest.raises(InvalidConfig, match="^seed must be >= 0$"):
+            ExperimentConfig(seed=-1)
 
     @pytest.mark.parametrize("text", ["a\nb", "a\r", "a\u2028b"])
     def test_line_break_in_tag_or_strategy_refused(self, text):

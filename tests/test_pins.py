@@ -2,9 +2,9 @@
 
 A refactor that claims byte-identical outputs must keep these digests.
 If a pin moves on purpose, the new digest and the reason belong in the
-change log. The digests hold on every CPU: the run pin is rerun under
-other BLAS and numpy kernels, and the package makes no BLAS call, whose
-summation order the CPU would pick.
+change log. The digests hold on every CPU: the run pin and the drop_rate
+sweep pin are rerun under other BLAS and numpy kernels, and the package
+makes no BLAS call, whose summation order the CPU would pick.
 """
 
 import ast
@@ -143,7 +143,7 @@ def test_run_checksums_pinned(tmp_path, jobs):
         assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256[name], name
 
 
-# Kernel choices that must leave the run pin where it is. OpenBLAS picks its
+# Kernel choices that must leave the pins where they are. OpenBLAS picks its
 # kernel and numpy its dispatch targets when they load, so each runs in a
 # fresh interpreter. Haswell is the kernel of AVX2 machines, Prescott the
 # reference one; the numpy caps turn off its AVX-512 loops, then its AVX2
@@ -159,18 +159,34 @@ KERNEL_ENVS = {
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
 
 
-@pytest.mark.parametrize("env", KERNEL_ENVS.values(), ids=list(KERNEL_ENVS))
-def test_run_pin_holds_under_every_kernel(tmp_path, env):
-    config = write_config(tmp_path, RUN)
-    out = tmp_path / "run"
+def run_cli_under(env, *args):
+    """Run the CLI with args in a fresh interpreter under the kernel choice env."""
     src = os.path.dirname(os.path.dirname(landmark_frames.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "landmark_frames.cli", "run", "--config", config,
-         "--out", str(out), "--jobs", "1"],
+        [sys.executable, "-m", "landmark_frames.cli", *args, "--jobs", "1"],
         env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("env", KERNEL_ENVS.values(), ids=list(KERNEL_ENVS))
+def test_run_pin_holds_under_every_kernel(tmp_path, env):
+    out = tmp_path / "run"
+    run_cli_under(env, "run", "--config", write_config(tmp_path, RUN), "--out", str(out))
     assert sha256(out / "checksums.txt") == RUN_CHECKSUMS_SHA256["run"]
+
+
+@pytest.mark.parametrize("env", KERNEL_ENVS.values(), ids=list(KERNEL_ENVS))
+def test_sweep_pin_holds_under_every_kernel(tmp_path, env):
+    # A run decodes batches of one; this sweep decodes batches of 12 and 96
+    # rows, more than GATHER_ROWS, so the gathered backtrace runs too.
+    parameter, payload, values = SWEEPS["drop_rate"]
+    out = tmp_path / "sweep"
+    run_cli_under(
+        env, "sweep", "--config", write_config(tmp_path, payload), "--out", str(out),
+        "--parameter", parameter, "--values", values, "--repeats", "2",
+    )
+    assert sha256(out / "sweep.csv") == SWEEP_CSV_SHA256["drop_rate"]
 
 
 def test_package_makes_no_blas_call():
